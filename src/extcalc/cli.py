@@ -37,7 +37,11 @@ _FIELDS = {"f1": f1, "f2": f2, "f3": f3}
 
 
 def _default_tol() -> float:
-    return float(os.environ.get("EXTERIOR_TOL", DEFAULT_TOL))
+    raw = os.environ.get("EXTERIOR_TOL", DEFAULT_TOL)
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"EXTERIOR_TOL must be a number, got {raw!r}") from None
 
 
 def _read(path: str) -> str:
@@ -269,8 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         # writer side of a closed pipe: silence the shutdown flush too

@@ -174,10 +174,7 @@ class FieldForm:
 
     def coefficients_at(self, x) -> KForm:
         """The plain KForm with each field evaluated at x."""
-        acc: dict[tuple, float] = {}
-        for field, key in self.terms:
-            acc[key] = acc.get(key, 0.0) + field(x)
-        return KForm(self.arity, acc)
+        return KForm._trusted(self.arity, ((key, field(x)) for field, key in self.terms))
 
 
 def exterior_d(form: FieldForm, x, analytic: bool = True) -> KForm:

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .sparse import ArityError, DimensionError, SparseMap, format_coefficient
-from .tensors import KTensor, alt, as_frame, tensor_product
+from .sparse import ArityError, DimensionError, SparseMap, _check_rows, format_coefficient
+from .tensors import KTensor, _check_alt_cost, _parity, alt, as_frame, tensor_product
 
 __all__ = [
     "KForm",
@@ -65,20 +65,6 @@ class KForm(SparseMap):
         return NotImplemented
 
 
-def _canonical_row(row):
-    # -> (sorted_key, sign) or None for a repeated index
-    row = tuple(int(i) for i in row)
-    if len(set(row)) != len(row):
-        return None
-    inv = sum(
-        1
-        for i in range(len(row))
-        for j in range(i + 1, len(row))
-        if row[i] > row[j]
-    )
-    return tuple(sorted(row)), (-1 if inv % 2 else 1)
-
-
 def kform_from_rows(rows, coeffs=None) -> KForm:
     """Build a KForm from arbitrary index rows and coefficients.
 
@@ -86,29 +72,15 @@ def kform_from_rows(rows, coeffs=None) -> KForm:
     multiplied by the sort permutation's sign; rows with a repeated
     index are dropped; identical canonical keys accumulate.
     """
-    rows = [tuple(int(i) for i in r) for r in rows]
-    if not rows:
-        raise ValueError("need at least one row to infer arity")
-    k = len(rows[0])
-    if any(len(r) != k for r in rows):
-        raise ArityError("ragged rows: all index rows must share one arity")
-    if coeffs is None:
-        coeffs = [1.0] * len(rows)
-    coeffs = [float(c) for c in coeffs]
-    if len(coeffs) != len(rows):
-        raise ValueError(f"{len(rows)} rows but {len(coeffs)} coefficients")
-    acc: dict[tuple, float] = {}
-    for row, c in zip(rows, coeffs):
-        canon = _canonical_row(row)
-        if canon is None:
-            continue
-        key, sign = canon
-        v = acc.get(key, 0.0) + sign * c
-        if v == 0.0:
-            acc.pop(key, None)
-        else:
-            acc[key] = v
-    return KForm(k, acc)
+    k, rows, coeffs = _check_rows(rows, coeffs)
+    return KForm._trusted(
+        k,
+        (
+            (tuple(sorted(row)), _parity(row) * c)
+            for row, c in zip(rows, coeffs)
+            if len(set(row)) == len(row)
+        ),
+    )
 
 
 def elementary(i: int) -> KForm:
@@ -200,19 +172,15 @@ def _merge_signed(a: tuple, b: tuple):
 
 def wedge(w: KForm, e: KForm) -> KForm:
     """Wedge product by sorted key merge with inversion-count signs."""
-    acc: dict[tuple, float] = {}
-    for ka, ca in w.terms.items():
-        for kb, cb in e.terms.items():
-            merged = _merge_signed(ka, kb)
-            if merged is None:
-                continue
-            key, sign = merged
-            v = acc.get(key, 0.0) + sign * ca * cb
-            if v == 0.0:
-                acc.pop(key, None)
-            else:
-                acc[key] = v
-    return KForm(w.arity + e.arity, acc)
+    return KForm._trusted(
+        w.arity + e.arity,
+        (
+            (merged[0], merged[1] * ca * cb)
+            for ka, ca in w.terms.items()
+            for kb, cb in e.terms.items()
+            if (merged := _merge_signed(ka, kb)) is not None
+        ),
+    )
 
 
 def form_to_tensor(w: KForm) -> KTensor:
@@ -222,18 +190,15 @@ def form_to_tensor(w: KForm) -> KTensor:
     terms sign(sigma) * c on the permuted keys sigma(I).
     """
     k = w.arity
-    acc: dict[tuple, float] = {}
-    for key, c in w.terms.items():
-        for perm in itertools.permutations(range(k)):
-            inv = sum(
-                1
-                for i in range(k)
-                for j in range(i + 1, k)
-                if perm[i] > perm[j]
-            )
-            sign = -1 if inv % 2 else 1
-            acc[tuple(key[i] for i in perm)] = sign * c
-    return KTensor(k, acc)
+    _check_alt_cost("form_to_tensor", k)
+    return KTensor._trusted(
+        k,
+        (
+            (tuple(key[i] for i in perm), _parity(perm) * c)
+            for key, c in w.terms.items()
+            for perm in itertools.permutations(range(k))
+        ),
+    )
 
 
 def alternating_tensor_to_form(T: KTensor) -> KForm:
@@ -253,6 +218,7 @@ def wedge_definitional(w: KForm, e: KForm) -> KForm:
     second route for verification.
     """
     k, l = w.arity, e.arity
+    _check_alt_cost("wedge_definitional", k + l)
     prod = tensor_product(form_to_tensor(w), form_to_tensor(e))
     if k + l == 0:
         return KForm(0, prod.terms)
@@ -275,20 +241,16 @@ def contract(w: KForm, v) -> KForm:
         raise DimensionError(
             f"vector has length {v.shape[0]} but indices reach {w.dimension}"
         )
-    acc: dict[tuple, float] = {}
-    for key, c in w.terms.items():
-        for j, i in enumerate(key):
-            vi = v[i - 1]
-            if vi == 0.0:
-                continue
-            sub = key[:j] + key[j + 1 :]
-            term = (-vi if j % 2 else vi) * c
-            val = acc.get(sub, 0.0) + term
-            if val == 0.0:
-                acc.pop(sub, None)
-            else:
-                acc[sub] = val
-    return KForm(w.arity - 1, acc)
+    vals = v.tolist()
+    return KForm._trusted(
+        w.arity - 1,
+        (
+            (key[:j] + key[j + 1 :], (-vals[i - 1] if j % 2 else vals[i - 1]) * c)
+            for key, c in w.terms.items()
+            for j, i in enumerate(key)
+            if vals[i - 1] != 0.0
+        ),
+    )
 
 
 def contract_matrix(w: KForm, V, lose: bool = True):
@@ -330,21 +292,17 @@ def pullback(w: KForm, M) -> KForm:
             f"matrix is {n}x{n} but form indices reach {w.dimension}"
         )
     k = w.arity
-    acc: dict[tuple, float] = {}
-    for key, a in w.terms.items():
-        rows = np.fromiter((i - 1 for i in key), dtype=int, count=k)
-        sub = M[rows, :]
-        for target in itertools.combinations(range(1, n + 1), k):
-            cols = np.fromiter((j - 1 for j in target), dtype=int, count=k)
-            d = _det(sub[:, cols])
-            if d == 0.0:
-                continue
-            val = acc.get(target, 0.0) + a * d
-            if val == 0.0:
-                acc.pop(target, None)
-            else:
-                acc[target] = val
-    return KForm(k, acc)
+
+    def terms():
+        for key, a in w.terms.items():
+            rows = np.fromiter((i - 1 for i in key), dtype=int, count=k)
+            sub = M[rows, :]
+            for target in itertools.combinations(range(1, n + 1), k):
+                d = _det(sub[:, [j - 1 for j in target]])
+                if d != 0.0:
+                    yield target, a * d
+
+    return KForm._trusted(k, terms())
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"

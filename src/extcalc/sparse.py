@@ -10,12 +10,21 @@ everywhere:
   any construction order of the same object yields identical storage;
 * the implied dimension is the largest index used (0 for the empty map).
 
+Public constructors validate every key: an index must be an integral
+value >= 1, and key lengths must match the arity.  Results computed
+inside the package have canonical keys by construction, so they go
+through the trusted path (SparseMap._trusted), which skips that
+validation.  Both paths store their terms through one accumulation
+kernel, which is where the first two rules are enforced.
+
 Instances are immutable by convention: every operation returns a new map
 and never touches its operands, so values can be shared freely between
 threads.
 """
 
 from __future__ import annotations
+
+import itertools
 
 __all__ = [
     "ArityError",
@@ -50,12 +59,49 @@ def format_coefficient(c: float) -> str:
 
 
 def _check_key(key, arity: int) -> tuple:
-    key = tuple(int(i) for i in key)
+    raw = tuple(key)
+    key = tuple(int(i) for i in raw)
+    if key != raw:
+        raise ValueError(f"indices must be integral, got {raw}")
     if len(key) != arity:
         raise ArityError(f"key {key} has arity {len(key)}, expected {arity}")
     if any(i < 1 for i in key):
         raise ValueError(f"indices are 1-based positive integers, got {key}")
     return key
+
+
+def _check_rows(rows, coeffs):
+    # validated (arity, keys, float coefficients) for the *_from_rows builders
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        raise ValueError("need at least one row to infer arity")
+    k = len(rows[0])
+    if any(len(r) != k for r in rows):
+        raise ArityError("ragged rows: all index rows must share one arity")
+    rows = [_check_key(r, k) for r in rows]
+    if coeffs is None:
+        coeffs = [1.0] * len(rows)
+    coeffs = [float(c) for c in coeffs]
+    if len(coeffs) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(coeffs)} coefficients")
+    return k, rows, coeffs
+
+
+def _accumulate(items) -> dict:
+    """The storage kernel: sum (key, coeff) pairs into canonical terms.
+
+    Coefficients are added per key in iteration order as Python floats,
+    a sum that is exactly 0.0 is deleted, and the result is returned in
+    lexicographic key order.
+    """
+    acc: dict[tuple, float] = {}
+    for key, c in items:
+        c = acc.get(key, 0.0) + float(c)
+        if c == 0.0:
+            acc.pop(key, None)
+        else:
+            acc[key] = c
+    return dict(sorted(acc.items()))
 
 
 class SparseMap:
@@ -71,16 +117,17 @@ class SparseMap:
         if arity < 0:
             raise ArityError(f"arity must be nonnegative, got {arity}")
         items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[tuple, float] = {}
-        for key, c in items:
-            key = _check_key(key, arity)
-            c = acc.get(key, 0.0) + float(c)
-            if c == 0.0:
-                acc.pop(key, None)
-            else:
-                acc[key] = c
         self.arity = arity
-        self.terms = dict(sorted(acc.items()))
+        self.terms = _accumulate((_check_key(key, arity), c) for key, c in items)
+
+    @classmethod
+    def _trusted(cls, arity: int, items) -> "SparseMap":
+        # (key, coeff) pairs whose keys are already valid for cls: no
+        # per-key validation, only the accumulation kernel
+        obj = cls.__new__(cls)
+        obj.arity = arity
+        obj.terms = _accumulate(items)
+        return obj
 
     # -- basic queries -------------------------------------------------
 
@@ -106,18 +153,11 @@ class SparseMap:
 
     def insert_accumulate(self, key, c: float) -> "SparseMap":
         """Return a copy with c added onto key (exact zeros vanish)."""
-        key = _check_key(key, self.arity)
-        acc = dict(self.terms)
-        new = acc.get(key, 0.0) + float(c)
-        if new == 0.0:
-            acc.pop(key, None)
-        else:
-            acc[key] = new
-        return type(self)(self.arity, acc)
+        return type(self)(self.arity, [*self.terms.items(), (key, c)])
 
     def scale(self, s: float) -> "SparseMap":
         s = float(s)
-        return type(self)(self.arity, {k: s * c for k, c in self.terms.items()})
+        return self._trusted(self.arity, ((k, s * c) for k, c in self.terms.items()))
 
     def __add__(self, other):
         if not isinstance(other, SparseMap):
@@ -126,14 +166,11 @@ class SparseMap:
             raise ArityError(
                 f"cannot add arity {self.arity} and arity {other.arity} maps"
             )
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            new = acc.get(key, 0.0) + c
-            if new == 0.0:
-                acc.pop(key, None)
-            else:
-                acc[key] = new
-        return type(self)(self.arity, acc)
+        items = itertools.chain(self.terms.items(), other.terms.items())
+        # other's keys satisfy type(self)'s key rule only if other is one too
+        if isinstance(other, type(self)):
+            return self._trusted(self.arity, items)
+        return type(self)(self.arity, items)
 
     def __sub__(self, other):
         if not isinstance(other, SparseMap):
@@ -153,8 +190,8 @@ class SparseMap:
     def zap(self, tol: float = DEFAULT_TOL) -> "SparseMap":
         """Drop every term with |coefficient| <= tol."""
         tol = float(tol)
-        return type(self)(
-            self.arity, {k: c for k, c in self.terms.items() if abs(c) > tol}
+        return self._trusted(
+            self.arity, ((k, c) for k, c in self.terms.items() if abs(c) > tol)
         )
 
     # -- comparison ------------------------------------------------------

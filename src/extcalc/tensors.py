@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .sparse import ArityError, DimensionError, SparseMap
+from .sparse import ArityError, DimensionError, SparseMap, _check_rows
 
 __all__ = [
     "KTensor",
@@ -43,18 +43,20 @@ def ktensor_from_rows(rows, coeffs=None) -> KTensor:
 
     Duplicate rows accumulate.  With coeffs omitted every row gets 1.
     """
-    rows = [tuple(int(i) for i in r) for r in rows]
-    if not rows:
-        raise ValueError("need at least one row to infer arity")
-    k = len(rows[0])
-    if any(len(r) != k for r in rows):
-        raise ArityError("ragged rows: all index rows must share one arity")
-    if coeffs is None:
-        coeffs = [1.0] * len(rows)
-    coeffs = [float(c) for c in coeffs]
-    if len(coeffs) != len(rows):
-        raise ValueError(f"{len(rows)} rows but {len(coeffs)} coefficients")
-    return KTensor(k, zip(rows, coeffs))
+    k, rows, coeffs = _check_rows(rows, coeffs)
+    return KTensor._trusted(k, zip(rows, coeffs))
+
+
+def _parity(seq) -> int:
+    # +1/-1 by the parity of the inversion count of seq
+    inv = 0
+    k = len(seq)
+    for i in range(k):
+        si = seq[i]
+        for j in range(i + 1, k):
+            if si > seq[j]:
+                inv += 1
+    return -1 if inv % 2 else 1
 
 
 def perm_sign(p) -> int:
@@ -63,8 +65,17 @@ def perm_sign(p) -> int:
     k = len(p)
     if sorted(p) != list(range(1, k + 1)):
         raise ValueError(f"{p} is not a permutation of 1..{k}")
-    inv = sum(1 for i in range(k) for j in range(i + 1, k) if p[i] > p[j])
-    return -1 if inv % 2 else 1
+    return _parity(p)
+
+
+def _check_alt_cost(what: str, k: int) -> None:
+    # the definitional routes enumerate k! permutations per term; refuse
+    # before any work starts
+    if k > ALT_MAX_ARITY:
+        raise ValueError(
+            f"{what} on arity {k} would enumerate {k}! = {math.factorial(k)} "
+            "permutations; refusing"
+        )
 
 
 def as_frame(E, arity: int, min_rows: int) -> np.ndarray:
@@ -104,28 +115,14 @@ def evaluate_tensor(S: KTensor, E) -> float:
 
 def tensor_product(S: SparseMap, T: SparseMap) -> KTensor:
     """Tensor product: keys concatenate, coefficients multiply."""
-    acc: dict[tuple, float] = {}
-    for ka, ca in S.terms.items():
-        for kb, cb in T.terms.items():
-            key = ka + kb
-            c = acc.get(key, 0.0) + ca * cb
-            if c == 0.0:
-                acc.pop(key, None)
-            else:
-                acc[key] = c
-    return KTensor(S.arity + T.arity, acc)
-
-
-def _perm_parity(perm) -> int:
-    # parity of a 0-based permutation tuple, +1/-1
-    inv = 0
-    k = len(perm)
-    for i in range(k):
-        pi = perm[i]
-        for j in range(i + 1, k):
-            if pi > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return KTensor._trusted(
+        S.arity + T.arity,
+        (
+            (ka + kb, ca * cb)
+            for ka, ca in S.terms.items()
+            for kb, cb in T.terms.items()
+        ),
+    )
 
 
 def alt(T: SparseMap) -> KTensor:
@@ -138,20 +135,13 @@ def alt(T: SparseMap) -> KTensor:
     k = T.arity
     if k < 1:
         raise ArityError("alt needs arity >= 1")
-    if k > ALT_MAX_ARITY:
-        raise ValueError(
-            f"alt on arity {k} would enumerate {k}! = {math.factorial(k)} "
-            "permutations; refusing"
-        )
+    _check_alt_cost("alt", k)
     fact = float(math.factorial(k))
-    acc: dict[tuple, float] = {}
-    for key, c in T.terms.items():
-        for perm in itertools.permutations(range(k)):
-            sign = _perm_parity(perm)
-            new = tuple(key[i] for i in perm)
-            v = acc.get(new, 0.0) + sign * c / fact
-            if v == 0.0:
-                acc.pop(new, None)
-            else:
-                acc[new] = v
-    return KTensor(k, acc)
+    return KTensor._trusted(
+        k,
+        (
+            (tuple(key[i] for i in perm), _parity(perm) * c / fact)
+            for key, c in T.terms.items()
+            for perm in itertools.permutations(range(k))
+        ),
+    )

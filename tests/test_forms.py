@@ -117,6 +117,15 @@ def test_wedge_self_is_zero_for_odd_degree():
     assert not wedge(w, w).terms
 
 
+def test_definitional_routes_refuse_large_arity_before_expanding():
+    with pytest.raises(ValueError, match="form_to_tensor on arity 11"):
+        form_to_tensor(KForm(11, {tuple(range(1, 12)): 1.0}))
+    a = KForm(6, {tuple(range(1, 7)): 1.0})
+    b = KForm(5, {tuple(range(7, 12)): 1.0})
+    with pytest.raises(ValueError, match="wedge_definitional on arity 11"):
+        wedge_definitional(a, b)
+
+
 def test_wedge_definitional_agreement_small():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from extcalc import ArityError, SparseMap
@@ -99,3 +100,21 @@ def test_text_form_and_zero_line():
     m = SparseMap(2, {(2, 4): 113.0, (7, 8): 5.0, (1, 10): 0.5})
     assert m.to_text() == "1 10 : 0.5\n2 4 : 113\n7 8 : 5\n"
     assert SparseMap(3).to_text() == "zero k=3\n"
+
+
+def test_non_integral_indices_are_rejected():
+    from extcalc import KForm, KTensor, kform_from_rows, ktensor_from_rows
+
+    with pytest.raises(ValueError, match="integral"):
+        KForm(1, {(2.7,): 1.0})
+    with pytest.raises(ValueError, match="integral"):
+        KTensor(1, {(2.9,): 1.0})
+    with pytest.raises(ValueError, match="integral"):
+        kform_from_rows([(1.5, 3)])
+    with pytest.raises(ValueError, match="integral"):
+        ktensor_from_rows([(2, 0.5)])
+    with pytest.raises(ValueError, match="integral"):
+        SparseMap(1, {(2,): 1.0}).insert_accumulate((2.5,), 1.0)
+    # integral values of other numeric types keep working
+    assert KForm(1, {(2.0,): 1.0}).terms == {(2,): 1.0}
+    assert kform_from_rows([(np.int64(3), 1.0)]).terms == {(1, 3): -1.0}

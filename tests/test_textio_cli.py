@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -202,6 +203,14 @@ def test_cli_alt_accepts_forms(tmp_path, capsys):
     assert got == alt(form_to_tensor(kform_from_rows([(1, 2)])))
 
 
+def test_cli_alt_refuses_large_form_before_expanding(tmp_path, capsys):
+    f = _write(tmp_path, "f.txt", "kform k=11\n" + " ".join(map(str, range(1, 12))) + " : 1\n")
+    t0 = time.perf_counter()
+    assert main(["alt", f]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "permutations; refusing" in capsys.readouterr().err
+
+
 def test_cli_d_default_demo(capsys):
     assert main(["d"]) == 0
     got = parse_form_text(capsys.readouterr().out)
@@ -292,6 +301,19 @@ def test_cli_usage_error_is_exit_code_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["print", "x"], ["eval", "x", "y"], ["wedge", "x", "y"], ["add", "x", "y"],
+     ["contract", "x", "y"], ["pullback", "x", "y"], ["alt", "x"], ["d"],
+     ["verify", "suite"]],
+)
+def test_cli_non_numeric_tol_env_exits_2(argv, monkeypatch, capsys):
+    monkeypatch.setenv("EXTERIOR_TOL", "abc")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "EXTERIOR_TOL" in err
 
 
 def test_cli_verify_stokes(capsys):
