@@ -63,7 +63,7 @@ def _emit(obj) -> int:
 
 
 def _emit_json(report) -> None:
-    print(json.dumps(report, default=float))
+    print(json.dumps(report, default=float, allow_nan=False))
 
 
 def cmd_eval(args) -> int:
@@ -280,7 +280,7 @@ def main(argv=None) -> int:
         # writer side of a closed pipe: silence the shutdown flush too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ParseError, ArityError, DimensionError, ValueError, OSError) as exc:
+    except (ParseError, ArityError, DimensionError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

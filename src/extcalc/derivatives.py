@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sparse import ArityError, DimensionError
+from .sparse import DimensionError, _check_key
 from .forms import KForm, kform_from_rows, wedge
 
 __all__ = [
@@ -142,26 +142,32 @@ def grad(values) -> KForm:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("grad needs a nonempty 1-D vector of coefficients")
-    return KForm(1, {(i + 1,): v for i, v in enumerate(values) if v != 0.0})
+    return KForm._trusted(1, (((i + 1,), v) for i, v in enumerate(values.tolist())))
 
 
 @dataclass(frozen=True)
 class FieldForm:
-    """A form whose coefficients are scalar fields: sum_j f_j dx_{I_j}."""
+    """A form whose coefficients are scalar fields: sum_j f_j dx_{I_j}.
+
+    A plain callable coefficient is wrapped as ScalarField(fn), so its
+    derivatives come from finite differences.  Keys must be strictly
+    increasing tuples of 1-based integral indices sharing one arity.
+    """
 
     terms: tuple
 
     def __init__(self, terms):
-        pairs = []
-        for field, key in terms:
-            key = tuple(int(i) for i in key)
-            if any(a >= b for a, b in zip(key, key[1:])) or any(i < 1 for i in key):
-                raise ValueError(f"wedge keys must be strictly increasing, got {key}")
-            pairs.append((field, key))
+        pairs = [
+            (field if isinstance(field, ScalarField) else ScalarField(field), tuple(key))
+            for field, key in terms
+        ]
         if not pairs:
             raise ValueError("need at least one (field, key) term")
-        if len({len(key) for _, key in pairs}) != 1:
-            raise ArityError("all wedge keys must share one arity")
+        k = len(pairs[0][1])
+        pairs = [(f, _check_key(key, k)) for f, key in pairs]
+        for _, key in pairs:
+            if any(a >= b for a, b in zip(key, key[1:])):
+                raise ValueError(f"wedge keys must be strictly increasing, got {key}")
         object.__setattr__(self, "terms", tuple(pairs))
 
     @property
@@ -186,7 +192,7 @@ def exterior_d(form: FieldForm, x, analytic: bool = True) -> KForm:
         )
     total = KForm(form.arity + 1)
     for field, key in form.terms:
-        g = field.gradient_at(x, analytic=analytic) if isinstance(field, ScalarField) else fd_gradient(field, x)
+        g = field.gradient_at(x, analytic=analytic)
         if g.size < form.dimension:
             raise DimensionError("gradient shorter than the wedge dimension")
         if not np.any(g):
@@ -201,7 +207,7 @@ def hat(n: int) -> KForm:
     if n < 2:
         raise ValueError("hat needs n >= 2")
     full = tuple(range(1, n + 1))
-    return KForm(n - 1, {full[:i] + full[i + 1 :]: 1.0 for i in range(n)})
+    return KForm._trusted(n - 1, ((full[:i] + full[i + 1 :], 1.0) for i in range(n)))
 
 
 def omega_gradient(x) -> KForm:
@@ -232,22 +238,13 @@ def dd_check(fields, elementary_wedges, x, analytic: bool = False) -> KForm:
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    fields = list(fields)
-    keys = [tuple(int(i) for i in key) for key in elementary_wedges]
-    if len(fields) != len(keys):
-        raise ValueError("need one wedge key per field")
-    if not fields:
-        raise ValueError("need at least one field")
-    k = len(keys[0])
-    total = KForm(k + 2)
+    form = FieldForm(zip(fields, elementary_wedges, strict=True))
+    total = KForm(form.arity + 2)
     pairs = [(r, s) for r in range(1, n + 1) for s in range(1, n + 1)]
-    for field, key in zip(fields, keys):
-        if isinstance(field, ScalarField):
-            H = field.hessian_at(x, analytic=analytic)
-        else:
-            H = fd_hessian(field, x)
+    for field, key in form.terms:
+        H = field.hessian_at(x, analytic=analytic)
         two = kform_from_rows(pairs, [H[r - 1, s - 1] for r, s in pairs])
-        total = total + wedge(two, KForm(k, {key: 1.0}))
+        total = total + wedge(two, KForm(form.arity, {key: 1.0}))
     return total
 
 

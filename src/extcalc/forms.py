@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .sparse import ArityError, DimensionError, SparseMap, _check_rows, format_coefficient
+from .sparse import ArityError, DimensionError, SparseMap, _check_key, _check_rows, format_coefficient
 from .tensors import KTensor, _check_alt_cost, _parity, alt, as_frame, tensor_product
 
 __all__ = [
@@ -85,9 +85,6 @@ def kform_from_rows(rows, coeffs=None) -> KForm:
 
 def elementary(i: int) -> KForm:
     """The elementary 1-form dx_i."""
-    i = int(i)
-    if i < 1:
-        raise ValueError("indices are 1-based and positive")
     return KForm(1, {(i,): 1.0})
 
 
@@ -101,11 +98,10 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
     """
     if isinstance(indices, (int, np.integer)):
         indices = range(1, int(indices) + 1)
-    idx = sorted(int(i) for i in indices)
+    idx = tuple(indices)
+    idx = sorted(_check_key(idx, len(idx)))
     if len(set(idx)) != len(idx):
         raise ValueError("index set must be distinct")
-    if any(i < 1 for i in idx):
-        raise ValueError("indices are 1-based and positive")
     subsets = sorted(itertools.combinations(idx, k), key=lambda t: t[::-1])
     if coeffs is None:
         coeffs = [1.0] * len(subsets)

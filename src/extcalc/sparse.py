@@ -10,12 +10,13 @@ everywhere:
   any construction order of the same object yields identical storage;
 * the implied dimension is the largest index used (0 for the empty map).
 
-Public constructors validate every key: an index must be an integral
-value >= 1, and key lengths must match the arity.  Results computed
-inside the package have canonical keys by construction, so they go
-through the trusted path (SparseMap._trusted), which skips that
-validation.  Both paths store their terms through one accumulation
-kernel, which is where the first two rules are enforced.
+Public constructors validate every key and coefficient: an index must
+be an integral value >= 1, key lengths must match the arity, and a
+coefficient must be finite.  Results computed inside the package have
+canonical keys by construction, so they go through the trusted path
+(SparseMap._trusted), which skips that validation.  Both paths store
+their terms through one accumulation kernel, which is where the first
+two rules are enforced.
 
 Instances are immutable by convention: every operation returns a new map
 and never touches its operands, so values can be shared freely between
@@ -25,6 +26,7 @@ threads.
 from __future__ import annotations
 
 import itertools
+import math
 
 __all__ = [
     "ArityError",
@@ -70,6 +72,13 @@ def _check_key(key, arity: int) -> tuple:
     return key
 
 
+def _check_finite(c) -> float:
+    c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"need a finite number, got {c}")
+    return c
+
+
 def _check_rows(rows, coeffs):
     # validated (arity, keys, float coefficients) for the *_from_rows builders
     rows = [tuple(r) for r in rows]
@@ -81,7 +90,7 @@ def _check_rows(rows, coeffs):
     rows = [_check_key(r, k) for r in rows]
     if coeffs is None:
         coeffs = [1.0] * len(rows)
-    coeffs = [float(c) for c in coeffs]
+    coeffs = [_check_finite(c) for c in coeffs]
     if len(coeffs) != len(rows):
         raise ValueError(f"{len(rows)} rows but {len(coeffs)} coefficients")
     return k, rows, coeffs
@@ -118,7 +127,7 @@ class SparseMap:
             raise ArityError(f"arity must be nonnegative, got {arity}")
         items = terms.items() if isinstance(terms, dict) else terms
         self.arity = arity
-        self.terms = _accumulate((_check_key(key, arity), c) for key, c in items)
+        self.terms = _accumulate((_check_key(key, arity), _check_finite(c)) for key, c in items)
 
     @classmethod
     def _trusted(cls, arity: int, items) -> "SparseMap":
@@ -137,7 +146,7 @@ class SparseMap:
         return max((max(k) for k in self.terms if k), default=0)
 
     def coefficient(self, key) -> float:
-        return self.terms.get(tuple(int(i) for i in key), 0.0)
+        return self.terms.get(_check_key(key, self.arity), 0.0)
 
     def items(self):
         """Yield (key, coefficient) pairs in lexicographic key order."""

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .sparse import ArityError, DimensionError, SparseMap, _check_rows
+from .sparse import ArityError, DimensionError, SparseMap, _check_key, _check_rows
 
 __all__ = [
     "KTensor",
@@ -61,8 +61,9 @@ def _parity(seq) -> int:
 
 def perm_sign(p) -> int:
     """Sign of a permutation of 1..k given in one-line notation."""
-    p = tuple(int(i) for i in p)
+    p = tuple(p)
     k = len(p)
+    p = _check_key(p, k)
     if sorted(p) != list(range(1, k + 1)):
         raise ValueError(f"{p} is not a permutation of 1..{k}")
     return _parity(p)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sparse import ArityError, SparseMap
+from .sparse import ArityError, SparseMap, _check_finite
 from .tensors import KTensor, ktensor_from_rows
 from .forms import KForm, kform_from_rows
 
@@ -63,7 +63,7 @@ def _parse_term(lineno: int, line: str, arity: int):
     if any(i < 1 for i in key):
         raise ParseError(lineno, f"indices are 1-based and positive, got {key}")
     try:
-        coeff = float(right)
+        coeff = _check_finite(right)
     except ValueError:
         raise ParseError(lineno, f"bad coefficient in {line!r}") from None
     return key, coeff
@@ -110,7 +110,7 @@ def parse_matrix_text(text: str) -> np.ndarray:
     width = None
     for lineno, line in _significant_lines(text):
         try:
-            row = [float(tok) for tok in line.split()]
+            row = [_check_finite(tok) for tok in line.split()]
         except ValueError:
             raise ParseError(lineno, f"bad number in {line!r}") from None
         if width is None:

@@ -118,3 +118,44 @@ def test_non_integral_indices_are_rejected():
     # integral values of other numeric types keep working
     assert KForm(1, {(2.0,): 1.0}).terms == {(2,): 1.0}
     assert kform_from_rows([(np.int64(3), 1.0)]).terms == {(1, 3): -1.0}
+
+
+def test_index_helpers_reject_non_integral_indices():
+    from extcalc import FieldForm, dd_check, elementary, f1, kform_general, perm_sign
+
+    with pytest.raises(ValueError, match="integral"):
+        elementary(2.7)
+    with pytest.raises(ValueError, match="integral"):
+        kform_general([1, 2.7, 3], 2)
+    with pytest.raises(ValueError, match="integral"):
+        FieldForm([(f1, (1.5, 2.5))])
+    with pytest.raises(ValueError, match="integral"):
+        perm_sign((2.9, 1.2))
+    with pytest.raises(ValueError, match="integral"):
+        dd_check([f1], [(1.9,)], np.arange(1.0, 5.0))
+    with pytest.raises(ValueError, match="integral"):
+        SparseMap(1, {(2,): 1.0}).coefficient((2.7,))
+    # integral values of other numeric types keep working
+    assert elementary(2.0).terms == elementary(np.int64(2)).terms == {(2,): 1.0}
+    assert kform_general([1, np.int64(2), 3.0], 2).terms == {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}
+    assert FieldForm([(f1, (1.0, np.int64(2)))]).terms[0][1] == (1, 2)
+    assert perm_sign((2.0, np.int64(1))) == -1
+    assert SparseMap(1, {(2,): 1.0}).coefficient((np.int64(2),)) == 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_non_finite_coefficients_are_rejected(bad):
+    from extcalc import KForm, KTensor, kform_from_rows, ktensor_from_rows
+
+    with pytest.raises(ValueError, match="finite"):
+        SparseMap(1, {(1,): bad})
+    with pytest.raises(ValueError, match="finite"):
+        KForm(2, {(1, 2): bad})
+    with pytest.raises(ValueError, match="finite"):
+        KTensor(1, [((1,), 1.0), ((1,), bad)])
+    with pytest.raises(ValueError, match="finite"):
+        kform_from_rows([(2, 1)], [bad])
+    with pytest.raises(ValueError, match="finite"):
+        ktensor_from_rows([(1, 1)], [bad])
+    with pytest.raises(ValueError, match="finite"):
+        SparseMap(1, {(2,): 1.0}).insert_accumulate((2,), bad)

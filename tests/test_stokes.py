@@ -11,6 +11,7 @@ from extcalc import (
     QuadratureRule,
     closed_form_value,
     dphi_example,
+    evaluate_form,
     exterior_d,
     hat,
     integrate_boundary,
@@ -74,6 +75,8 @@ def test_quadrature_rule_basics():
         QuadratureRule.gauss_legendre(1, 1.0)
     with pytest.raises(ValueError):
         QuadratureRule.gauss_legendre(4, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureRule.gauss_legendre(4, float("inf"))
 
 
 def test_quadrature_exact_for_monomials():
@@ -89,6 +92,8 @@ def test_cube_validation():
         CubeDomain(1)
     with pytest.raises(ValueError):
         CubeDomain(3, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        CubeDomain(3, float("inf"))
 
 
 def test_integrate_volume_known_values():
@@ -146,6 +151,52 @@ def test_boundary_degree_guard():
     rule = QuadratureRule.gauss_legendre(3, 1.0)
     with pytest.raises(DimensionError):
         integrate_boundary(dphi_example, cube, rule)
+
+
+def _boundary_by_face_frames(field, cube, rule):
+    # the definition: evaluate the form on the face's tangent frame
+    # e_j (j != i, increasing) at every node, weighted and oriented
+    n = cube.n
+    total = 0.0
+    for i in range(1, n + 1):
+        frame = np.delete(np.eye(n), i - 1, axis=1)
+        free = [j for j in range(n) if j != i - 1]
+        for side, orient in ((cube.a, (-1.0) ** (i - 1)), (0.0, (-1.0) ** i)):
+            for combo in itertools.product(range(rule.m), repeat=n - 1):
+                x = np.full(n, side)
+                x[free] = rule.points[list(combo)]
+                w = float(np.prod(rule.weights[list(combo)]))
+                total += orient * w * evaluate_form(field(x), frame)
+    return total
+
+
+def test_boundary_matches_face_frame_evaluation():
+    for n in (2, 3, 4):
+        rng = np.random.default_rng(40 + n)
+        full = tuple(range(1, n + 1))
+        keys = [full[:j] + full[j + 1 :] for j in range(n)]
+        # one cubic polynomial per key, in every coordinate
+        C = rng.uniform(-2.0, 2.0, (n, 3 * n + 1))
+
+        def field(x):
+            basis = np.concatenate(([1.0], x, x**2, x**3))
+            return KForm(n - 1, dict(zip(keys, (C @ basis).tolist())))
+
+        cube = CubeDomain(n, 1.3)
+        rule = QuadratureRule.gauss_legendre(4, 1.3)
+        assert len(field(rule.points[:n])) == n
+        want = _boundary_by_face_frames(field, cube, rule)
+        got = integrate_boundary(field, cube, rule)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_integrators_refuse_indices_beyond_the_cube():
+    cube = CubeDomain(3, 1.0)
+    rule = QuadratureRule.gauss_legendre(2, 1.0)
+    with pytest.raises(DimensionError):
+        integrate_volume(lambda x: KForm(3, {(1, 2, 4): 1.0}), cube, rule)
+    with pytest.raises(DimensionError):
+        integrate_boundary(lambda x: KForm(2, {(2, 4): 1.0}), cube, rule)
 
 
 def test_verify_stokes_reports():

@@ -1,8 +1,10 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from extcalc import (
     parse_matrix_text,
     rform,
 )
+import extcalc
 from extcalc.cli import main
 
 
@@ -112,6 +115,14 @@ def test_parse_matrix_vector_and_matrix():
 def test_parse_matrix_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_matrix_text(text)
+
+
+@pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e999"])
+def test_parse_rejects_non_finite_numbers_naming_the_line(token):
+    with pytest.raises(ParseError, match="line 3"):
+        parse_form_text(f"kform k=2\n1 2 : 1\n2 3 : {token}\n")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_matrix_text(f"1 2\n3 {token}\n")
 
 
 # ---------------------------------------------------------------- cli
@@ -253,6 +264,20 @@ def test_cli_reads_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out == "+3 dx2\n"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [["print", "-"], ["verify", "stokes", "--n", "2", "--a", "inf"],
+     ["verify", "stokes", "--n", "2", "--a", "1e308"],
+     ["verify", "stokes", "--n", "3", "--m", "3", "--a", "1e100"]],
+)
+def test_cli_non_finite_numbers_exit_2(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("kform k=1\n1 : nan\n"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 def test_cli_zap_env_default(tmp_path, monkeypatch, capsys):
     a = _write(tmp_path, "a.txt", "kform k=1\n1 : 1\n2 : 0.4\n")
     b = _write(tmp_path, "b.txt", "kform k=1\n1 : 1\n")
@@ -354,10 +379,14 @@ def test_cli_verify_suite(capsys):
 
 
 def test_console_module_entry_point(tmp_path):
+    # the child finds the same extcalc the tests import, installed or not
+    src = str(Path(extcalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "extcalc.cli", "verify", "det46", "--n", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
