@@ -16,6 +16,7 @@ import numpy as np
 
 from .sparse import DimensionError, _check_key
 from .forms import KForm, kform_from_rows, wedge
+from .tensors import _finite_array
 
 __all__ = [
     "fd_gradient",
@@ -185,7 +186,7 @@ class FieldForm:
 
 def exterior_d(form: FieldForm, x, analytic: bool = True) -> KForm:
     """d(sum_j f_j dx_{I_j})(x) = sum_j (grad f_j)(x) ^ dx_{I_j}."""
-    x = np.asarray(x, dtype=float)
+    x = _finite_array(x)
     if x.size < form.dimension:
         raise DimensionError(
             f"point has dimension {x.size} but wedge indices reach {form.dimension}"
@@ -216,7 +217,7 @@ def omega_gradient(x) -> KForm:
     Coefficient i is (-1)^(i-1) (S^(n/2) - n x_i^2 S^(n/2-1)) / S^n with
     S = sum x_j^2; undefined at the origin.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite_array(x)
     n = x.size
     if n < 2:
         raise ValueError("need n >= 2")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .sparse import ArityError, DimensionError, SparseMap, _check_key, _check_rows, format_coefficient
-from .tensors import KTensor, _check_alt_cost, _parity, alt, as_frame, tensor_product
+from .tensors import KTensor, _check_alt_cost, _finite_array, _parity, alt, as_frame, tensor_product
 
 __all__ = [
     "KForm",
@@ -114,33 +114,48 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
     return KForm(k, zip(subsets, coeffs))
 
 
-def _det(A: np.ndarray) -> float:
-    # direct formulas at sizes 0..3 keep small integer minors exact
-    m = A.shape[0]
+# pullback gathers the minors of this many targets per key at a time
+_TARGET_CHUNK = 4096
+
+
+def _dets(A: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square matrices, shape (..., m, m).
+
+    Sizes 0..3 use direct cofactor formulas, elementwise over the stack,
+    so small integer minors stay exact; larger sizes make one batched
+    np.linalg.det call.  Every determinant is bitwise the one its matrix
+    would give on its own.
+    """
+    m = A.shape[-1]
     if m == 0:
-        return 1.0
+        return np.ones(A.shape[:-2])
     if m == 1:
-        return float(A[0, 0])
+        return A[..., 0, 0]
     if m == 2:
-        return float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+        return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
     if m == 3:
-        return float(
-            A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
-            - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
-            + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0])
+        return (
+            A[..., 0, 0] * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
+            - A[..., 0, 1] * (A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0])
+            + A[..., 0, 2] * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0])
         )
-    return float(np.linalg.det(A))
+    return np.linalg.det(A)
 
 
 def evaluate_form(w: KForm, E) -> float:
-    """Evaluate the form on a frame: sum of coeff * det(E[key rows])."""
+    """Evaluate the form on a frame: sum of coeff * det(E[key rows]).
+
+    The k-by-k blocks E[key rows] of all keys are stacked and their
+    determinants taken in one call; the terms are then summed left to
+    right in key order.  The frame must be finite.
+    """
     if w.arity == 0:
         return w.terms.get((), 0.0)
     E = as_frame(E, w.arity, w.dimension)
+    rows = np.array(list(w.terms), dtype=np.intp).reshape(-1, w.arity) - 1
     total = 0.0
-    for key, c in w.terms.items():
-        rows = np.fromiter((i - 1 for i in key), dtype=int, count=len(key))
-        total += c * _det(E[rows, :])
+    for c, d in zip(w.terms.values(), _dets(E[rows]).tolist()):
+        total += c * d
     return total
 
 
@@ -276,10 +291,15 @@ def pullback(w: KForm, M) -> KForm:
     """Pull back along dx_i = sum_r M[i, r] dy_r.
 
     Each key I maps onto every increasing target J with the minor
-    determinant det(M[I, J]) as weight.  Near-zero accumulations are
-    kept; zap explicitly if wanted.
+    determinant det(M[I, J]) as weight.  The targets are taken in fixed
+    chunks, and for each key the minors of a whole chunk are gathered
+    into one stack and computed in one call; every target still sums
+    its terms in key order, so the result is bitwise that of computing
+    one minor at a time.  Exact-zero minors are skipped; near-zero
+    accumulations are kept; zap explicitly if wanted.  The matrix must
+    be finite.
     """
-    M = np.asarray(M, dtype=float)
+    M = _finite_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"transformation matrix must be square, got {M.shape}")
     n = M.shape[0]
@@ -288,15 +308,18 @@ def pullback(w: KForm, M) -> KForm:
             f"matrix is {n}x{n} but form indices reach {w.dimension}"
         )
     k = w.arity
+    rows_coeffs = [((np.array(key, dtype=np.intp) - 1)[:, None], a) for key, a in w.terms.items()]
+    targets = itertools.combinations(range(1, n + 1), k)
 
     def terms():
-        for key, a in w.terms.items():
-            rows = np.fromiter((i - 1 for i in key), dtype=int, count=k)
-            sub = M[rows, :]
-            for target in itertools.combinations(range(1, n + 1), k):
-                d = _det(sub[:, [j - 1 for j in target]])
-                if d != 0.0:
-                    yield target, a * d
+        # chunks outside, keys inside: each target still receives its
+        # terms in key order, so the sums match a key-by-key loop bitwise
+        while rows_coeffs and (chunk := list(itertools.islice(targets, _TARGET_CHUNK))):
+            cols = np.array(chunk, dtype=np.intp).reshape(len(chunk), 1, k) - 1
+            for rows, a in rows_coeffs:
+                for target, d in zip(chunk, _dets(M[rows, cols]).tolist()):
+                    if d != 0.0:
+                        yield target, a * d
 
     return KForm._trusted(k, terms())
 

@@ -52,9 +52,12 @@ def format_coefficient(c: float) -> str:
 
     Integral values come out bare ("113", not "113.0"); everything else
     uses the shortest representation that parses back to the identical
-    float, so serialized objects round-trip through text exactly.
+    float, so serialized objects round-trip through text exactly.  NaN
+    and infinity have no text form and raise ValueError.
     """
     c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"cannot write the non-finite value {c}: the result overflowed")
     if c.is_integer() and abs(c) < 1e16:
         return str(int(c))
     return repr(c)
@@ -250,6 +253,7 @@ class SparseMap:
 
     def __repr__(self):
         body = ", ".join(
-            f"{key}: {format_coefficient(c)}" for key, c in self.terms.items()
+            f"{key}: {format_coefficient(c) if math.isfinite(c) else c}"
+            for key, c in self.terms.items()
         )
         return f"{type(self).__name__}(k={self.arity}, {{{body}}})"

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .sparse import ArityError, DimensionError, SparseMap, _check_key, _check_rows
+from .sparse import ArityError, DimensionError, SparseMap, _check_finite, _check_key, _check_rows
 
 __all__ = [
     "KTensor",
@@ -79,9 +79,17 @@ def _check_alt_cost(what: str, k: int) -> None:
         )
 
 
+def _finite_array(A) -> np.ndarray:
+    # float array of A; ValueError on any NaN or infinity
+    A = np.asarray(A, dtype=float)
+    for v in A.ravel().tolist():
+        _check_finite(v)
+    return A
+
+
 def as_frame(E, arity: int, min_rows: int) -> np.ndarray:
-    """Coerce E to a float (n, arity) frame with n >= min_rows."""
-    E = np.asarray(E, dtype=float)
+    """Coerce E to a finite float (n, arity) frame with n >= min_rows."""
+    E = _finite_array(E)
     if arity == 1 and E.ndim == 1:
         E = E[:, None]
     if E.ndim != 2:

@@ -30,6 +30,8 @@ def _cases():
     v = np.array([0.0, 1.5, -2.0, 0.0, 3.0, 0.25])
     # rank 2: every 3x3 minor vanishes exactly
     M = np.arange(36.0).reshape(6, 6)
+    # rank 3: every 4x4 minor has a zero row and vanishes exactly
+    M3 = np.vstack([np.linspace(-1.0, 1.0, 18).reshape(3, 6), np.zeros((3, 6))])
     x = np.array([1.0, 2.0, 3.0, 4.0])
     return {
         "wedge": wedge(a, b),
@@ -39,6 +41,7 @@ def _cases():
                                      [0.0, 2.0, 3.0]),
         "pullback": pullback(a, np.linspace(-1.0, 1.0, 36).reshape(6, 6)),
         "pullback-singular": pullback(c, M),
+        "pullback-singular-k4": pullback(rform(seed=9, k=4, n=6, terms=8), M3),
         "tensor_product": tensor_product(form_to_tensor(a), form_to_tensor(b)),
         "alt": alt(tensor_product(form_to_tensor(a), form_to_tensor(b))),
         "alt-cancels": alt(tensor_product(form_to_tensor(b), form_to_tensor(b))),
@@ -75,6 +78,7 @@ def test_internal_results_are_canonical(name):
 
 def test_cancellation_cases_are_empty():
     cases = _cases()
-    for name in ("wedge-self-cancels", "contract-cancels", "pullback-singular", "alt-cancels",
+    for name in ("wedge-self-cancels", "contract-cancels", "pullback-singular", "pullback-singular-k4",
+                 "alt-cancels",
                  "add-cancels", "sub-cancels", "scale-zero", "zap", "kform_from_rows-cancels"):
         assert not cases[name].terms, name

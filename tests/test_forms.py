@@ -256,6 +256,75 @@ def test_pullback_minor_agrees_with_expansion_oracle():
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def _one_minor(A):
+    # one determinant at a time: cofactors up to 3x3, LAPACK above
+    m = A.shape[0]
+    if m == 0:
+        return 1.0
+    if m == 1:
+        return float(A[0, 0])
+    if m == 2:
+        return float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+    if m == 3:
+        return float(
+            A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
+            - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
+            + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0])
+        )
+    return float(np.linalg.det(A))
+
+
+def _pullback_minor_by_minor(w, M):
+    acc = {}
+    for key, a in w.terms.items():
+        rows = [i - 1 for i in key]
+        for target in itertools.combinations(range(1, M.shape[0] + 1), w.arity):
+            d = _one_minor(M[np.ix_(rows, [j - 1 for j in target])])
+            if d != 0.0:
+                c = acc.get(target, 0.0) + a * d
+                if c == 0.0:
+                    acc.pop(target, None)
+                else:
+                    acc[target] = c
+    return sorted(acc.items())
+
+
+def _evaluate_minor_by_minor(w, E):
+    total = 0.0
+    for key, c in w.terms.items():
+        total += c * _one_minor(E[[i - 1 for i in key], :])
+    return total
+
+
+def test_stacked_minors_match_one_minor_at_a_time_bitwise():
+    from extcalc import forms
+
+    rng = np.random.default_rng(34)
+    n = 8
+    gauss = rng.standard_normal((n, n))
+    ints = rng.integers(-4, 5, (n, n)).astype(float)
+    deficient = gauss.copy()
+    deficient[2, :] = 0.0
+    deficient[:, 5] = 0.0
+    cases = [(KForm(0, {(): 2.5}), M) for M in (gauss, ints)]
+    for k in range(1, 7):
+        w = rform(seed=40 + k, k=k, n=n, terms=min(6, math.comb(n, k)))
+        cases += [(w, gauss), (w, ints), (w, deficient)]
+    cases += [(KForm(k, {}), gauss) for k in (0, 2, 5)]
+    # C(16, 5) targets span more than one chunk
+    big = rform(seed=47, k=5, n=16, terms=3)
+    assert math.comb(16, 5) > forms._TARGET_CHUNK
+    cases.append((big, rng.standard_normal((16, 16))))
+    for w, M in cases:
+        got = pullback(w, M)
+        assert list(got.terms.items()) == _pullback_minor_by_minor(w, M)
+        E = M[:, : w.arity]
+        assert evaluate_form(w, E) == _evaluate_minor_by_minor(w, E)
+        if M is deficient:
+            # every minor on zero column 6 is an exact zero, so dropped
+            assert all(6 not in target for target in got.terms)
+
+
 def test_symbolic_letters_style():
     from extcalc import ktensor_from_rows
 

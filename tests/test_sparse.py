@@ -159,3 +159,32 @@ def test_non_finite_coefficients_are_rejected(bad):
         ktensor_from_rows([(1, 1)], [bad])
     with pytest.raises(ValueError, match="finite"):
         SparseMap(1, {(2,): 1.0}).insert_accumulate((2,), bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_frames_matrices_and_points_are_rejected(bad):
+    from extcalc import (
+        demo_two_form,
+        evaluate_form,
+        evaluate_tensor,
+        exterior_d,
+        kform_from_rows,
+        ktensor_from_rows,
+        omega_gradient,
+        pullback,
+    )
+
+    w = kform_from_rows([(1, 2)], [1.0])
+    frame = np.array([[1.0, 2.0], [3.0, bad], [5.0, 6.0]])
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_form(w, frame)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_tensor(ktensor_from_rows([(1, 1)], [1.0]), frame)
+    with pytest.raises(ValueError, match="finite"):
+        pullback(w, np.array([[1.0, 0.0], [bad, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        exterior_d(demo_two_form(), [1.0, bad, 3.0, 4.0])
+    with pytest.raises(ValueError, match="finite"):
+        omega_gradient([bad, 1.0, 2.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        format_coefficient(bad)

@@ -278,6 +278,30 @@ def test_cli_non_finite_numbers_exit_2(argv, monkeypatch, capsys):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "big2", "m10"], ["pullback", "big2", "m10"], ["wedge", "big1", "ten1"],
+     ["contract", "big1", "v10"], ["contract", "big2", "v10", "--keep-form"],
+     ["d", "--omega", "--at", "1e200", "1", "1"], ["d", "--at", "nan", "2", "3", "4"],
+     ["d", "--omega", "--at", "inf", "1"], ["d", "--field", "f1", "--at", "1", "inf", "3", "4"]],
+)
+def test_cli_non_finite_results_exit_2(argv, tmp_path, capsys):
+    # finite input whose result overflows, or a non-finite point: no
+    # nan/inf may reach the text output
+    files = {
+        "big2": "kform k=2\n1 2 : 1e308\n",
+        "big1": "kform k=1\n1 : 1e308\n",
+        "ten1": "kform k=1\n2 : 10\n",
+        "m10": "10 0\n0 10\n",
+        "v10": "10\n0\n",
+    }
+    argv = [_write(tmp_path, a + ".txt", files[a]) if a in files else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 def test_cli_zap_env_default(tmp_path, monkeypatch, capsys):
     a = _write(tmp_path, "a.txt", "kform k=1\n1 : 1\n2 : 0.4\n")
     b = _write(tmp_path, "b.txt", "kform k=1\n1 : 1\n")
