@@ -1,9 +1,10 @@
 """Command line interface: algebra on serialized forms plus verification.
 
 Exit codes: 0 success, 1 a verification fell outside tolerance, 2 bad
-usage or unparseable input.  File arguments accept "-" for stdin.  The
-EXTERIOR_TOL environment variable overrides the default tolerance used
-by the optional --zap cleanup flag.
+usage, unparseable input or a floating-point error (overflow, division
+by zero, invalid operation), reported as one error line.  File
+arguments accept "-" for stdin.  The EXTERIOR_TOL environment variable
+overrides the default tolerance used by the optional --zap cleanup flag.
 """
 
 from __future__ import annotations
@@ -275,12 +276,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # an overflow, a division by zero or a NaN is an error, not a warning
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.func(args)
     except BrokenPipeError:
         # writer side of a closed pipe: silence the shutdown flush too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ParseError, ArityError, DimensionError, ValueError, OverflowError, OSError) as exc:
+    except (
+        ParseError, ArityError, DimensionError, ValueError, OverflowError,
+        FloatingPointError, OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

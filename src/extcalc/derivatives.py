@@ -111,6 +111,10 @@ def fd_hessian(f: Callable, x, h=None) -> np.ndarray:
 class ScalarField:
     """A scalar function of a point, optionally with analytic derivatives.
 
+    `fn` reads the coordinates along axis 0: it receives shape (n,) for
+    one point or (n, N) for N points and returns a scalar or an (N,)
+    array (`w, x, y, z = p` unpacks either).  Calling the field
+    evaluates one point; the Stokes integrators call `fn` on stacks.
     When `grad` or `hessian` is supplied it is used directly; otherwise
     finite differences stand in.  Suppliers of analytic derivatives are
     expected to cross-check them against fd_gradient to about 1e-5
@@ -150,9 +154,13 @@ def grad(values) -> KForm:
 class FieldForm:
     """A form whose coefficients are scalar fields: sum_j f_j dx_{I_j}.
 
-    A plain callable coefficient is wrapped as ScalarField(fn), so its
-    derivatives come from finite differences.  Keys must be strictly
-    increasing tuples of 1-based integral indices sharing one arity.
+    This is the one form-valued field: exterior_d and dd_check
+    differentiate it at a point, and integrate_volume/integrate_boundary
+    evaluate each coefficient on a whole face's node stack (see
+    ScalarField for the protocol).  A plain callable coefficient is
+    wrapped as ScalarField(fn), so its derivatives come from finite
+    differences.  Keys must be strictly increasing tuples of 1-based
+    integral indices sharing one arity.
     """
 
     terms: tuple

@@ -13,16 +13,30 @@ from extcalc import (
     dphi_example,
     evaluate_form,
     exterior_d,
-    hat,
     integrate_boundary,
     integrate_volume,
-    kform_from_rows,
     phi_example,
     verify_det_proportionality,
     verify_stokes,
 )
 
+from extcalc import stokes
 from oracles import monomial_integral
+
+
+def _dphi_field(n):
+    # the example pair's top form, written out here: sum_j j x_j^(j-1)
+    return FieldForm([(lambda x: sum(j * x[j - 1] ** (j - 1) for j in range(1, n + 1)),
+                       tuple(range(1, n + 1)))])
+
+
+def _phi_field(n):
+    # the example pair's (n-1)-form: (sum_i (-1)^(i-1) x_i^i) * hat(n)
+    def coeff(x):
+        return sum((-1) ** (i - 1) * x[i - 1] ** i for i in range(1, n + 1))
+
+    full = tuple(range(1, n + 1))
+    return FieldForm([(coeff, full[:j] + full[j + 1 :]) for j in range(n)])
 
 
 def test_phi_shares_one_coefficient_across_keys():
@@ -99,17 +113,17 @@ def test_cube_validation():
 def test_integrate_volume_known_values():
     cube = CubeDomain(3, 1.0)
     rule = QuadratureRule.gauss_legendre(6, 1.0)
-    got = integrate_volume(dphi_example, cube, rule)
+    got = integrate_volume(_dphi_field(3), cube, rule)
     # integral of 1 + 2x2 + 3x3^2 over the unit cube
     assert got == pytest.approx(3.0, rel=1e-13)
 
     cube = CubeDomain(2, 0.5)
     rule = QuadratureRule.gauss_legendre(6, 0.5)
-    top = KForm(2, {(1, 2): 1.0})
-    assert integrate_volume(lambda x: top, cube, rule) == pytest.approx(
+    top = FieldForm([(lambda x: 1.0, (1, 2))])
+    assert integrate_volume(top, cube, rule) == pytest.approx(
         0.25, rel=1e-13
     )
-    assert integrate_volume(dphi_example, cube, rule) == pytest.approx(
+    assert integrate_volume(_dphi_field(2), cube, rule) == pytest.approx(
         closed_form_value(2, 0.5), rel=1e-13
     )
 
@@ -118,16 +132,14 @@ def test_integrate_volume_degree_guard():
     cube = CubeDomain(3, 1.0)
     rule = QuadratureRule.gauss_legendre(3, 1.0)
     with pytest.raises(DimensionError):
-        integrate_volume(phi_example, cube, rule)
+        integrate_volume(_phi_field(3), cube, rule)
     with pytest.raises(ValueError):
-        integrate_volume(dphi_example, cube, QuadratureRule.gauss_legendre(3, 2.0))
+        integrate_volume(_dphi_field(3), cube, QuadratureRule.gauss_legendre(3, 2.0))
 
 
 def test_boundary_orientation_green_case():
     # x1 dx2 - x2 dx1 around the unit square: twice the enclosed area
-    def field(x):
-        return kform_from_rows([(2,), (1,)], [x[0], -x[1]])
-
+    field = FieldForm([(lambda x: x[0], (2,)), (lambda x: -x[1], (1,))])
     cube = CubeDomain(2, 1.0)
     rule = QuadratureRule.gauss_legendre(4, 1.0)
     assert integrate_boundary(field, cube, rule) == pytest.approx(2.0, abs=1e-10)
@@ -137,10 +149,7 @@ def test_boundary_vanishing_field():
     # x1(a - x1) x2(a - x2) dx1 vanishes on every face of the square
     a = 1.25
 
-    def field(x):
-        c = x[0] * (a - x[0]) * x[1] * (a - x[1])
-        return KForm(1, {(1,): c} if c else {})
-
+    field = FieldForm([(lambda x: x[0] * (a - x[0]) * x[1] * (a - x[1]), (1,))])
     cube = CubeDomain(2, a)
     rule = QuadratureRule.gauss_legendre(5, a)
     assert integrate_boundary(field, cube, rule) == pytest.approx(0.0, abs=1e-13)
@@ -150,7 +159,7 @@ def test_boundary_degree_guard():
     cube = CubeDomain(2, 1.0)
     rule = QuadratureRule.gauss_legendre(3, 1.0)
     with pytest.raises(DimensionError):
-        integrate_boundary(dphi_example, cube, rule)
+        integrate_boundary(_dphi_field(2), cube, rule)
 
 
 def _boundary_by_face_frames(field, cube, rule):
@@ -166,7 +175,7 @@ def _boundary_by_face_frames(field, cube, rule):
                 x = np.full(n, side)
                 x[free] = rule.points[list(combo)]
                 w = float(np.prod(rule.weights[list(combo)]))
-                total += orient * w * evaluate_form(field(x), frame)
+                total += orient * w * evaluate_form(field.coefficients_at(x), frame)
     return total
 
 
@@ -178,13 +187,15 @@ def test_boundary_matches_face_frame_evaluation():
         # one cubic polynomial per key, in every coordinate
         C = rng.uniform(-2.0, 2.0, (n, 3 * n + 1))
 
-        def field(x):
-            basis = np.concatenate(([1.0], x, x**2, x**3))
-            return KForm(n - 1, dict(zip(keys, (C @ basis).tolist())))
+        def coeff(x, row):
+            # works on a point (n,) and on a stack (n, N) alike
+            basis = np.concatenate((np.ones((1,) + x.shape[1:]), x, x**2, x**3))
+            return C[row] @ basis
 
+        field = FieldForm([(lambda x, r=r: coeff(x, r), key) for r, key in enumerate(keys)])
         cube = CubeDomain(n, 1.3)
         rule = QuadratureRule.gauss_legendre(4, 1.3)
-        assert len(field(rule.points[:n])) == n
+        assert len(field.coefficients_at(rule.points[:n])) == n
         want = _boundary_by_face_frames(field, cube, rule)
         got = integrate_boundary(field, cube, rule)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -194,9 +205,93 @@ def test_integrators_refuse_indices_beyond_the_cube():
     cube = CubeDomain(3, 1.0)
     rule = QuadratureRule.gauss_legendre(2, 1.0)
     with pytest.raises(DimensionError):
-        integrate_volume(lambda x: KForm(3, {(1, 2, 4): 1.0}), cube, rule)
+        integrate_volume(FieldForm([(lambda x: 1.0, (1, 2, 4))]), cube, rule)
     with pytest.raises(DimensionError):
-        integrate_boundary(lambda x: KForm(2, {(2, 4): 1.0}), cube, rule)
+        integrate_boundary(FieldForm([(lambda x: 1.0, (2, 4))]), cube, rule)
+
+
+def test_integrators_read_each_face_on_its_node_stack():
+    n, m, a = 3, 4, 1.5
+    cube = CubeDomain(n, a)
+    rule = QuadratureRule.gauss_legendre(m, a)
+    calls = []
+
+    def spy(key):
+        def fn(x):
+            calls.append((key, x.shape, x.copy()))
+            return 1.0
+
+        return fn
+
+    keys = [(2, 3), (1, 3), (1, 2)]
+    integrate_boundary(FieldForm([(spy(key), key) for key in keys]), cube, rule)
+    # one call per face, faces x_i = a then x_i = 0 for i = 1..n
+    assert [(key, shape) for key, shape, _ in calls] == [
+        (key, (n, m ** (n - 1))) for key in keys for _ in range(2)
+    ]
+    for face, (_, _, X) in enumerate(calls):
+        i, side = face // 2, (a, 0.0)[face % 2]
+        assert np.all(X[i] == side)
+        free = np.delete(X, i, axis=0)
+        want = [rule.points[list(c)] for c in itertools.product(range(m), repeat=n - 1)]
+        assert np.array_equal(free.T, np.array(want))
+
+    calls.clear()
+    integrate_volume(FieldForm([(spy((1, 2, 3)), (1, 2, 3))]), cube, rule)
+    assert [shape for _, shape, _ in calls] == [(n, m**n)]
+
+    # a wrong degree or an index beyond the cube fails before any call
+    calls.clear()
+    for integrate, key in ((integrate_volume, (1, 2)), (integrate_volume, (1, 2, 4)),
+                           (integrate_boundary, (1, 2, 3)), (integrate_boundary, (2, 4))):
+        with pytest.raises(DimensionError):
+            integrate(FieldForm([(spy(key), key)]), cube, rule)
+    assert calls == []
+    with pytest.raises(TypeError):
+        integrate_volume(dphi_example, cube, rule)
+
+
+def test_example_pair_is_what_verify_stokes_integrates(monkeypatch):
+    seen = []
+    for name in ("integrate_boundary", "integrate_volume"):
+        real = getattr(stokes, name)
+        monkeypatch.setattr(
+            stokes, name, lambda f, c, r, real=real: seen.append(f) or real(f, c, r)
+        )
+    verify_stokes(3, 1.0, 3)
+    x = np.array([0.3, -1.2, 2.5])
+    assert [f.coefficients_at(x).terms for f in seen] == [
+        phi_example(x).terms, dphi_example(x).terms
+    ]
+
+
+def test_verify_stokes_sums_node_by_node_left_to_right():
+    # the stack evaluation gives bitwise the sums of visiting one node at a
+    # time: faces in order, nodes in lexicographic order, each weight the
+    # left-to-right product of its per-axis weights
+    for n, a, m in ((2, 1.0, 5), (3, 0.5, 4), (4, 1.3, 3)):
+        rule = QuadratureRule.gauss_legendre(m, a)
+        full = tuple(range(1, n + 1))
+
+        def node_sum(example, fixed, side, orient, key, total):
+            for combo in itertools.product(range(m), repeat=len(key)):
+                x = rule.points[list(combo)]
+                if fixed is not None:
+                    x = np.insert(x, fixed, side)
+                w = 1.0
+                for c in combo:
+                    w *= rule.weights[c]
+                total += orient * w * example(x).terms.get(key, 0.0)
+            return total
+
+        volume = node_sum(dphi_example, None, 0.0, 1.0, full, 0.0)
+        boundary = 0.0
+        for i in full:
+            for side, orient in ((a, (-1.0) ** (i - 1)), (0.0, (-1.0) ** i)):
+                key = full[: i - 1] + full[i:]
+                boundary = node_sum(phi_example, i - 1, side, orient, key, boundary)
+        rep = verify_stokes(n, a, m)
+        assert (rep["boundary"], rep["volume"]) == (boundary, volume)
 
 
 def test_verify_stokes_reports():
@@ -217,6 +312,20 @@ def test_verify_stokes_guards():
         verify_stokes(1)
     with pytest.raises(ValueError):
         verify_stokes(7)
+
+
+def test_verify_stokes_node_bound_is_checked_before_the_rule(monkeypatch):
+    def no_rule(*args):
+        raise AssertionError("rule built")
+
+    monkeypatch.setattr(QuadratureRule, "gauss_legendre", no_rule)
+    for n, m in ((6, 11), (6, 50), (2, 1025), (2, 10**5), (3, 10**100)):
+        assert m**n > stokes.MAX_NODES
+        with pytest.raises(ValueError, match="bound"):
+            verify_stokes(n, 1.0, m)
+    # exactly at the bound the rule is built
+    with pytest.raises(AssertionError, match="rule built"):
+        verify_stokes(2, 1.0, 2**10)
 
 
 def test_closed_form_value():

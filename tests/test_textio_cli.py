@@ -264,7 +264,6 @@ def test_cli_reads_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out == "+3 dx2\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [["print", "-"], ["verify", "stokes", "--n", "2", "--a", "inf"],
@@ -278,13 +277,14 @@ def test_cli_non_finite_numbers_exit_2(argv, monkeypatch, capsys):
     assert out == "" and err.startswith("error:")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv",
     [["eval", "big2", "m10"], ["pullback", "big2", "m10"], ["wedge", "big1", "ten1"],
      ["contract", "big1", "v10"], ["contract", "big2", "v10", "--keep-form"],
      ["d", "--omega", "--at", "1e200", "1", "1"], ["d", "--at", "nan", "2", "3", "4"],
-     ["d", "--omega", "--at", "inf", "1"], ["d", "--field", "f1", "--at", "1", "inf", "3", "4"]],
+     ["d", "--omega", "--at", "inf", "1"], ["d", "--field", "f1", "--at", "1", "inf", "3", "4"],
+     ["d", "--at", "1e200", "1", "1", "1"], ["d", "--omega", "--at", "1e-100", "1e-100", "1e-100"],
+     ["verify", "det46", "--n", "300"], ["verify", "stokes", "--n", "3", "--m", "3", "--a", "1e100"]],
 )
 def test_cli_non_finite_results_exit_2(argv, tmp_path, capsys):
     # finite input whose result overflows, or a non-finite point: no
@@ -300,6 +300,30 @@ def test_cli_non_finite_results_exit_2(argv, tmp_path, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+def test_cli_floating_point_error_is_one_error_line():
+    # numpy's overflow warnings must not precede the error message
+    src = str(Path(extcalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "extcalc.cli", "d", "--omega", "--at", "1e200", "1", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["--n", "6", "--m", "50"], ["--n", "2", "--m", "100000"]])
+def test_cli_verify_stokes_refuses_too_many_nodes_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    assert main(["verify", "stokes", *argv]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "bound" in err
 
 
 def test_cli_zap_env_default(tmp_path, monkeypatch, capsys):
