@@ -297,10 +297,8 @@ def check_gradient_consistency(cases: int = 30, seed: int = 110) -> dict:
 def check_dd_zero(x=(1.0, 2.0, 3.0, 4.0)) -> dict:
     """d(d(phi)) = 0 for the demo 2-form, both Hessian routes."""
     phi = demo_two_form()
-    fields = [f for f, _ in phi.terms]
-    keys = [key for _, key in phi.terms]
-    fd = dd_check(fields, keys, x, analytic=False)
-    an = dd_check(fields, keys, x, analytic=True)
+    fd = dd_check(phi, x, analytic=False)
+    an = dd_check(phi, x, analytic=True)
     fd_max = max((abs(c) for c in fd.terms.values()), default=0.0)
     an_max = max((abs(c) for c in an.terms.values()), default=0.0)
     out = _report("dd-zero", 2, fd_max, 1e-4, fd_max=fd_max, analytic_max=an_max)

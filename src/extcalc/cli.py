@@ -36,6 +36,9 @@ __all__ = ["main"]
 
 _FIELDS = {"f1": f1, "f2": f2, "f3": f3}
 
+# det46's coefficient sum_{j<=n} j^j overflows a float for every n above this
+DET46_MAX_N = 143
+
 
 def _default_tol() -> float:
     raw = os.environ.get("EXTERIOR_TOL", DEFAULT_TOL)
@@ -157,6 +160,8 @@ def cmd_verify_ddzero(args) -> int:
 
 
 def cmd_verify_det46(args) -> int:
+    if args.n > DET46_MAX_N:
+        raise ValueError(f"det46 needs --n <= {DET46_MAX_N}: sum_j j^j overflows beyond it")
     rng = np.random.default_rng(args.seed)
     x = np.arange(1.0, args.n + 1.0)
     E = rng.random((args.n, args.n))

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sparse import DimensionError, _check_key
-from .forms import KForm, kform_from_rows, wedge
+from .forms import KForm, _canonical_rows, wedge
 from .tensors import _finite_array
 
 __all__ = [
@@ -199,15 +199,14 @@ def exterior_d(form: FieldForm, x, analytic: bool = True) -> KForm:
         raise DimensionError(
             f"point has dimension {x.size} but wedge indices reach {form.dimension}"
         )
-    total = KForm(form.arity + 1)
+    # each field's wedge has distinct keys, so one accumulation sums each key in field order
+    items = []
     for field, key in form.terms:
         g = field.gradient_at(x, analytic=analytic)
         if g.size < form.dimension:
             raise DimensionError("gradient shorter than the wedge dimension")
-        if not np.any(g):
-            continue
-        total = total + wedge(grad(g), KForm(len(key), {key: 1.0}))
-    return total
+        items.extend(wedge(grad(g), KForm._trusted(len(key), [(key, 1.0)])).terms.items())
+    return KForm._trusted(form.arity + 1, items)
 
 
 def hat(n: int) -> KForm:
@@ -237,7 +236,7 @@ def omega_gradient(x) -> KForm:
     return grad(signs * num / S**n)
 
 
-def dd_check(fields, elementary_wedges, x, analytic: bool = False) -> KForm:
+def dd_check(form: FieldForm, x, analytic: bool = False) -> KForm:
     """Assemble dd(sum_j f_j dx_{I_j})(x) from per-field Hessians.
 
     For each field the full Hessian (all n^2 entries, raw) feeds
@@ -245,16 +244,15 @@ def dd_check(fields, elementary_wedges, x, analytic: bool = False) -> KForm:
     and accumulated.  Symmetric Hessians cancel exactly; finite
     difference Hessians cancel to stencil noise.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite_array(x)
     n = x.size
-    form = FieldForm(zip(fields, elementary_wedges, strict=True))
-    total = KForm(form.arity + 2)
     pairs = [(r, s) for r in range(1, n + 1) for s in range(1, n + 1)]
+    items = []
     for field, key in form.terms:
         H = field.hessian_at(x, analytic=analytic)
-        two = kform_from_rows(pairs, [H[r - 1, s - 1] for r, s in pairs])
-        total = total + wedge(two, KForm(form.arity, {key: 1.0}))
-    return total
+        two = KForm._trusted(2, _canonical_rows(pairs, [H[r - 1, s - 1] for r, s in pairs]))
+        items.extend(wedge(two, KForm._trusted(len(key), [(key, 1.0)])).terms.items())
+    return KForm._trusted(form.arity + 2, items)
 
 
 # Built-in demo fields on R^4, arguments ordered (w, x, y, z).

@@ -73,14 +73,14 @@ def kform_from_rows(rows, coeffs=None) -> KForm:
     index are dropped; identical canonical keys accumulate.
     """
     k, rows, coeffs = _check_rows(rows, coeffs)
-    return KForm._trusted(
-        k,
-        (
-            (tuple(sorted(row)), _parity(row) * c)
-            for row, c in zip(rows, coeffs)
-            if len(set(row)) == len(row)
-        ),
-    )
+    return KForm._trusted(k, _canonical_rows(rows, coeffs))
+
+
+def _canonical_rows(rows, coeffs):
+    # (sorted row, parity sign * coeff) per checked row; rows with a repeated index drop
+    for row, c in zip(rows, coeffs):
+        if len(set(row)) == len(row):
+            yield tuple(sorted(row)), _parity(row) * c
 
 
 def elementary(i: int) -> KForm:
@@ -94,7 +94,8 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
     Subsets are ordered colexicographically ((1,2), (1,3), (2,3),
     (1,4), ...) and coefficients are assigned in that order; omitted
     coeffs default to all ones.  `indices` may be an int n, meaning
-    1..n.
+    1..n.  More than MAX_ENUMERATION subsets are refused before any is
+    enumerated.
     """
     if isinstance(indices, (int, np.integer)):
         indices = range(1, int(indices) + 1)
@@ -102,6 +103,7 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
     idx = sorted(_check_key(idx, len(idx)))
     if len(set(idx)) != len(idx):
         raise ValueError("index set must be distinct")
+    _check_enumeration(f"kform_general: C({len(idx)}, {k}) subsets", math.comb(len(idx), k))
     subsets = sorted(itertools.combinations(idx, k), key=lambda t: t[::-1])
     if coeffs is None:
         coeffs = [1.0] * len(subsets)
@@ -111,11 +113,20 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
             f"need {len(subsets)} coefficients for C({len(idx)},{k}) subsets, "
             f"got {len(coeffs)}"
         )
-    return KForm(k, zip(subsets, coeffs))
+    return KForm._trusted(int(k), zip(subsets, coeffs))
 
 
 # pullback gathers the minors of this many targets per key at a time
 _TARGET_CHUNK = 4096
+
+# kform_general and pullback refuse to enumerate more than this many
+# subsets or minors, before any work starts
+MAX_ENUMERATION = 2**20
+
+
+def _check_enumeration(what: str, count: int) -> None:
+    if count > MAX_ENUMERATION:
+        raise ValueError(f"{what} = {count} exceeds the bound {MAX_ENUMERATION}; refusing")
 
 
 def _dets(A: np.ndarray) -> np.ndarray:
@@ -297,7 +308,8 @@ def pullback(w: KForm, M) -> KForm:
     its terms in key order, so the result is bitwise that of computing
     one minor at a time.  Exact-zero minors are skipped; near-zero
     accumulations are kept; zap explicitly if wanted.  The matrix must
-    be finite.
+    be finite, and more than MAX_ENUMERATION minors (keys times
+    targets) are refused before the first chunk.
     """
     M = _finite_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -308,6 +320,7 @@ def pullback(w: KForm, M) -> KForm:
             f"matrix is {n}x{n} but form indices reach {w.dimension}"
         )
     k = w.arity
+    _check_enumeration(f"pullback: {len(w)} keys x C({n}, {k}) minors", len(w) * math.comb(n, k))
     rows_coeffs = [((np.array(key, dtype=np.intp) - 1)[:, None], a) for key, a in w.terms.items()]
     targets = itertools.combinations(range(1, n + 1), k)
 
@@ -433,4 +446,4 @@ def rform(seed: int = 1, k: int = 3, n: int = 7, terms: int = 8) -> KForm:
         v = g.next() % 24
         c = float(v - 12 if v < 12 else v - 11)
         acc[_unrank_subset(r, n, k)] = c
-    return KForm(k, acc)
+    return KForm._trusted(int(k), acc.items())

@@ -8,15 +8,16 @@ everywhere:
 * a coefficient that becomes exactly 0.0 is deleted, never stored;
 * iteration, comparison, and printing follow lexicographic key order, so
   any construction order of the same object yields identical storage;
-* the implied dimension is the largest index used (0 for the empty map).
+* the implied dimension is the largest index used (0 for the empty map);
+* every stored coefficient is finite: a NaN or infinite one, given or
+  computed (an overflowing product, say), raises ValueError.
 
-Public constructors validate every key and coefficient: an index must
-be an integral value >= 1, key lengths must match the arity, and a
-coefficient must be finite.  Results computed inside the package have
-canonical keys by construction, so they go through the trusted path
-(SparseMap._trusted), which skips that validation.  Both paths store
-their terms through one accumulation kernel, which is where the first
-two rules are enforced.
+Public constructors validate every key: an index must be an integral
+value >= 1 and key lengths must match the arity.  Results computed
+inside the package have canonical keys by construction, so they go
+through the trusted path (SparseMap._trusted), which skips that
+validation.  Both paths store their terms through one accumulation
+kernel, which enforces the zero, order and finiteness rules.
 
 Instances are immutable by convention: every operation returns a new map
 and never touches its operands, so values can be shared freely between
@@ -104,7 +105,9 @@ def _accumulate(items) -> dict:
 
     Coefficients are added per key in iteration order as Python floats,
     a sum that is exactly 0.0 is deleted, and the result is returned in
-    lexicographic key order.
+    lexicographic key order.  A NaN or infinite sum raises ValueError:
+    once a sum is non-finite it stays so and is never 0.0, so checking
+    the final sums catches every non-finite item.
     """
     acc: dict[tuple, float] = {}
     for key, c in items:
@@ -113,6 +116,9 @@ def _accumulate(items) -> dict:
             acc.pop(key, None)
         else:
             acc[key] = c
+    for c in acc.values():
+        if not math.isfinite(c):
+            raise ValueError(f"cannot store the non-finite coefficient {c}")
     return dict(sorted(acc.items()))
 
 
@@ -130,7 +136,7 @@ class SparseMap:
             raise ArityError(f"arity must be nonnegative, got {arity}")
         items = terms.items() if isinstance(terms, dict) else terms
         self.arity = arity
-        self.terms = _accumulate((_check_key(key, arity), _check_finite(c)) for key, c in items)
+        self.terms = _accumulate((_check_key(key, arity), c) for key, c in items)
 
     @classmethod
     def _trusted(cls, arity: int, items) -> "SparseMap":
@@ -252,8 +258,5 @@ class SparseMap:
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
-        body = ", ".join(
-            f"{key}: {format_coefficient(c) if math.isfinite(c) else c}"
-            for key, c in self.terms.items()
-        )
+        body = ", ".join(f"{key}: {format_coefficient(c)}" for key, c in self.terms.items())
         return f"{type(self).__name__}(k={self.arity}, {{{body}}})"

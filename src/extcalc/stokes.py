@@ -15,6 +15,7 @@ axis 0) and returns their N values, so no form is built per node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,7 +204,9 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
     Returns {"n", "a", "m", "boundary", "volume", "closed_form",
     "err_bv", "err_vc"} with absolute differences.  n must be between 2
     and 6, and the m^n volume nodes may not exceed MAX_NODES; both are
-    checked before the rule is built.
+    checked before the rule is built.  A report that would hold NaN or
+    infinity raises ValueError; an overflowing closed form is refused
+    before the quadrature.
     """
     n, m = int(n), int(m)
     if not 2 <= n <= 6:
@@ -213,10 +216,12 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
     cube = CubeDomain(n=n, a=float(a))
     rule = QuadratureRule.gauss_legendre(m, cube.a)
     closed = closed_form_value(n, cube.a)
+    if not math.isfinite(closed):
+        raise ValueError(f"the closed form overflows at n = {n}, a = {cube.a}")
     phi, dphi = _example_pair(n)
     boundary = integrate_boundary(phi, cube, rule)
     volume = integrate_volume(dphi, cube, rule)
-    return {
+    report = {
         "n": n,
         "a": cube.a,
         "m": rule.m,
@@ -226,6 +231,9 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
         "err_bv": abs(boundary - volume),
         "err_vc": abs(volume - closed),
     }
+    if not all(map(math.isfinite, report.values())):
+        raise ValueError(f"the quadrature overflows at n = {n}, a = {cube.a}")
+    return report
 
 
 def verify_det_proportionality(w: KForm, E) -> dict:

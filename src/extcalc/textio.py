@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .sparse import ArityError, SparseMap, _check_finite
-from .tensors import KTensor, ktensor_from_rows
-from .forms import KForm, kform_from_rows
+from .tensors import KTensor
+from .forms import KForm, _canonical_rows
 
 __all__ = ["ParseError", "parse_form_text", "parse_matrix_text"]
 
@@ -87,7 +87,7 @@ def parse_form_text(text: str) -> SparseMap:
         fields = zline.split()
         if len(fields) != 2 or fields[1] != f"k={arity}":
             raise ParseError(zlineno, f"expected 'zero k={arity}', got {zline!r}")
-        return KForm(arity) if kind == "kform" else KTensor(arity)
+        return (KForm if kind == "kform" else KTensor)._trusted(arity, ())
     rows = []
     coeffs = []
     for lineno, line in body:
@@ -96,9 +96,10 @@ def parse_form_text(text: str) -> SparseMap:
         coeffs.append(coeff)
     if not rows:
         raise ParseError(lines[0][0], "header with no term lines")
+    # _parse_term has checked every key and coefficient on its line
     if kind == "kform":
-        return kform_from_rows(rows, coeffs)
-    return ktensor_from_rows(rows, coeffs)
+        return KForm._trusted(arity, _canonical_rows(rows, coeffs))
+    return KTensor._trusted(arity, zip(rows, coeffs))
 
 
 def parse_matrix_text(text: str) -> np.ndarray:

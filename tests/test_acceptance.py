@@ -15,6 +15,7 @@ import numpy as np
 
 import extcalc
 from extcalc import (
+    FieldForm,
     dd_check,
     demo_two_form,
     dphi_example,
@@ -121,8 +122,8 @@ def test_criterion_4_stokes_quadrature():
 def test_criterion_5_dd_zero_and_dphi():
     fields = (f1, f2, f3)
     keys = ((1, 2), (1, 3), (3, 4))
-    dd_fd = dd_check(fields, keys, P, analytic=False)
-    dd_an = dd_check(fields, keys, P, analytic=True)
+    dd_fd = dd_check(FieldForm(zip(fields, keys)), P, analytic=False)
+    dd_an = dd_check(FieldForm(zip(fields, keys)), P, analytic=True)
     fd_max = max((abs(c) for c in dd_fd.terms.values()), default=0.0)
     an_max = max((abs(c) for c in dd_an.terms.values()), default=0.0)
 

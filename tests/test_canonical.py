@@ -11,16 +11,24 @@ import pytest
 from extcalc import (
     FieldForm,
     KForm,
+    ScalarField,
+    SparseMap,
     alt,
     contract,
+    dd_check,
     demo_two_form,
+    exterior_d,
+    f1,
     form_to_tensor,
     kform_from_rows,
+    kform_general,
+    parse_form_text,
     pullback,
     rform,
     tensor_product,
     wedge,
 )
+from extcalc import forms, tensors
 
 
 def _cases():
@@ -61,6 +69,26 @@ def _cases():
         "coefficients_at-numpy": FieldForm(
             [(lambda p: np.float64(p[0]), (1, 3)), (lambda p: np.sum(p), (1, 3))]
         ).coefficients_at(x),
+        **_trusted_producers(),
+    }
+
+
+def _trusted_producers():
+    # producers that check outside keys once, where they enter, and build the rest trusted
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    flat = ScalarField(lambda p: 1.0, grad=lambda p: np.zeros(4), hessian=lambda p: np.zeros((4, 4)))
+    return {
+        "kform_general": kform_general([6, 2, 4, 1], 2, [3.0, np.float64(-1.0), 0.0, 2.0, 5.0, 1.5]),
+        "kform_general-numpy-k": kform_general(5, np.int64(3)),
+        "rform": rform(seed=11, k=np.int64(3), n=7, terms=9),
+        "exterior_d": exterior_d(demo_two_form(), x),
+        "exterior_d-fd": exterior_d(demo_two_form(), x, analytic=False),
+        "exterior_d-flat-field": exterior_d(FieldForm([(flat, (1, 2)), (f1, (3, 4))]), x),
+        "dd_check": dd_check(demo_two_form(), x),
+        "dd_check-cancels": dd_check(demo_two_form(), x, analytic=True),
+        "parse_form_text": parse_form_text("kform k=3\n3 1 2 : 2\n1 2 3 : -2\n4 2 5 : 1.5\n1 1 2 : 9\n"),
+        "parse_form_text-ktensor": parse_form_text("ktensor k=2\n2 1 : 1\n1 2 : 3\n2 1 : -1\n1 1 : 0.5\n"),
+        "parse_form_text-zero": parse_form_text("kform k=2\nzero k=2\n"),
     }
 
 
@@ -68,6 +96,7 @@ def _cases():
 def test_internal_results_are_canonical(name):
     r = _cases()[name]
     rebuilt = type(r)(r.arity, r.terms)
+    assert type(r.arity) is int
     assert rebuilt.terms == r.terms
     assert list(rebuilt.terms) == list(r.terms) == sorted(r.terms)
     for c in r.terms.values():
@@ -80,5 +109,19 @@ def test_cancellation_cases_are_empty():
     cases = _cases()
     for name in ("wedge-self-cancels", "contract-cancels", "pullback-singular", "pullback-singular-k4",
                  "alt-cancels",
-                 "add-cancels", "sub-cancels", "scale-zero", "zap", "kform_from_rows-cancels"):
+                 "add-cancels", "sub-cancels", "scale-zero", "zap", "kform_from_rows-cancels",
+                 "dd_check-cancels", "parse_form_text-zero"):
         assert not cases[name].terms, name
+
+
+def test_trusted_producers_skip_the_validating_constructors(monkeypatch):
+    # keys built inside the package or checked where they entered are not
+    # validated a second time
+    def validate(*args, **kwargs):
+        raise AssertionError("validating constructor called")
+
+    monkeypatch.setattr(SparseMap, "__init__", validate)
+    monkeypatch.setattr(KForm, "__init__", validate)
+    monkeypatch.setattr(forms, "_check_rows", validate)
+    monkeypatch.setattr(tensors, "_check_rows", validate)
+    assert len(_trusted_producers()) == 11

@@ -163,10 +163,10 @@ def test_exterior_d_dimension_guard():
 def test_dd_is_zero():
     fields = (f1, f2, f3)
     keys = ((1, 2), (1, 3), (3, 4))
-    dd_fd = dd_check(fields, keys, P)
+    dd_fd = dd_check(FieldForm(zip(fields, keys)), P)
     worst_fd = max((abs(c) for c in dd_fd.terms.values()), default=0.0)
     assert worst_fd <= 1e-4
-    dd_an = dd_check(fields, keys, P, analytic=True)
+    dd_an = dd_check(FieldForm(zip(fields, keys)), P, analytic=True)
     assert not dd_an.terms
 
 
@@ -175,15 +175,15 @@ def test_dd_zero_exact_for_quadratic():
         lambda x: x[0] * x[1] + 3.0 * x[1] ** 2,
         hessian=lambda x: np.array([[0.0, 1.0], [1.0, 3.0 + 3.0]]),
     )
-    out = dd_check([q], [(1,)], np.array([0.3, -1.2]), analytic=True)
+    out = dd_check(FieldForm([(q, (1,))]), np.array([0.3, -1.2]), analytic=True)
     assert not out.terms
 
 
 def test_dd_check_validation():
     with pytest.raises(ValueError):
-        dd_check([], [], P)
+        dd_check(FieldForm([]), P)
     with pytest.raises(ValueError):
-        dd_check([f1, f2], [(1, 2)], P)
+        dd_check(FieldForm(zip([f1, f2], [(1, 2)], strict=True)), P)
 
 
 def test_hat_structure():
@@ -249,5 +249,5 @@ def test_omega_closedness_at_a_point():
 def test_dd_demo_wedge_keys_match_help():
     # d(d(phi)) for the demo 2-form assembles through the same keys the
     # exterior_d route produces
-    dd = dd_check((f1, f2, f3), ((1, 2), (1, 3), (3, 4)), P, analytic=True)
+    dd = dd_check(FieldForm(zip((f1, f2, f3), ((1, 2), (1, 3), (3, 4)))), P, analytic=True)
     assert dd.arity == 4

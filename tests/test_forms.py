@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from extcalc import (
     wedge_definitional,
 )
 
+from extcalc import forms
 from oracles import form_value_by_expansion
 
 
@@ -226,6 +228,25 @@ def test_pullback_identity_and_errors():
         pullback(w, np.ones((3, 4)))
     with pytest.raises(DimensionError):
         pullback(w, np.eye(3))
+
+
+def test_enumeration_bound_is_checked_before_any_work(monkeypatch):
+    # a one-term 10-form through eye(40) would take C(40, 10) = 847,660,528 minors
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="bound"):
+        pullback(KForm(10, {tuple(range(1, 11)): 1.0}), np.eye(40))
+    with pytest.raises(ValueError, match="bound"):
+        kform_general(40, 10)
+    assert time.perf_counter() - t0 < 1.0
+    # exactly at the bound the work is done
+    monkeypatch.setattr(forms, "MAX_ENUMERATION", 10)
+    w = KForm(2, {(1, 2): 1.0})
+    assert pullback(w, np.eye(5)) == w
+    with pytest.raises(ValueError, match="bound"):
+        pullback(w + KForm(2, {(3, 4): 1.0}), np.eye(5))
+    assert len(kform_general(5, 2)) == len(kform_general(5, 3)) == 10
+    with pytest.raises(ValueError, match="bound"):
+        kform_general(6, 2)
 
 
 def test_pullback_round_trip():

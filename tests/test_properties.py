@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from extcalc import ArityError, KForm, KTensor, ParseError, checks, parse_form_text, parse_matrix_text
+from extcalc import (
+    ArityError, KForm, KTensor, ParseError, checks, contract, parse_form_text, parse_matrix_text,
+    pullback, wedge,
+)
 
 EXPECTED_CASES = {
     "multilinearity": 100,
@@ -137,3 +140,23 @@ def test_non_finite_coefficient_text_raises_parse_error(x, token, pick):
     lines[line] = lines[line].partition(":")[0] + ": " + token
     with pytest.raises(ParseError, match=f"line {line + 1}"):
         parse_form_text("\n".join(lines))
+
+
+@_PROPERTY
+@given(_sparse_maps(KForm, True), _sparse_maps(KForm, True), _finite,
+       st.lists(_finite, min_size=9, max_size=9),
+       st.lists(st.integers(-3, 3), min_size=81, max_size=81))
+def test_operations_store_only_finite_coefficients(a, b, s, v, m):
+    # coefficients reach 1.8e308, so products and sums overflow; each
+    # operation either refuses with ValueError or stores finite floats
+    M = np.array(m, dtype=float).reshape(9, 9)
+    ops = [lambda: wedge(a, b), lambda: a + a, lambda: a.scale(s), lambda: pullback(a, M)]
+    if a.arity:
+        ops.append(lambda: contract(a, v))
+    for op in ops:
+        try:
+            r = op()
+        except ValueError as exc:
+            assert "finite" in str(exc)
+        else:
+            assert all(math.isfinite(c) for c in r.terms.values())

@@ -132,7 +132,7 @@ def test_index_helpers_reject_non_integral_indices():
     with pytest.raises(ValueError, match="integral"):
         perm_sign((2.9, 1.2))
     with pytest.raises(ValueError, match="integral"):
-        dd_check([f1], [(1.9,)], np.arange(1.0, 5.0))
+        dd_check(FieldForm([(f1, (1.9,))]), np.arange(1.0, 5.0))
     with pytest.raises(ValueError, match="integral"):
         SparseMap(1, {(2,): 1.0}).coefficient((2.7,))
     # integral values of other numeric types keep working
@@ -188,3 +188,26 @@ def test_non_finite_frames_matrices_and_points_are_rejected(bad):
         omega_gradient([bad, 1.0, 2.0])
     with pytest.raises(ValueError, match="non-finite"):
         format_coefficient(bad)
+
+
+def test_computed_non_finite_coefficients_are_refused():
+    # finite inputs whose results overflow, or a NaN vector entry: the
+    # storage kernel refuses every one of them
+    from extcalc import FieldForm, KForm, KTensor, contract, contract_matrix, tensor_product, wedge
+
+    big = KForm(1, {(1,): 1e308})
+    producers = {
+        "contract": lambda: contract(KForm(2, {(1, 2): 1.0}), [float("nan"), 1.0]),
+        "contract_matrix": lambda: contract_matrix(KForm(2, {(1, 2): 1.0}), [[float("inf")], [1.0]]),
+        "wedge": lambda: wedge(big, KForm(1, {(2,): 10.0})),
+        "add": lambda: big + big,
+        "scale": lambda: big.scale(10.0),
+        "tensor_product": lambda: tensor_product(KTensor(1, {(1,): 1e308}), KTensor(1, {(2,): -10.0})),
+        "coefficients_at": lambda: FieldForm([(lambda p: float(p[0]) * 1e308, (1,))]).coefficients_at([10.0]),
+    }
+    for name, produce in producers.items():
+        with pytest.raises(ValueError, match="finite"):
+            produce()
+    # an exactly cancelling pair of huge terms is finite and stays legal
+    assert not (big + big.scale(-1.0)).terms
+    assert repr(big.scale(0.5)) == "KForm(k=1, {(1,): 5e+307})"

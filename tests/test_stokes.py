@@ -314,6 +314,22 @@ def test_verify_stokes_guards():
         verify_stokes(7)
 
 
+def test_verify_stokes_refuses_a_non_finite_report(monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    # the closed form overflows: refused before any node is evaluated
+    monkeypatch.setattr(stokes, "_integrate", no_quadrature)
+    with pytest.raises(ValueError, match="closed form"):
+        verify_stokes(3, 1e100, 3)
+    monkeypatch.undo()
+    # the closed form is the largest finite float, but the quadrature overflows
+    assert closed_form_value(6, 1.054765606481477e28) < float("inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="quadrature"):
+            verify_stokes(6, 1.054765606481477e28, 8)
+
+
 def test_verify_stokes_node_bound_is_checked_before_the_rule(monkeypatch):
     def no_rule(*args):
         raise AssertionError("rule built")

@@ -326,6 +326,15 @@ def test_cli_verify_stokes_refuses_too_many_nodes_at_once(argv, capsys):
     assert out == "" and err.startswith("error:") and "bound" in err
 
 
+@pytest.mark.parametrize("n", ["144", str(10**12)])
+def test_cli_det46_refuses_large_n_before_allocating(n, capsys):
+    t0 = time.perf_counter()
+    assert main(["verify", "det46", "--n", n]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "--n <= 143" in err
+
+
 def test_cli_zap_env_default(tmp_path, monkeypatch, capsys):
     a = _write(tmp_path, "a.txt", "kform k=1\n1 : 1\n2 : 0.4\n")
     b = _write(tmp_path, "b.txt", "kform k=1\n1 : 1\n")
