@@ -5,6 +5,11 @@ usage, unparseable input or a floating-point error (overflow, division
 by zero, invalid operation), reported as one error line.  File
 arguments accept "-" for stdin.  The EXTERIOR_TOL environment variable
 overrides the default tolerance used by the optional --zap cleanup flag.
+
+print, add, wedge and alt compute on Python floats and never import
+numpy; the coefficient store refuses a result that overflows.  The
+other subcommands import numpy and the modules they call inside their
+own bodies, and run with numpy's floating-point errors raised.
 """
 
 from __future__ import annotations
@@ -14,27 +19,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .sparse import ArityError, DimensionError, DEFAULT_TOL, format_coefficient
-from .tensors import alt, evaluate_tensor
-from .forms import (
-    KForm,
-    contract_matrix,
-    evaluate_form,
-    form_to_tensor,
-    pullback,
-    symbolic,
-    wedge,
-)
-from .derivatives import FieldForm, demo_two_form, exterior_d, f1, f2, f3, omega_gradient
-from .stokes import dphi_example, verify_det_proportionality, verify_stokes
-from .checks import check_dd_zero, suite
-from .textio import ParseError, parse_form_text, parse_matrix_text
+from .tensors import alt
+from .forms import KForm, form_to_tensor, symbolic, wedge
+from .textio import ParseError, parse_form_text
 
 __all__ = ["main"]
 
-_FIELDS = {"f1": f1, "f2": f2, "f3": f3}
+# the demo 0-forms of extcalc.derivatives that `d --field` accepts
+_FIELDS = ("f1", "f2", "f3")
 
 # det46's coefficient sum_{j<=n} j^j overflows a float for every n above this
 DET46_MAX_N = 143
@@ -70,7 +63,24 @@ def _emit_json(report) -> None:
     print(json.dumps(report, default=float, allow_nan=False))
 
 
+def _numeric(cmd):
+    # a subcommand that computes with numpy: an overflow, a division by
+    # zero or a NaN there is an error, not a warning
+    def run(args) -> int:
+        import numpy as np
+
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return cmd(args)
+
+    return run
+
+
+@_numeric
 def cmd_eval(args) -> int:
+    from .tensors import evaluate_tensor
+    from .forms import evaluate_form
+    from .textio import parse_matrix_text
+
     obj = parse_form_text(_read(args.object))
     E = parse_matrix_text(_read(args.frame))
     if isinstance(obj, KForm):
@@ -97,7 +107,11 @@ def cmd_add(args) -> int:
     return _emit(_maybe_zap(a + b, args))
 
 
+@_numeric
 def cmd_contract(args) -> int:
+    from .forms import contract_matrix
+    from .textio import parse_matrix_text
+
     w = parse_form_text(_read(args.form))
     if not isinstance(w, KForm):
         raise ValueError("contract needs a kform input")
@@ -109,7 +123,13 @@ def cmd_contract(args) -> int:
     return _emit(_maybe_zap(out, args))
 
 
+@_numeric
 def cmd_pullback(args) -> int:
+    import numpy as np
+
+    from .forms import pullback
+    from .textio import parse_matrix_text
+
     w = parse_form_text(_read(args.form))
     if not isinstance(w, KForm):
         raise ValueError("pullback needs a kform input")
@@ -125,15 +145,20 @@ def cmd_alt(args) -> int:
     return _emit(alt(obj))
 
 
+@_numeric
 def cmd_d(args) -> int:
+    import numpy as np
+
+    from . import derivatives
+
     x = np.asarray(args.at, dtype=float)
     if args.omega:
-        return _emit(omega_gradient(x))
+        return _emit(derivatives.omega_gradient(x))
     if args.field:
-        form = FieldForm([(_FIELDS[args.field], ())])
+        form = derivatives.FieldForm([(getattr(derivatives, args.field), ())])
     else:
-        form = demo_two_form()
-    return _emit(exterior_d(form, x, analytic=not args.fd))
+        form = derivatives.demo_two_form()
+    return _emit(derivatives.exterior_d(form, x, analytic=not args.fd))
 
 
 def cmd_print(args) -> int:
@@ -145,7 +170,10 @@ def cmd_print(args) -> int:
     return 0
 
 
+@_numeric
 def cmd_verify_stokes(args) -> int:
+    from .stokes import verify_stokes
+
     rep = verify_stokes(args.n, args.a, args.m)
     scale = max(1.0, abs(rep["volume"]))
     ok = rep["err_bv"] / scale <= args.tol and rep["err_vc"] / scale <= args.tol
@@ -153,13 +181,21 @@ def cmd_verify_stokes(args) -> int:
     return 0 if ok else 1
 
 
+@_numeric
 def cmd_verify_ddzero(args) -> int:
+    from .checks import check_dd_zero
+
     rep = check_dd_zero(tuple(args.at))
     _emit_json(rep)
     return 0 if rep["passed"] else 1
 
 
+@_numeric
 def cmd_verify_det46(args) -> int:
+    import numpy as np
+
+    from .stokes import dphi_example, verify_det_proportionality
+
     if args.n > DET46_MAX_N:
         raise ValueError(f"det46 needs --n <= {DET46_MAX_N}: sum_j j^j overflows beyond it")
     rng = np.random.default_rng(args.seed)
@@ -173,7 +209,10 @@ def cmd_verify_det46(args) -> int:
     return 0 if rep["passed"] else 1
 
 
+@_numeric
 def cmd_verify_suite(args) -> int:
+    from .checks import suite
+
     reports = suite()
     ok = all(r["passed"] for r in reports)
     _emit_json({"checks": reports, "passed": ok})
@@ -281,9 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # an overflow, a division by zero or a NaN is an error, not a warning
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return args.func(args)
+        return args.func(args)
     except BrokenPipeError:
         # writer side of a closed pipe: silence the shutdown flush too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

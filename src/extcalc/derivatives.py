@@ -258,18 +258,25 @@ def dd_check(form: FieldForm, x, analytic: bool = False) -> KForm:
 # Built-in demo fields on R^4, arguments ordered (w, x, y, z).
 
 
+def _wxyz(p):
+    # the coordinates of a point (4,) or a stack (4, N) of points in R^4
+    if len(p) != 4:
+        raise DimensionError(f"the demo fields f1, f2, f3 live on R^4, got a point in R^{len(p)}")
+    return p
+
+
 def _f1(p):
-    w, x, y, z = p
+    w, x, y, z = _wxyz(p)
     return x + y**3 + x * y * w * z
 
 
 def _f1_grad(p):
-    w, x, y, z = p
+    w, x, y, z = _wxyz(p)
     return np.array([x * y * z, 1.0 + y * w * z, 3.0 * y**2 + x * w * z, x * y * w])
 
 
 def _f1_hess(p):
-    w, x, y, z = p
+    w, x, y, z = _wxyz(p)
     return np.array(
         [
             [0.0, y * z, x * z, x * y],
@@ -281,12 +288,12 @@ def _f1_hess(p):
 
 
 def _f2(p):
-    w, x, y, z = p
+    w, x, y, z = _wxyz(p)
     return w**2 * x * y * z + np.sin(w) + w + z
 
 
 def _f2_grad(p):
-    w, x, y, z = p
+    w, x, y, z = _wxyz(p)
     return np.array(
         [
             2.0 * w * x * y * z + np.cos(w) + 1.0,
@@ -298,7 +305,7 @@ def _f2_grad(p):
 
 
 def _f2_hess(p):
-    w, x, y, z = p
+    w, x, y, z = _wxyz(p)
     return np.array(
         [
             [2.0 * x * y * z - np.sin(w), 2.0 * w * y * z, 2.0 * w * x * z, 2.0 * w * x * y],
@@ -310,12 +317,12 @@ def _f2_hess(p):
 
 
 def _f3(p):
-    w, x, y, z = p
+    w, x, y, z = _wxyz(p)
     return w * x * y * z + np.sin(x) + np.cos(w)
 
 
 def _f3_grad(p):
-    w, x, y, z = p
+    w, x, y, z = _wxyz(p)
     return np.array(
         [
             x * y * z - np.sin(w),
@@ -327,7 +334,7 @@ def _f3_grad(p):
 
 
 def _f3_hess(p):
-    w, x, y, z = p
+    w, x, y, z = _wxyz(p)
     return np.array(
         [
             [-np.cos(w), y * z, x * z, x * y],

@@ -5,14 +5,16 @@ the alternating structure lives in the keys instead of in k!-fold
 redundant tensor storage.  Construction from arbitrary rows sorts each
 row, picks up the permutation sign, and drops rows with repeated
 indices; after that every operation preserves the canonical key order.
+
+The key algebra runs on Python floats; only the frame and matrix
+routines (evaluate_form, contract, contract_matrix, pullback) and
+kform_general's integer check import numpy, when first called.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-
-import numpy as np
 
 from .sparse import ArityError, DimensionError, SparseMap, _check_key, _check_rows, format_coefficient
 from .tensors import KTensor, _check_alt_cost, _finite_array, _parity, alt, as_frame, tensor_product
@@ -97,6 +99,8 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
     1..n.  More than MAX_ENUMERATION subsets are refused before any is
     enumerated.
     """
+    import numpy as np
+
     if isinstance(indices, (int, np.integer)):
         indices = range(1, int(indices) + 1)
     idx = tuple(indices)
@@ -129,7 +133,7 @@ def _check_enumeration(what: str, count: int) -> None:
         raise ValueError(f"{what} = {count} exceeds the bound {MAX_ENUMERATION}; refusing")
 
 
-def _dets(A: np.ndarray) -> np.ndarray:
+def _dets(A):
     """Determinants of a stack of square matrices, shape (..., m, m).
 
     Sizes 0..3 use direct cofactor formulas, elementwise over the stack,
@@ -137,6 +141,8 @@ def _dets(A: np.ndarray) -> np.ndarray:
     np.linalg.det call.  Every determinant is bitwise the one its matrix
     would give on its own.
     """
+    import numpy as np
+
     m = A.shape[-1]
     if m == 0:
         return np.ones(A.shape[:-2])
@@ -160,6 +166,8 @@ def evaluate_form(w: KForm, E) -> float:
     determinants taken in one call; the terms are then summed left to
     right in key order.  The frame must be finite.
     """
+    import numpy as np
+
     if w.arity == 0:
         return w.terms.get((), 0.0)
     E = as_frame(E, w.arity, w.dimension)
@@ -254,6 +262,8 @@ def contract(w: KForm, v) -> KForm:
     (dx_I)_v = sum_j (-1)^(j-1) v[i_j] dx_{I minus i_j}; contracting a
     1-form gives a 0-form.
     """
+    import numpy as np
+
     if w.arity == 0:
         raise ArityError("cannot contract a 0-form")
     v = np.asarray(v, dtype=float)
@@ -281,6 +291,8 @@ def contract_matrix(w: KForm, V, lose: bool = True):
     With lose (the default) a fully contracted result is returned as a
     plain float instead of a 0-form.
     """
+    import numpy as np
+
     V = np.asarray(V, dtype=float)
     if V.ndim == 1:
         V = V[:, None]
@@ -311,6 +323,8 @@ def pullback(w: KForm, M) -> KForm:
     be finite, and more than MAX_ENUMERATION minors (keys times
     targets) are refused before the first chunk.
     """
+    import numpy as np
+
     M = _finite_array(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"transformation matrix must be square, got {M.shape}")

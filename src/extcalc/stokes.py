@@ -124,9 +124,19 @@ def dphi_example(x) -> KForm:
 
 
 def closed_form_value(n: int, a: float) -> float:
-    """a^(n-1) * (a + a^2 + ... + a^n), the exact integral for the pair."""
-    a = float(a)
-    return a ** (n - 1) * sum(a**j for j in range(1, n + 1))
+    """a^(n-1) * (a + a^2 + ... + a^n), the exact integral for the pair.
+
+    a must be finite, and a value that overflows a float raises
+    ValueError.
+    """
+    a = _check_finite(a)
+    try:
+        value = a ** (n - 1) * sum(a**j for j in range(1, n + 1))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the closed form overflows at n = {n}, a = {a}")
+    return value
 
 
 def _node_grid(rule: QuadratureRule, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +226,6 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
     cube = CubeDomain(n=n, a=float(a))
     rule = QuadratureRule.gauss_legendre(m, cube.a)
     closed = closed_form_value(n, cube.a)
-    if not math.isfinite(closed):
-        raise ValueError(f"the closed form overflows at n = {n}, a = {cube.a}")
     phi, dphi = _example_pair(n)
     boundary = integrate_boundary(phi, cube, rule)
     volume = integrate_volume(dphi, cube, rule)

@@ -3,15 +3,14 @@
 A KTensor of arity k on R^n is a sparse sum of basis products
 phi_{i1} x ... x phi_{ik}; its key set is unrestricted (any positive
 indices, repeats allowed).  Evaluation takes an n-by-k frame whose
-columns are the k argument vectors.
+columns are the k argument vectors; it alone imports numpy, when first
+called.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-
-import numpy as np
 
 from .sparse import ArityError, DimensionError, SparseMap, _check_finite, _check_key, _check_rows
 
@@ -79,15 +78,17 @@ def _check_alt_cost(what: str, k: int) -> None:
         )
 
 
-def _finite_array(A) -> np.ndarray:
-    # float array of A; ValueError on any NaN or infinity
+def _finite_array(A):
+    # float numpy array of A; ValueError on any NaN or infinity
+    import numpy as np
+
     A = np.asarray(A, dtype=float)
     for v in A.ravel().tolist():
         _check_finite(v)
     return A
 
 
-def as_frame(E, arity: int, min_rows: int) -> np.ndarray:
+def as_frame(E, arity: int, min_rows: int):
     """Coerce E to a finite float (n, arity) frame with n >= min_rows."""
     E = _finite_array(E)
     if arity == 1 and E.ndim == 1:

@@ -8,8 +8,6 @@ in lexicographic key order, `zero k=<arity>` for the empty map, with a
 
 from __future__ import annotations
 
-import numpy as np
-
 from .sparse import ArityError, SparseMap, _check_finite
 from .tensors import KTensor
 from .forms import KForm, _canonical_rows
@@ -102,11 +100,13 @@ def parse_form_text(text: str) -> SparseMap:
     return KTensor._trusted(arity, zip(rows, coeffs))
 
 
-def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse whitespace-separated rows into a float matrix.
+def parse_matrix_text(text: str):
+    """Parse whitespace-separated rows into a float numpy matrix.
 
     A single row parses to a 1-D vector; ragged rows are an error.
     """
+    import numpy as np
+
     rows = []
     width = None
     for lineno, line in _significant_lines(text):

@@ -32,6 +32,16 @@ def test_field_values_at_demo_point():
     assert f3(P) == pytest.approx(25.4495997326938, rel=1e-12)
 
 
+@pytest.mark.parametrize("point", [[1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0]])
+def test_demo_fields_refuse_points_outside_r4(point):
+    for field in (f1, f2, f3):
+        for evaluate in (field, field.gradient_at, field.hessian_at):
+            with pytest.raises(DimensionError, match=r"R\^4, got a point in R\^%d" % len(point)):
+                evaluate(point)
+    with pytest.raises(DimensionError, match=r"R\^4"):
+        dd_check(demo_two_form(), point)
+
+
 def test_fd_gradient_f1():
     g = fd_gradient(f1.fn, P)
     assert g == pytest.approx([24.0, 13.0, 35.0, 6.0], abs=1e-6)

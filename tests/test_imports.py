@@ -1,0 +1,89 @@
+"""Import hygiene: each command loads only the modules it calls.
+
+The text subcommands (print, add, wedge, alt) compute on Python floats
+and must run without numpy; `import extcalc` itself loads no submodule.
+Both are checked in a fresh interpreter, since the test process has
+long since imported everything.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import extcalc
+
+HEAVY = ["numpy", "extcalc.derivatives", "extcalc.stokes", "extcalc.checks"]
+
+
+def _loaded_after(script: str) -> list:
+    # run script in a fresh interpreter; -> the HEAVY modules it loaded
+    src = str(Path(extcalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script += f"\nimport sys, json\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_extcalc_loads_no_heavy_module():
+    assert _loaded_after("import extcalc") == []
+
+
+def test_text_subcommands_run_without_numpy(tmp_path):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    t = tmp_path / "t.txt"
+    a.write_text("kform k=1\n1 : 2\n2 : -1\n")
+    b.write_text("kform k=2\n2 3 : 0.5\n")
+    t.write_text("ktensor k=2\n1 2 : 3\n")
+    commands = [["print", str(a)], ["add", str(a), str(a), "--zap"], ["wedge", str(a), str(b)],
+                ["alt", str(t)], ["alt", str(b)]]
+    script = (
+        "import contextlib, io\n"
+        "from extcalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {commands!r}]\n"
+        "assert codes == [0] * len(codes), codes\n"
+    )
+    assert _loaded_after(script) == []
+
+
+def test_numeric_subcommand_loads_numpy_but_not_unused_layers(tmp_path):
+    w = tmp_path / "w.txt"
+    m = tmp_path / "m.txt"
+    w.write_text("kform k=1\n1 : 2\n")
+    m.write_text("1 2\n3 4\n")
+    script = (
+        "import contextlib, io\n"
+        "from extcalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['pullback', {str(w)!r}, {str(m)!r}]) == 0\n"
+    )
+    assert _loaded_after(script) == ["numpy"]
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from extcalc import *", namespace)
+    for name in extcalc.__all__:
+        module = importlib.import_module(f"extcalc.{extcalc._MODULE_OF[name]}")
+        assert namespace[name] is getattr(module, name)
+        assert getattr(extcalc, name) is getattr(module, name)
+    assert set(extcalc.__all__) <= set(dir(extcalc))
+    assert len(set(extcalc.__all__)) == len(extcalc.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        extcalc.frobnicate
+    assert not hasattr(extcalc, "numpy")

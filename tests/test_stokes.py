@@ -350,6 +350,22 @@ def test_closed_form_value():
     assert closed_form_value(2, 0.5) == 0.5 * (0.5 + 0.25)
 
 
+@pytest.mark.parametrize("n, a", [(6, 1e60), (2, 1e308), (3, 1e200)])
+def test_closed_form_overflow_is_a_value_error(n, a):
+    # a**j itself overflows: a ValueError naming the case, not OverflowError
+    message = f"the closed form overflows at n = {n}, a = {a}"
+    for compute in (closed_form_value, verify_stokes):
+        with pytest.raises(ValueError) as exc:
+            compute(n, a)
+        assert str(exc.value) == message
+
+
+def test_closed_form_refuses_non_finite_edge():
+    for a in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            closed_form_value(2, a)
+
+
 def test_det_proportionality_identity_frame():
     w = dphi_example(np.arange(1.0, 4.0))
     rep = verify_det_proportionality(w, np.eye(3))

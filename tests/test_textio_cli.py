@@ -317,6 +317,30 @@ def test_cli_floating_point_error_is_one_error_line():
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_cli_closed_form_overflow_is_one_error_line(capsys):
+    assert main(["verify", "stokes", "--n", "2", "--a", "1e308"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the closed form overflows at n = 2, a = 1e+308\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["d", "--at", "1", "2"], "point has dimension 2 but wedge indices reach 4"),
+     (["d", "--field", "f1", "--at", "1", "2"], "R^4, got a point in R^2"),
+     (["d", "--at", "1", "2", "3", "4", "5"], "R^4, got a point in R^5"),
+     (["d", "--fd", "--field", "f2", "--at", "1", "2", "3"], "R^4, got a point in R^3"),
+     (["verify", "ddzero", "--at", "1", "2", "3", "4", "5"], "R^4, got a point in R^5"),
+     (["verify", "ddzero", "--at", "1", "2"], "R^4, got a point in R^2")],
+)
+def test_cli_demo_fields_outside_r4_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
 @pytest.mark.parametrize("argv", [["--n", "6", "--m", "50"], ["--n", "2", "--m", "100000"]])
 def test_cli_verify_stokes_refuses_too_many_nodes_at_once(argv, capsys):
     t0 = time.perf_counter()
