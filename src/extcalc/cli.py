@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .sparse import ArityError, DimensionError, DEFAULT_TOL, format_coefficient
+from .sparse import ArityError, DimensionError, DEFAULT_TOL, _check_tol, format_coefficient
 from .tensors import alt
 from .forms import KForm, form_to_tensor, symbolic, wedge
 from .textio import ParseError, parse_form_text
@@ -174,9 +174,10 @@ def cmd_print(args) -> int:
 def cmd_verify_stokes(args) -> int:
     from .stokes import verify_stokes
 
+    tol = _check_tol(args.tol)
     rep = verify_stokes(args.n, args.a, args.m)
     scale = max(1.0, abs(rep["volume"]))
-    ok = rep["err_bv"] / scale <= args.tol and rep["err_vc"] / scale <= args.tol
+    ok = rep["err_bv"] / scale <= tol and rep["err_vc"] / scale <= tol
     _emit_json(rep)
     return 0 if ok else 1
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sparse import DimensionError, _check_key
+from .sparse import DimensionError, _check_integral, _check_key
 from .forms import KForm, _canonical_rows, wedge
 from .tensors import _finite_array
 
@@ -211,7 +211,7 @@ def exterior_d(form: FieldForm, x, analytic: bool = True) -> KForm:
 
 def hat(n: int) -> KForm:
     """The (n-1)-form sum_i dx_1 ^ ... ^ dx_{i-1} ^ dx_{i+1} ^ ... ^ dx_n."""
-    n = int(n)
+    n = _check_integral(n, "n")
     if n < 2:
         raise ValueError("hat needs n >= 2")
     full = tuple(range(1, n + 1))

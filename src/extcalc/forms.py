@@ -7,17 +7,19 @@ row, picks up the permutation sign, and drops rows with repeated
 indices; after that every operation preserves the canonical key order.
 
 The key algebra runs on Python floats; only the frame and matrix
-routines (evaluate_form, contract, contract_matrix, pullback) and
-kform_general's integer check import numpy, when first called.
+routines (evaluate_form, contract, contract_matrix, pullback) import
+numpy, when first called.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
-from .sparse import ArityError, DimensionError, SparseMap, _check_key, _check_rows, format_coefficient
-from .tensors import KTensor, _check_alt_cost, _finite_array, _parity, alt, as_frame, tensor_product
+from .sparse import (ArityError, DimensionError, SparseMap, _check_enumeration, _check_integral,
+                     _check_key, _check_rows, format_coefficient)
+from .tensors import KTensor, _finite_array, _parity, alt, as_frame, tensor_product
 
 __all__ = [
     "KForm",
@@ -99,10 +101,11 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
     1..n.  More than MAX_ENUMERATION subsets are refused before any is
     enumerated.
     """
-    import numpy as np
-
-    if isinstance(indices, (int, np.integer)):
-        indices = range(1, int(indices) + 1)
+    k = _check_integral(k, "k")
+    try:
+        indices = range(1, operator.index(indices) + 1)
+    except TypeError:
+        pass
     idx = tuple(indices)
     idx = sorted(_check_key(idx, len(idx)))
     if len(set(idx)) != len(idx):
@@ -117,20 +120,11 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
             f"need {len(subsets)} coefficients for C({len(idx)},{k}) subsets, "
             f"got {len(coeffs)}"
         )
-    return KForm._trusted(int(k), zip(subsets, coeffs))
+    return KForm._trusted(k, zip(subsets, coeffs))
 
 
 # pullback gathers the minors of this many targets per key at a time
 _TARGET_CHUNK = 4096
-
-# kform_general and pullback refuse to enumerate more than this many
-# subsets or minors, before any work starts
-MAX_ENUMERATION = 2**20
-
-
-def _check_enumeration(what: str, count: int) -> None:
-    if count > MAX_ENUMERATION:
-        raise ValueError(f"{what} = {count} exceeds the bound {MAX_ENUMERATION}; refusing")
 
 
 def _dets(A):
@@ -217,10 +211,14 @@ def form_to_tensor(w: KForm) -> KTensor:
     """Expand a k-form into its alternating k-tensor.
 
     Each increasing key I with coefficient c becomes the k! signed
-    terms sign(sigma) * c on the permuted keys sigma(I).
+    terms sign(sigma) * c on the permuted keys sigma(I); more than
+    MAX_ENUMERATION permutations (len(w) * k!) are refused up front.
     """
     k = w.arity
-    _check_alt_cost("form_to_tensor", k)
+    _check_enumeration(
+        f"form_to_tensor on arity {k}: {len(w)} terms x {k}! permutations",
+        len(w) * math.factorial(k),
+    )
     return KTensor._trusted(
         k,
         (
@@ -245,10 +243,15 @@ def wedge_definitional(w: KForm, e: KForm) -> KForm:
     """Wedge by the definition: C(k+l, k) * alt(w x e).
 
     Exponentially slower than `wedge`; exists as the independent
-    second route for verification.
+    second route for verification.  Its largest stage, alt over (k+l)!
+    permutations of len(w) k! x len(e) l! terms, must fit MAX_ENUMERATION.
     """
     k, l = w.arity, e.arity
-    _check_alt_cost("wedge_definitional", k + l)
+    terms = len(w) * math.factorial(k) * len(e) * math.factorial(l)
+    _check_enumeration(
+        f"wedge_definitional on arity {k + l}: {terms} terms x {k + l}! permutations",
+        terms * math.factorial(k + l),
+    )
     prod = tensor_product(form_to_tensor(w), form_to_tensor(e))
     if k + l == 0:
         return KForm(0, prod.terms)

@@ -64,11 +64,26 @@ def format_coefficient(c: float) -> str:
     return repr(c)
 
 
+# the most permutations, minors, subsets or nodes one call may enumerate
+MAX_ENUMERATION = 2**20
+
+
+def _check_enumeration(what: str, count: int) -> None:
+    if count > MAX_ENUMERATION:
+        raise ValueError(f"{what} = {count} exceeds the bound {MAX_ENUMERATION}; refusing")
+
+
+def _check_integral(x, what: str = "indices") -> int:
+    # int(x) for an integral number of any type (2.0, numpy's int64(2));
+    # 2.7 or the string "2" raise ValueError
+    i = int(x)
+    if i != x:
+        raise ValueError(f"{what} must be integral, got {x!r}")
+    return i
+
+
 def _check_key(key, arity: int) -> tuple:
-    raw = tuple(key)
-    key = tuple(int(i) for i in raw)
-    if key != raw:
-        raise ValueError(f"indices must be integral, got {raw}")
+    key = tuple(map(_check_integral, key))
     if len(key) != arity:
         raise ArityError(f"key {key} has arity {len(key)}, expected {arity}")
     if any(i < 1 for i in key):
@@ -81,6 +96,14 @@ def _check_finite(c) -> float:
     if not math.isfinite(c):
         raise ValueError(f"need a finite number, got {c}")
     return c
+
+
+def _check_tol(tol) -> float:
+    # a NaN tolerance compares false with everything: refuse it
+    tol = float(tol)
+    if math.isnan(tol):
+        raise ValueError(f"a tolerance must be a number, got {tol}")
+    return tol
 
 
 def _check_rows(rows, coeffs):
@@ -131,7 +154,7 @@ class SparseMap:
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity: int, terms=()):
-        arity = int(arity)
+        arity = _check_integral(arity, "arity")
         if arity < 0:
             raise ArityError(f"arity must be nonnegative, got {arity}")
         items = terms.items() if isinstance(terms, dict) else terms
@@ -206,8 +229,8 @@ class SparseMap:
     __rmul__ = __mul__
 
     def zap(self, tol: float = DEFAULT_TOL) -> "SparseMap":
-        """Drop every term with |coefficient| <= tol."""
-        tol = float(tol)
+        """Drop every term with |coefficient| <= tol; a NaN tol raises ValueError."""
+        tol = _check_tol(tol)
         return self._trusted(
             self.arity, ((k, c) for k, c in self.terms.items() if abs(c) > tol)
         )
@@ -219,10 +242,11 @@ class SparseMap:
 
         An empty map is the zero map and compares equal to any other
         empty (or everywhere-below-tol) map regardless of recorded arity.
+        A NaN tol raises ValueError.
         """
         if not isinstance(other, SparseMap):
             raise TypeError(f"cannot compare SparseMap with {type(other).__name__}")
-        tol = float(tol)
+        tol = _check_tol(tol)
         if self.terms and other.terms and self.arity != other.arity:
             return False
         keys = set(self.terms) | set(other.terms)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import DimensionError, _check_finite
+from .sparse import DimensionError, _check_enumeration, _check_finite, _check_integral
 from .forms import KForm
 from .derivatives import FieldForm
 
@@ -35,10 +35,6 @@ __all__ = [
     "verify_stokes",
     "verify_det_proportionality",
 ]
-
-# verify_stokes refuses m^n volume nodes above this before any work
-MAX_NODES = 2**20
-
 
 @dataclass(frozen=True)
 class CubeDomain:
@@ -66,7 +62,7 @@ class QuadratureRule:
 
     @classmethod
     def gauss_legendre(cls, m: int, a: float) -> "QuadratureRule":
-        m = int(m)
+        m = _check_integral(m, "m")
         if m < 2:
             raise ValueError("need at least 2 points per axis")
         if not a > 0:
@@ -212,17 +208,17 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
     """Boundary, volume, and closed-form values for the example pair.
 
     Returns {"n", "a", "m", "boundary", "volume", "closed_form",
-    "err_bv", "err_vc"} with absolute differences.  n must be between 2
-    and 6, and the m^n volume nodes may not exceed MAX_NODES; both are
-    checked before the rule is built.  A report that would hold NaN or
-    infinity raises ValueError; an overflowing closed form is refused
-    before the quadrature.
+    "err_bv", "err_vc"} with absolute differences.  n and m must be
+    integral, n between 2 and 6, and more than MAX_ENUMERATION volume
+    nodes (m^n) are refused before the rule is built.  A report that
+    would hold NaN or infinity raises ValueError; an overflowing closed
+    form is refused before the quadrature.
     """
-    n, m = int(n), int(m)
+    n, m = _check_integral(n, "n"), _check_integral(m, "m")
     if not 2 <= n <= 6:
         raise ValueError("n must be between 2 and 6 (m^n volume nodes)")
-    if m > 1 and m**n > MAX_NODES:
-        raise ValueError(f"m^n = {m}^{n} volume nodes exceeds the bound {MAX_NODES}")
+    if m > 1:  # the rule itself refuses m < 2
+        _check_enumeration(f"verify_stokes: m^n = {m}^{n} volume nodes", m**n)
     cube = CubeDomain(n=n, a=float(a))
     rule = QuadratureRule.gauss_legendre(m, cube.a)
     closed = closed_form_value(n, cube.a)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .sparse import ArityError, DimensionError, SparseMap, _check_finite, _check_key, _check_rows
+from .sparse import (ArityError, DimensionError, SparseMap, _check_enumeration, _check_finite,
+                     _check_key, _check_rows)
 
 __all__ = [
     "KTensor",
@@ -21,11 +22,7 @@ __all__ = [
     "evaluate_tensor",
     "tensor_product",
     "alt",
-    "ALT_MAX_ARITY",
 ]
-
-# alt enumerates k! permutations; beyond this the call is refused outright
-ALT_MAX_ARITY = 10
 
 
 class KTensor(SparseMap):
@@ -66,16 +63,6 @@ def perm_sign(p) -> int:
     if sorted(p) != list(range(1, k + 1)):
         raise ValueError(f"{p} is not a permutation of 1..{k}")
     return _parity(p)
-
-
-def _check_alt_cost(what: str, k: int) -> None:
-    # the definitional routes enumerate k! permutations per term; refuse
-    # before any work starts
-    if k > ALT_MAX_ARITY:
-        raise ValueError(
-            f"{what} on arity {k} would enumerate {k}! = {math.factorial(k)} "
-            "permutations; refusing"
-        )
 
 
 def _finite_array(A):
@@ -138,14 +125,17 @@ def tensor_product(S: SparseMap, T: SparseMap) -> KTensor:
 def alt(T: SparseMap) -> KTensor:
     """Alternating part: alt(T) = (1/k!) sum_sigma sign(sigma) T o sigma.
 
-    An exact k!-term enumeration.  This is the definitional route, kept
-    as a correctness oracle rather than a hot path, so arities above
-    ALT_MAX_ARITY are refused with a cost error.
+    An exact k!-term enumeration per term.  This is the definitional
+    route, kept as a correctness oracle rather than a hot path, so more
+    than MAX_ENUMERATION permutations (len(T) * k!) are refused before
+    the first.
     """
     k = T.arity
     if k < 1:
         raise ArityError("alt needs arity >= 1")
-    _check_alt_cost("alt", k)
+    _check_enumeration(
+        f"alt on arity {k}: {len(T)} terms x {k}! permutations", len(T) * math.factorial(k)
+    )
     fact = float(math.factorial(k))
     return KTensor._trusted(
         k,

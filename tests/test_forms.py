@@ -9,6 +9,8 @@ from extcalc import (
     ArityError,
     DimensionError,
     KForm,
+    KTensor,
+    alt,
     alternating_tensor_to_form,
     contract,
     contract_matrix,
@@ -24,7 +26,7 @@ from extcalc import (
     wedge_definitional,
 )
 
-from extcalc import forms
+from extcalc import forms, sparse
 from oracles import form_value_by_expansion
 
 
@@ -126,6 +128,15 @@ def test_definitional_routes_refuse_large_arity_before_expanding():
     b = KForm(5, {tuple(range(7, 12)): 1.0})
     with pytest.raises(ValueError, match="wedge_definitional on arity 11"):
         wedge_definitional(a, b)
+    # one-term 10-tensor: 10! permutations; two one-term 5-forms:
+    # 120 x 120 product terms x 10! permutations, refused at once
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="alt on arity 10"):
+        alt(KTensor(10, {tuple(range(1, 11)): 1.0}))
+    five = KForm(5, {tuple(range(1, 6)): 1.0})
+    with pytest.raises(ValueError, match="wedge_definitional on arity 10"):
+        wedge_definitional(five, KForm(5, {tuple(range(6, 11)): 1.0}))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_wedge_definitional_agreement_small():
@@ -239,7 +250,7 @@ def test_enumeration_bound_is_checked_before_any_work(monkeypatch):
         kform_general(40, 10)
     assert time.perf_counter() - t0 < 1.0
     # exactly at the bound the work is done
-    monkeypatch.setattr(forms, "MAX_ENUMERATION", 10)
+    monkeypatch.setattr(sparse, "MAX_ENUMERATION", 10)
     w = KForm(2, {(1, 2): 1.0})
     assert pullback(w, np.eye(5)) == w
     with pytest.raises(ValueError, match="bound"):
@@ -247,6 +258,21 @@ def test_enumeration_bound_is_checked_before_any_work(monkeypatch):
     assert len(kform_general(5, 2)) == len(kform_general(5, 3)) == 10
     with pytest.raises(ValueError, match="bound"):
         kform_general(6, 2)
+    # alt and form_to_tensor: terms x k! permutations, 5 x 2! = 10
+    five = {(i, i + 1): 1.0 for i in range(1, 6)}
+    assert len(alt(KTensor(2, five))) == len(form_to_tensor(KForm(2, five))) == 10
+    with pytest.raises(ValueError, match="bound"):
+        alt(KTensor(2, {**five, (6, 7): 1.0}))
+    with pytest.raises(ValueError, match="bound"):
+        form_to_tensor(KForm(2, {**five, (6, 7): 1.0}))
+    # wedge_definitional: its alt stage, (5 x 1!) (1 x 1!) terms x 2! = 10
+    a = KForm(1, {(i,): 1.0 for i in range(1, 6)})
+    b = KForm(1, {(6,): 1.0})
+    assert wedge_definitional(a, b) == wedge(a, b)
+    # just above the bound it refuses before its first stage
+    monkeypatch.setattr(forms, "form_to_tensor", None)
+    with pytest.raises(ValueError, match="bound"):
+        wedge_definitional(a + KForm(1, {(7,): 1.0}), b)
 
 
 def test_pullback_round_trip():

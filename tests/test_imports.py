@@ -58,6 +58,11 @@ def test_text_subcommands_run_without_numpy(tmp_path):
     assert _loaded_after(script) == []
 
 
+def test_kform_general_runs_without_numpy():
+    script = "from extcalc import kform_general\nassert len(kform_general(3, 2)) == 3\n"
+    assert _loaded_after(script) == []
+
+
 def test_numeric_subcommand_loads_numpy_but_not_unused_layers(tmp_path):
     w = tmp_path / "w.txt"
     m = tmp_path / "m.txt"

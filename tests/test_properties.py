@@ -68,6 +68,24 @@ def test_negative_control_reports_gap():
     assert report["gap"] > report["min_gap"]
 
 
+def test_a_nan_error_is_refused_not_passed(monkeypatch, capsys):
+    # max(0.0, nan) is 0.0: without the check a NaN error reads as a pass
+    from extcalc.cli import main
+
+    def nan(*args):
+        return float("nan")
+
+    monkeypatch.setattr(checks, "evaluate_form", nan)
+    with pytest.raises(ValueError, match="check alternation-column-swap: an error came out NaN"):
+        checks.check_alternation()
+    monkeypatch.setattr(checks, "evaluate_tensor", nan)
+    with pytest.raises(ValueError, match="check multilinearity: an error came out NaN"):
+        checks.check_multilinearity()
+    assert main(["verify", "suite"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: check multilinearity: an error came out NaN\n"
+
+
 def test_seed_changes_the_draws():
     a = checks.check_multilinearity(seed=1)
     b = checks.check_multilinearity(seed=2)

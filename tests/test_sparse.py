@@ -121,7 +121,10 @@ def test_non_integral_indices_are_rejected():
 
 
 def test_index_helpers_reject_non_integral_indices():
-    from extcalc import FieldForm, dd_check, elementary, f1, kform_general, perm_sign
+    from extcalc import (
+        FieldForm, KForm, QuadratureRule, dd_check, elementary, f1, hat, kform_general, perm_sign,
+        verify_stokes,
+    )
 
     with pytest.raises(ValueError, match="integral"):
         elementary(2.7)
@@ -135,12 +138,42 @@ def test_index_helpers_reject_non_integral_indices():
         dd_check(FieldForm([(f1, (1.9,))]), np.arange(1.0, 5.0))
     with pytest.raises(ValueError, match="integral"):
         SparseMap(1, {(2,): 1.0}).coefficient((2.7,))
+    # counts are integral too: arity, hat's n, quadrature points, subset size
+    for bad in (2.7, "2"):
+        with pytest.raises(ValueError, match="arity must be integral"):
+            KForm(bad, {})
+    with pytest.raises(ValueError, match="n must be integral"):
+        hat(2.5)
+    with pytest.raises(ValueError, match="n must be integral"):
+        verify_stokes(3.7, 1.0, 4)
+    with pytest.raises(ValueError, match="m must be integral"):
+        verify_stokes(3, 1.0, 4.9)
+    with pytest.raises(ValueError, match="m must be integral"):
+        QuadratureRule.gauss_legendre(2.5, 1)
+    with pytest.raises(ValueError, match="k must be integral"):
+        kform_general(3, 2.5)
     # integral values of other numeric types keep working
     assert elementary(2.0).terms == elementary(np.int64(2)).terms == {(2,): 1.0}
     assert kform_general([1, np.int64(2), 3.0], 2).terms == {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}
     assert FieldForm([(f1, (1.0, np.int64(2)))]).terms[0][1] == (1, 2)
     assert perm_sign((2.0, np.int64(1))) == -1
     assert SparseMap(1, {(2,): 1.0}).coefficient((np.int64(2),)) == 1.0
+    assert KForm(2.0).arity == KForm(np.int64(2)).arity == 2
+    assert hat(np.int64(3)) == hat(3.0) == hat(3)
+    assert verify_stokes(np.int64(2), 1.0, 4.0) == verify_stokes(2, 1.0, 4)
+    assert QuadratureRule.gauss_legendre(np.int64(3), 1).m == 3
+    assert kform_general(np.int64(3), 2.0) == kform_general(3, 2)
+
+
+def test_nan_tolerance_is_refused():
+    m = SparseMap(1, {(1,): 1.0})
+    for nan in (float("nan"), np.float64("nan"), "nan"):
+        with pytest.raises(ValueError, match="tolerance"):
+            m.zap(nan)
+        with pytest.raises(ValueError, match="tolerance"):
+            m.equals(m, nan)
+    # an infinite tolerance is a number: zap drops everything
+    assert not m.zap(float("inf")) and m.equals(SparseMap(1), float("inf"))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])

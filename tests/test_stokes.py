@@ -20,7 +20,7 @@ from extcalc import (
     verify_stokes,
 )
 
-from extcalc import stokes
+from extcalc import sparse, stokes
 from oracles import monomial_integral
 
 
@@ -336,7 +336,7 @@ def test_verify_stokes_node_bound_is_checked_before_the_rule(monkeypatch):
 
     monkeypatch.setattr(QuadratureRule, "gauss_legendre", no_rule)
     for n, m in ((6, 11), (6, 50), (2, 1025), (2, 10**5), (3, 10**100)):
-        assert m**n > stokes.MAX_NODES
+        assert m**n > sparse.MAX_ENUMERATION
         with pytest.raises(ValueError, match="bound"):
             verify_stokes(n, 1.0, m)
     # exactly at the bound the rule is built

@@ -219,7 +219,17 @@ def test_cli_alt_refuses_large_form_before_expanding(tmp_path, capsys):
     t0 = time.perf_counter()
     assert main(["alt", f]) == 2
     assert time.perf_counter() - t0 < 1.0
-    assert "permutations; refusing" in capsys.readouterr().err
+    assert "exceeds the bound 1048576; refusing" in capsys.readouterr().err
+    # a one-term 7-form expands to 7! terms, each of which alt would
+    # permute 7! ways; a one-term 10-tensor alone takes 10! permutations
+    for header, k in (("kform", 7), ("ktensor", 10)):
+        body = " ".join(map(str, range(1, k + 1)))
+        f = _write(tmp_path, "f.txt", f"{header} k={k}\n{body} : 1\n")
+        t0 = time.perf_counter()
+        assert main(["alt", f]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: alt on arity {k}:") and "exceeds the bound" in err
 
 
 def test_cli_d_default_demo(capsys):
@@ -371,6 +381,21 @@ def test_cli_zap_env_default(tmp_path, monkeypatch, capsys):
     # without --zap nothing is dropped
     assert main(["add", a, b]) == 0
     assert capsys.readouterr().out == "kform k=1\n1 : 2\n2 : 0.4\n"
+
+
+def test_cli_nan_tolerance_exits_2(tmp_path, monkeypatch, capsys):
+    # a NaN tolerance would drop every term (zap) or fail every
+    # comparison (verify stokes); it is refused instead
+    a = _write(tmp_path, "a.txt", "kform k=1\n1 : 1\n")
+    b = _write(tmp_path, "b.txt", "kform k=1\n2 : 1\n")
+    for argv in (["wedge", a, b, "--zap", "nan"], ["add", a, b, "--zap", "nan"],
+                 ["verify", "stokes", "--n", "2", "--tol", "nan"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: a tolerance must be a number, got nan\n"
+    monkeypatch.setenv("EXTERIOR_TOL", "nan")
+    assert main(["add", a, b, "--zap"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_zap_cleans_pullback_noise(tmp_path, capsys):
