@@ -147,18 +147,15 @@ def cmd_alt(args) -> int:
 
 @_numeric
 def cmd_d(args) -> int:
-    import numpy as np
-
     from . import derivatives
 
-    x = np.asarray(args.at, dtype=float)
     if args.omega:
-        return _emit(derivatives.omega_gradient(x))
+        return _emit(derivatives.omega_gradient(args.at))
     if args.field:
         form = derivatives.FieldForm([(getattr(derivatives, args.field), ())])
     else:
         form = derivatives.demo_two_form()
-    return _emit(derivatives.exterior_d(form, x, analytic=not args.fd))
+    return _emit(derivatives.exterior_d(form, args.at, analytic=not args.fd))
 
 
 def cmd_print(args) -> int:

@@ -51,9 +51,10 @@ def _steps(x: np.ndarray, base: float, h) -> np.ndarray:
 def fd_gradient(f: Callable, x, h=None) -> np.ndarray:
     """Central-difference gradient with per-coordinate steps.
 
-    Default step is cbrt(machine eps) * max(1, |x_i|).
+    Default step is cbrt(machine eps) * max(1, |x_i|).  x must be a
+    finite 1-D point.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite_array(x, 1, "point")
     hs = _steps(x, GRAD_STEP, h)
     g = np.empty_like(x)
     for i in range(x.size):
@@ -73,9 +74,10 @@ def fd_hessian(f: Callable, x, h=None) -> np.ndarray:
     Default step is eps**0.25 * max(1, |x_i|).  Off-diagonal entries use
     the 4-point cross stencil; H[r, s] and H[s, r] are each computed
     from their own loop pass and no symmetrization is applied, since
-    downstream checks rely on the raw mixed partials.
+    downstream checks rely on the raw mixed partials.  x must be a
+    finite 1-D point.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite_array(x, 1, "point")
     n = x.size
     hs = _steps(x, HESS_STEP, h)
     H = np.empty((n, n))
@@ -124,7 +126,6 @@ class ScalarField:
     fn: Callable
     grad: Optional[Callable] = None
     hessian: Optional[Callable] = None
-    name: str = ""
 
     def __call__(self, x) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
@@ -194,7 +195,7 @@ class FieldForm:
 
 def exterior_d(form: FieldForm, x, analytic: bool = True) -> KForm:
     """d(sum_j f_j dx_{I_j})(x) = sum_j (grad f_j)(x) ^ dx_{I_j}."""
-    x = _finite_array(x)
+    x = _finite_array(x, 1, "point")
     if x.size < form.dimension:
         raise DimensionError(
             f"point has dimension {x.size} but wedge indices reach {form.dimension}"
@@ -224,7 +225,7 @@ def omega_gradient(x) -> KForm:
     Coefficient i is (-1)^(i-1) (S^(n/2) - n x_i^2 S^(n/2-1)) / S^n with
     S = sum x_j^2; undefined at the origin.
     """
-    x = _finite_array(x)
+    x = _finite_array(x, 1, "point")
     n = x.size
     if n < 2:
         raise ValueError("need n >= 2")
@@ -244,7 +245,7 @@ def dd_check(form: FieldForm, x, analytic: bool = False) -> KForm:
     and accumulated.  Symmetric Hessians cancel exactly; finite
     difference Hessians cancel to stencil noise.
     """
-    x = _finite_array(x)
+    x = _finite_array(x, 1, "point")
     n = x.size
     pairs = [(r, s) for r in range(1, n + 1) for s in range(1, n + 1)]
     items = []
@@ -345,9 +346,9 @@ def _f3_hess(p):
     )
 
 
-f1 = ScalarField(_f1, grad=_f1_grad, hessian=_f1_hess, name="f1")
-f2 = ScalarField(_f2, grad=_f2_grad, hessian=_f2_hess, name="f2")
-f3 = ScalarField(_f3, grad=_f3_grad, hessian=_f3_hess, name="f3")
+f1 = ScalarField(_f1, grad=_f1_grad, hessian=_f1_hess)
+f2 = ScalarField(_f2, grad=_f2_grad, hessian=_f2_hess)
+f3 = ScalarField(_f3, grad=_f3_grad, hessian=_f3_hess)
 
 
 def demo_two_form() -> FieldForm:

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 
-from .sparse import (ArityError, DimensionError, SparseMap, _check_enumeration, _check_integral,
+from .sparse import (ArityError, SparseMap, _check_enumeration, _check_integral,
                      _check_key, _check_rows, format_coefficient)
 from .tensors import KTensor, _finite_array, _parity, alt, as_frame, tensor_product
 
@@ -263,20 +263,12 @@ def contract(w: KForm, v) -> KForm:
     """Interior product: plug v into the first slot.
 
     (dx_I)_v = sum_j (-1)^(j-1) v[i_j] dx_{I minus i_j}; contracting a
-    1-form gives a 0-form.
+    1-form gives a 0-form.  v must be a 1-D vector reaching the form's
+    dimension, and every entry finite, read or not.
     """
-    import numpy as np
-
     if w.arity == 0:
         raise ArityError("cannot contract a 0-form")
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise DimensionError(f"contraction vector must be 1-D, got shape {v.shape}")
-    if v.shape[0] < w.dimension:
-        raise DimensionError(
-            f"vector has length {v.shape[0]} but indices reach {w.dimension}"
-        )
-    vals = v.tolist()
+    vals = _finite_array(v, 1, "vector", w.dimension).tolist()
     return KForm._trusted(
         w.arity - 1,
         (
@@ -292,15 +284,16 @@ def contract_matrix(w: KForm, V, lose: bool = True):
     """Left-fold contraction over the columns of V.
 
     With lose (the default) a fully contracted result is returned as a
-    plain float instead of a 0-form.
+    plain float instead of a 0-form.  V is a 1-D vector (one column) or a
+    matrix with a row for each index up to the form's dimension, and
+    every entry must be finite, read or not.
     """
     import numpy as np
 
     V = np.asarray(V, dtype=float)
     if V.ndim == 1:
         V = V[:, None]
-    if V.ndim != 2:
-        raise DimensionError(f"expected a vector or matrix, got shape {V.shape}")
+    V = _finite_array(V, 2, "matrix of vectors", w.dimension)
     if V.shape[1] > w.arity:
         raise ArityError(
             f"cannot contract arity {w.arity} form with {V.shape[1]} vectors"
@@ -323,19 +316,16 @@ def pullback(w: KForm, M) -> KForm:
     its terms in key order, so the result is bitwise that of computing
     one minor at a time.  Exact-zero minors are skipped; near-zero
     accumulations are kept; zap explicitly if wanted.  The matrix must
-    be finite, and more than MAX_ENUMERATION minors (keys times
-    targets) are refused before the first chunk.
+    be square, reach the form's dimension and be finite, and more than
+    MAX_ENUMERATION minors (keys times targets) are refused before the
+    first chunk.
     """
     import numpy as np
 
-    M = _finite_array(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    M = _finite_array(M, 2, "matrix", w.dimension)
+    if M.shape[0] != M.shape[1]:
         raise ValueError(f"transformation matrix must be square, got {M.shape}")
     n = M.shape[0]
-    if n < w.dimension:
-        raise DimensionError(
-            f"matrix is {n}x{n} but form indices reach {w.dimension}"
-        )
     k = w.arity
     _check_enumeration(f"pullback: {len(w)} keys x C({n}, {k}) minors", len(w) * math.comb(n, k))
     rows_coeffs = [((np.array(key, dtype=np.intp) - 1)[:, None], a) for key, a in w.terms.items()]
@@ -445,8 +435,11 @@ def rform(seed: int = 1, k: int = 3, n: int = 7, terms: int = 8) -> KForm:
     k-subset of 1..n in lexicographic order, and its coefficient is
     drawn immediately afterwards as v = next() mod 24, mapped to v-12
     for v < 12 (giving -12..-1) and to v-11 otherwise (giving 1..12).
-    Equal seeds give equal forms on every platform.
+    Equal seeds give equal forms on every platform.  All four arguments
+    must be integral.
     """
+    seed, k = _check_integral(seed, "seed"), _check_integral(k, "k")
+    n, terms = _check_integral(n, "n"), _check_integral(terms, "terms")
     total = math.comb(n, k)
     if terms > total:
         raise ValueError(f"cannot place {terms} distinct keys among C({n},{k})={total}")
@@ -463,4 +456,4 @@ def rform(seed: int = 1, k: int = 3, n: int = 7, terms: int = 8) -> KForm:
         v = g.next() % 24
         c = float(v - 12 if v < 12 else v - 11)
         acc[_unrank_subset(r, n, k)] = c
-    return KForm._trusted(int(k), acc.items())
+    return KForm._trusted(k, acc.items())

@@ -75,8 +75,11 @@ def _check_enumeration(what: str, count: int) -> None:
 
 def _check_integral(x, what: str = "indices") -> int:
     # int(x) for an integral number of any type (2.0, numpy's int64(2));
-    # 2.7 or the string "2" raise ValueError
-    i = int(x)
+    # 2.7, infinity, NaN or the string "2" raise ValueError
+    try:
+        i = int(x)
+    except OverflowError:
+        i = None
     if i != x:
         raise ValueError(f"{what} must be integral, got {x!r}")
     return i

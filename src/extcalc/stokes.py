@@ -23,6 +23,7 @@ import numpy as np
 from .sparse import DimensionError, _check_enumeration, _check_finite, _check_integral
 from .forms import KForm
 from .derivatives import FieldForm
+from .tensors import _finite_array
 
 __all__ = [
     "CubeDomain",
@@ -38,12 +39,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CubeDomain:
-    """The cube [0, a]^n."""
+    """The cube [0, a]^n; n must be integral."""
 
     n: int
     a: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _check_integral(self.n, "n"))
         if self.n < 2:
             raise ValueError("need n >= 2")
         if not self.a > 0:
@@ -101,7 +103,7 @@ def _example_pair(n: int) -> tuple[FieldForm, FieldForm]:
 
 
 def _point(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = _finite_array(x, 1, "point")
     if x.size < 2:
         raise ValueError("need a point in dimension >= 2")
     return x
@@ -242,8 +244,8 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
 
 def verify_det_proportionality(w: KForm, E) -> dict:
     """Check evaluate_form(w, E) = det(E) * evaluate_form(w, I) for top forms."""
-    E = np.asarray(E, dtype=float)
-    if E.ndim != 2 or E.shape[0] != E.shape[1]:
+    E = _finite_array(E, 2, "frame")
+    if E.shape[0] != E.shape[1]:
         raise ValueError(f"need a square frame, got shape {E.shape}")
     n = E.shape[0]
     if w.arity != n:

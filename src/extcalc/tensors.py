@@ -65,11 +65,21 @@ def perm_sign(p) -> int:
     return _parity(p)
 
 
-def _finite_array(A):
-    # float numpy array of A; ValueError on any NaN or infinity
+def _finite_array(A, ndim: int, what: str, min_rows: int = 0):
+    """A caller's frame, vector, matrix or point as a float array: the one gate.
+
+    Other than ndim axes, or fewer than min_rows entries along axis 0,
+    raises DimensionError naming `what`; any NaN or infinity, read or
+    not, raises ValueError.
+    """
     import numpy as np
 
     A = np.asarray(A, dtype=float)
+    if A.ndim != ndim:
+        raise DimensionError(f"{what} must be a {ndim}-D array, got shape {A.shape}")
+    if A.shape[0] < min_rows:
+        have = f"length {A.shape[0]}" if ndim == 1 else f"{A.shape[0]} rows"
+        raise DimensionError(f"{what} has {have} but indices reach {min_rows}")
     for v in A.ravel().tolist():
         _check_finite(v)
     return A
@@ -77,18 +87,15 @@ def _finite_array(A):
 
 def as_frame(E, arity: int, min_rows: int):
     """Coerce E to a finite float (n, arity) frame with n >= min_rows."""
-    E = _finite_array(E)
+    import numpy as np
+
+    E = np.asarray(E, dtype=float)
     if arity == 1 and E.ndim == 1:
         E = E[:, None]
-    if E.ndim != 2:
-        raise DimensionError(f"frame must be a 2-D array, got shape {E.shape}")
+    E = _finite_array(E, 2, "frame", min_rows)
     if E.shape[1] != arity:
         raise DimensionError(
             f"frame has {E.shape[1]} columns but the object has arity {arity}"
-        )
-    if E.shape[0] < min_rows:
-        raise DimensionError(
-            f"frame has {E.shape[0]} rows but indices reach {min_rows}"
         )
     return E
 

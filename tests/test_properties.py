@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from extcalc import (
-    ArityError, KForm, KTensor, ParseError, checks, contract, parse_form_text, parse_matrix_text,
-    pullback, wedge,
+    ArityError, KForm, KTensor, ParseError, checks, contract, contract_matrix, dd_check,
+    demo_two_form, dphi_example, evaluate_form, evaluate_tensor, exterior_d, f1, fd_gradient,
+    fd_hessian, omega_gradient, parse_form_text, parse_matrix_text, phi_example, pullback,
+    verify_det_proportionality, wedge,
 )
 
 EXPECTED_CASES = {
@@ -178,3 +181,37 @@ def test_operations_store_only_finite_coefficients(a, b, s, v, m):
             assert "finite" in str(exc)
         else:
             assert all(math.isfinite(c) for c in r.terms.values())
+
+
+@_PROPERTY
+@given(arrays(float, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+              elements=st.one_of(st.integers(-3, 3).map(float),
+                                 st.sampled_from([math.nan, math.inf, -math.inf]))))
+def test_outside_arrays_pass_the_gate_or_raise_value_errors(A):
+    # any shape, any entries: each entry point returns or raises a
+    # ValueError subclass, never IndexError or TypeError, and returns
+    # only when every entry is finite
+    w = KForm(2, {(1, 2): 1.0})
+    calls = [
+        lambda: evaluate_form(w, A),
+        lambda: evaluate_form(KForm(1, {(2,): 1.0}), A),
+        lambda: evaluate_tensor(KTensor(2, {(2, 1): 1.0}), A),
+        lambda: contract(w, A),
+        lambda: contract_matrix(w, A),
+        lambda: pullback(w, A),
+        lambda: verify_det_proportionality(w, A),
+        lambda: exterior_d(demo_two_form(), A),
+        lambda: dd_check(demo_two_form(), A),
+        lambda: omega_gradient(A),
+        lambda: phi_example(A),
+        lambda: dphi_example(A),
+        lambda: fd_gradient(f1.fn, A),
+        lambda: fd_hessian(f1.fn, A),
+    ]
+    finite = bool(np.all(np.isfinite(A)))
+    for call in calls:
+        try:
+            call()
+        except ValueError:
+            continue
+        assert finite

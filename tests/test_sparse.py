@@ -123,7 +123,7 @@ def test_non_integral_indices_are_rejected():
 def test_index_helpers_reject_non_integral_indices():
     from extcalc import (
         FieldForm, KForm, QuadratureRule, dd_check, elementary, f1, hat, kform_general, perm_sign,
-        verify_stokes,
+        rform, verify_stokes,
     )
 
     with pytest.raises(ValueError, match="integral"):
@@ -152,6 +152,21 @@ def test_index_helpers_reject_non_integral_indices():
         QuadratureRule.gauss_legendre(2.5, 1)
     with pytest.raises(ValueError, match="k must be integral"):
         kform_general(3, 2.5)
+    # infinity is not integral either (int(inf) itself overflows)
+    inf = float("inf")
+    with pytest.raises(ValueError, match="indices must be integral"):
+        KForm(1, {(inf,): 1.0})
+    with pytest.raises(ValueError, match="arity must be integral"):
+        KForm(inf)
+    with pytest.raises(ValueError, match="n must be integral"):
+        hat(inf)
+    with pytest.raises(ValueError, match="n must be integral"):
+        verify_stokes(inf)
+    # rform's counts are not truncated
+    for args, what in (((2.5,), "seed"), ((1, 2.5), "k"), ((1, 3, 7.5), "n"),
+                       ((1, 3, 7, 2.5), "terms"), ((inf,), "seed")):
+        with pytest.raises(ValueError, match=f"{what} must be integral"):
+            rform(*args)
     # integral values of other numeric types keep working
     assert elementary(2.0).terms == elementary(np.int64(2)).terms == {(2,): 1.0}
     assert kform_general([1, np.int64(2), 3.0], 2).terms == {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}
@@ -163,6 +178,7 @@ def test_index_helpers_reject_non_integral_indices():
     assert verify_stokes(np.int64(2), 1.0, 4.0) == verify_stokes(2, 1.0, 4)
     assert QuadratureRule.gauss_legendre(np.int64(3), 1).m == 3
     assert kform_general(np.int64(3), 2.0) == kform_general(3, 2)
+    assert rform(np.int64(2), 3.0, np.int64(7), 8.0) == rform(2, 3, 7, 8)
 
 
 def test_nan_tolerance_is_refused():
@@ -197,10 +213,15 @@ def test_non_finite_coefficients_are_rejected(bad):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_frames_matrices_and_points_are_rejected(bad):
     from extcalc import (
+        contract,
+        contract_matrix,
+        dd_check,
         demo_two_form,
         evaluate_form,
         evaluate_tensor,
         exterior_d,
+        f1,
+        fd_gradient,
         kform_from_rows,
         ktensor_from_rows,
         omega_gradient,
@@ -219,13 +240,43 @@ def test_non_finite_frames_matrices_and_points_are_rejected(bad):
         exterior_d(demo_two_form(), [1.0, bad, 3.0, 4.0])
     with pytest.raises(ValueError, match="finite"):
         omega_gradient([bad, 1.0, 2.0])
+    # an entry the computation never reads is refused all the same
+    with pytest.raises(ValueError, match="need a finite number"):
+        contract(w, [1.0, 2.0, bad])
+    with pytest.raises(ValueError, match="need a finite number"):
+        contract_matrix(w, [[1.0, 0.0], [0.0, 1.0], [bad, 0.0]])
+    with pytest.raises(ValueError, match="need a finite number"):
+        fd_gradient(f1.fn, [1.0, bad, 3.0, 4.0])
+    with pytest.raises(ValueError, match="need a finite number"):
+        dd_check(demo_two_form(), [1.0, 2.0, bad, 4.0])
     with pytest.raises(ValueError, match="non-finite"):
         format_coefficient(bad)
 
 
+def test_points_must_be_one_dimensional():
+    from extcalc import (
+        DimensionError, dd_check, demo_two_form, dphi_example, exterior_d, f1, fd_gradient,
+        omega_gradient, phi_example,
+    )
+
+    takers = (
+        lambda x: exterior_d(demo_two_form(), x),
+        lambda x: dd_check(demo_two_form(), x),
+        omega_gradient,
+        phi_example,
+        dphi_example,
+        lambda x: fd_gradient(f1.fn, x),
+    )
+    for take in takers:
+        for point in (np.ones((4, 1)), np.ones((1, 4)), np.ones((3, 2)), [[1.0, 2.0], [3.0, 4.0]]):
+            with pytest.raises(DimensionError, match="point must be a 1-D array"):
+                take(point)
+
+
 def test_computed_non_finite_coefficients_are_refused():
-    # finite inputs whose results overflow, or a NaN vector entry: the
-    # storage kernel refuses every one of them
+    # finite inputs whose results overflow: the storage kernel refuses
+    # every one of them (a NaN or inf vector entry never gets past the
+    # array gate)
     from extcalc import FieldForm, KForm, KTensor, contract, contract_matrix, tensor_product, wedge
 
     big = KForm(1, {(1,): 1e308})

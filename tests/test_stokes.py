@@ -108,6 +108,11 @@ def test_cube_validation():
         CubeDomain(3, 0.0)
     with pytest.raises(ValueError, match="finite"):
         CubeDomain(3, float("inf"))
+    # the dimension is integral: the integrators would fail on 2.5 later
+    for bad in (2.5, "3", float("inf")):
+        with pytest.raises(ValueError, match="n must be integral"):
+            CubeDomain(bad, 1.0)
+    assert type(CubeDomain(np.int64(3)).n) is int and CubeDomain(3.0).n == 3
 
 
 def test_integrate_volume_known_values():
