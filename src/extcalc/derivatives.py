@@ -39,23 +39,14 @@ GRAD_STEP = _EPS ** (1.0 / 3.0)
 HESS_STEP = _EPS ** 0.25
 
 
-def _steps(x: np.ndarray, base: float, h) -> np.ndarray:
-    if h is not None:
-        h = np.broadcast_to(np.asarray(h, dtype=float), x.shape).copy()
-        if np.any(h <= 0):
-            raise ValueError("steps must be positive")
-        return h
-    return base * np.maximum(1.0, np.abs(x))
-
-
-def fd_gradient(f: Callable, x, h=None) -> np.ndarray:
+def fd_gradient(f: Callable, x) -> np.ndarray:
     """Central-difference gradient with per-coordinate steps.
 
-    Default step is cbrt(machine eps) * max(1, |x_i|).  x must be a
-    finite 1-D point.
+    The step is cbrt(machine eps) * max(1, |x_i|).  x must be a finite
+    1-D point.
     """
     x = _finite_array(x, 1, "point")
-    hs = _steps(x, GRAD_STEP, h)
+    hs = GRAD_STEP * np.maximum(1.0, np.abs(x))
     g = np.empty_like(x)
     for i in range(x.size):
         xp = x.copy()
@@ -68,10 +59,10 @@ def fd_gradient(f: Callable, x, h=None) -> np.ndarray:
     return g
 
 
-def fd_hessian(f: Callable, x, h=None) -> np.ndarray:
+def fd_hessian(f: Callable, x) -> np.ndarray:
     """Finite-difference Hessian, entries computed independently.
 
-    Default step is eps**0.25 * max(1, |x_i|).  Off-diagonal entries use
+    The step is eps**0.25 * max(1, |x_i|).  Off-diagonal entries use
     the 4-point cross stencil; H[r, s] and H[s, r] are each computed
     from their own loop pass and no symmetrization is applied, since
     downstream checks rely on the raw mixed partials.  x must be a
@@ -79,7 +70,7 @@ def fd_hessian(f: Callable, x, h=None) -> np.ndarray:
     """
     x = _finite_array(x, 1, "point")
     n = x.size
-    hs = _steps(x, HESS_STEP, h)
+    hs = HESS_STEP * np.maximum(1.0, np.abs(x))
     H = np.empty((n, n))
     f0 = f(x)
     for r in range(n):
@@ -118,9 +109,12 @@ class ScalarField:
     array (`w, x, y, z = p` unpacks either).  Calling the field
     evaluates one point; the Stokes integrators call `fn` on stacks.
     When `grad` or `hessian` is supplied it is used directly; otherwise
-    finite differences stand in.  Suppliers of analytic derivatives are
-    expected to cross-check them against fd_gradient to about 1e-5
-    relative (the test suite does this for the built-in fields).
+    finite differences stand in.  At a point of R^n a supplied gradient
+    must have shape exactly (n,) and a supplied Hessian (n, n), else
+    DimensionError; a NaN or infinite entry raises ValueError.
+    Suppliers of analytic derivatives are expected to cross-check them
+    against fd_gradient to about 1e-5 relative (the test suite does this
+    for the built-in fields).
     """
 
     fn: Callable
@@ -131,23 +125,29 @@ class ScalarField:
         return float(self.fn(np.asarray(x, dtype=float)))
 
     def gradient_at(self, x, analytic: bool = True) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _finite_array(x, 1, "point")
         if analytic and self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float)
+            return _analytic(self.grad(x), (x.size,), "gradient")
         return fd_gradient(self.fn, x)
 
     def hessian_at(self, x, analytic: bool = True) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _finite_array(x, 1, "point")
         if analytic and self.hessian is not None:
-            return np.asarray(self.hessian(x), dtype=float)
+            return _analytic(self.hessian(x), (x.size, x.size), "Hessian")
         return fd_hessian(self.fn, x)
+
+
+def _analytic(values, shape: tuple, what: str) -> np.ndarray:
+    # a supplied derivative, through the array gate and then held to the point's exact shape
+    A = _finite_array(values, len(shape), f"analytic {what}")
+    if A.shape != shape:
+        raise DimensionError(f"analytic {what} has shape {A.shape} at a point of R^{shape[0]}")
+    return A
 
 
 def grad(values) -> KForm:
     """The 1-form sum_i values[i] dx_i (zero entries dropped)."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("grad needs a nonempty 1-D vector of coefficients")
+    values = _finite_array(values, 1, "gradient", min_rows=1)
     return KForm._trusted(1, (((i + 1,), v) for i, v in enumerate(values.tolist())))
 
 
@@ -155,13 +155,13 @@ def grad(values) -> KForm:
 class FieldForm:
     """A form whose coefficients are scalar fields: sum_j f_j dx_{I_j}.
 
-    This is the one form-valued field: exterior_d and dd_check
-    differentiate it at a point, and integrate_volume/integrate_boundary
-    evaluate each coefficient on a whole face's node stack (see
-    ScalarField for the protocol).  A plain callable coefficient is
-    wrapped as ScalarField(fn), so its derivatives come from finite
-    differences.  Keys must be strictly increasing tuples of 1-based
-    integral indices sharing one arity.
+    This is the one form-valued field: coefficients_at, exterior_d and
+    dd_check evaluate it at a point through one gated assembly, and
+    integrate_volume/integrate_boundary evaluate each coefficient on a
+    whole face's node stack (see ScalarField for the protocol).  A plain
+    callable coefficient is wrapped as ScalarField(fn), so its
+    derivatives come from finite differences.  Keys must be strictly
+    increasing tuples of 1-based integral indices sharing one arity.
     """
 
     terms: tuple
@@ -190,24 +190,26 @@ class FieldForm:
 
     def coefficients_at(self, x) -> KForm:
         """The plain KForm with each field evaluated at x."""
-        return KForm._trusted(self.arity, ((key, field(x)) for field, key in self.terms))
+        return self._at(x, lambda field, x: KForm._trusted(0, [((), field(x))]))
+
+    def _at(self, x, coefficient: Callable) -> KForm:
+        # sum_j coefficient(f_j, x) ^ dx_{I_j}, x gated once before any field runs; each
+        # field's wedge has distinct keys, so one accumulation sums each key in field order
+        x = _finite_array(x, 1, "point")
+        if x.size < self.dimension:
+            raise DimensionError(
+                f"point has dimension {x.size} but wedge indices reach {self.dimension}"
+            )
+        items = []
+        for field, key in self.terms:
+            c = coefficient(field, x)
+            items.extend(wedge(c, KForm._trusted(len(key), [(key, 1.0)])).terms.items())
+        return KForm._trusted(c.arity + self.arity, items)
 
 
 def exterior_d(form: FieldForm, x, analytic: bool = True) -> KForm:
     """d(sum_j f_j dx_{I_j})(x) = sum_j (grad f_j)(x) ^ dx_{I_j}."""
-    x = _finite_array(x, 1, "point")
-    if x.size < form.dimension:
-        raise DimensionError(
-            f"point has dimension {x.size} but wedge indices reach {form.dimension}"
-        )
-    # each field's wedge has distinct keys, so one accumulation sums each key in field order
-    items = []
-    for field, key in form.terms:
-        g = field.gradient_at(x, analytic=analytic)
-        if g.size < form.dimension:
-            raise DimensionError("gradient shorter than the wedge dimension")
-        items.extend(wedge(grad(g), KForm._trusted(len(key), [(key, 1.0)])).terms.items())
-    return KForm._trusted(form.arity + 1, items)
+    return form._at(x, lambda field, x: grad(field.gradient_at(x, analytic=analytic)))
 
 
 def hat(n: int) -> KForm:
@@ -245,15 +247,13 @@ def dd_check(form: FieldForm, x, analytic: bool = False) -> KForm:
     and accumulated.  Symmetric Hessians cancel exactly; finite
     difference Hessians cancel to stencil noise.
     """
-    x = _finite_array(x, 1, "point")
-    n = x.size
-    pairs = [(r, s) for r in range(1, n + 1) for s in range(1, n + 1)]
-    items = []
-    for field, key in form.terms:
+
+    def raw_two_form(field, x):
         H = field.hessian_at(x, analytic=analytic)
-        two = KForm._trusted(2, _canonical_rows(pairs, [H[r - 1, s - 1] for r, s in pairs]))
-        items.extend(wedge(two, KForm._trusted(len(key), [(key, 1.0)])).terms.items())
-    return KForm._trusted(form.arity + 2, items)
+        pairs = [(r, s) for r in range(1, x.size + 1) for s in range(1, x.size + 1)]
+        return KForm._trusted(2, _canonical_rows(pairs, [H[r - 1, s - 1] for r, s in pairs]))
+
+    return form._at(x, raw_two_form)
 
 
 # Built-in demo fields on R^4, arguments ordered (w, x, y, z).

@@ -52,8 +52,11 @@ class KForm(SparseMap):
     _header = "kform"
 
     def __init__(self, arity, terms=()):
-        super().__init__(arity, terms)
-        for key in self.terms:
+        items = list(terms.items() if isinstance(terms, dict) else terms)
+        super().__init__(arity, items)
+        # every given key, also one whose coefficient is zero or cancels; super() checked them
+        for key, _ in items:
+            key = tuple(key)
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError(
                     f"form keys must be strictly increasing, got {key}; "

@@ -38,7 +38,9 @@ def test_demo_fields_refuse_points_outside_r4(point):
         for evaluate in (field, field.gradient_at, field.hessian_at):
             with pytest.raises(DimensionError, match=r"R\^4, got a point in R\^%d" % len(point)):
                 evaluate(point)
-    with pytest.raises(DimensionError, match=r"R\^4"):
+    # the point gate refuses R^2 and R^3 before any field runs; R^5 reaches the fields
+    want = r"R\^4" if len(point) > 4 else r"point has dimension %d but wedge indices reach 4$" % len(point)
+    with pytest.raises(DimensionError, match=want):
         dd_check(demo_two_form(), point)
 
 
@@ -91,8 +93,6 @@ def test_fd_rejects_nonfinite_and_bad_steps():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError):
             fd_gradient(blows_up, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        fd_gradient(f1.fn, P, h=0.0)
 
 
 def test_grad_builds_one_form():
@@ -168,6 +168,25 @@ def test_exterior_d_accepts_plain_callables():
 def test_exterior_d_dimension_guard():
     with pytest.raises(DimensionError):
         exterior_d(demo_two_form(), np.array([1.0, 2.0]))
+    # every evaluation at a point refuses one below the form's dimension before any field runs
+    calls = []
+    form = FieldForm([(lambda p: calls.append(p) or p[0] * p[1] ** 2, (3,))])
+    for at in (exterior_d, dd_check, FieldForm.coefficients_at):
+        with pytest.raises(DimensionError, match="^point has dimension 2 but wedge indices reach 3$"):
+            at(form, [1.0, 2.0])
+    assert not calls
+
+
+def test_analytic_derivatives_must_have_the_point_shape():
+    # at a point of R^4 a supplied gradient is exactly (4,) and a supplied Hessian (4, 4)
+    for g in (np.arange(1.0, 6.0), np.ones(2), np.ones((4, 1))):
+        field = ScalarField(f1.fn, grad=lambda p, g=g: g)
+        with pytest.raises(DimensionError, match="analytic gradient"):
+            exterior_d(FieldForm([(field, (1, 2))]), P)
+    for H in (np.ones((2, 2)), np.ones((4, 5)), np.ones(4)):
+        field = ScalarField(f1.fn, hessian=lambda p, H=H: H)
+        with pytest.raises(DimensionError, match="analytic Hessian"):
+            dd_check(FieldForm([(field, (1, 2))]), P, analytic=True)
 
 
 def test_dd_is_zero():

@@ -48,6 +48,10 @@ def test_constructor_rejects_unsorted_keys():
         KForm(2, {(2, 1): 1.0})
     with pytest.raises(ValueError, match="strictly increasing"):
         KForm(2, {(3, 3): 1.0})
+    # every given key is checked, also one whose coefficient is zero or cancels
+    for terms in ({(2, 1): 0.0}, [((2, 1), 1.0), ((2, 1), -1.0)], [((1, 2), 1.0), ((3, 3), 0.0)]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            KForm(2, terms)
 
 
 def test_elementary_evaluation():
@@ -114,6 +118,7 @@ def test_wedge_with_scalar_form_scales():
     c = KForm(0, {(): 5.0})
     assert wedge(c, w).terms == {(1, 3): 10.0}
     assert wedge(w, c).terms == {(1, 3): 10.0}
+    assert wedge_definitional(c, KForm(0, {(): -2.0})).terms == {(): -10.0}
 
 
 def test_wedge_self_is_zero_for_odd_degree():
@@ -394,6 +399,7 @@ def test_symbolic_signs_and_units():
         == "-5 dx1^dx2^dx7 + dx1^dx3^dx7 +5 dx2^dx5^dx7 - dx3^dx5^dx7"
     )
     assert symbolic(KForm(2)) == "0"
+    assert symbolic(KForm(0, {(): -2.5})) == "- 2.5"
 
 
 def test_symbolic_symbol_supply_errors():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from extcalc import ArityError, SparseMap
+from extcalc import ArityError, KForm, SparseMap
 from extcalc.sparse import format_coefficient
 
 
@@ -18,6 +18,14 @@ def test_addition_merges_and_cancels():
     a = SparseMap(2, {(1, 3): 1.0, (2, 4): 109.0})
     b = SparseMap(2, {(1, 3): -1.0, (7, 8): 5.0, (2, 4): 4.0})
     assert (a + b).terms == {(2, 4): 113.0, (7, 8): 5.0}
+    assert (-b).terms == {(1, 3): 1.0, (2, 4): -4.0, (7, 8): -5.0}
+    # mixed types: the left operand's type decides, and a KForm checks the map's keys
+    w = KForm(2, {(1, 3): 1.0})
+    assert type(w + b) is KForm and (w + b).terms == {(2, 4): 4.0, (7, 8): 5.0}
+    assert type(b + w) is SparseMap and (b + w).terms == (w + b).terms
+    assert type(-w) is KForm and (-w).terms == {(1, 3): -1.0}
+    with pytest.raises(ValueError, match="strictly increasing"):
+        w + SparseMap(2, {(3, 1): 1.0})
 
 
 def test_add_requires_matching_arity():
@@ -162,6 +170,14 @@ def test_index_helpers_reject_non_integral_indices():
         hat(inf)
     with pytest.raises(ValueError, match="n must be integral"):
         verify_stokes(inf)
+    # nor is NaN, and the refusal names the argument, not int()'s own message
+    nan = float("nan")
+    with pytest.raises(ValueError, match="indices must be integral, got nan"):
+        KForm(1, {(nan,): 1.0})
+    with pytest.raises(ValueError, match="arity must be integral, got nan"):
+        KForm(nan)
+    with pytest.raises(ValueError, match="n must be integral, got nan"):
+        hat(nan)
     # rform's counts are not truncated
     for args, what in (((2.5,), "seed"), ((1, 2.5), "k"), ((1, 3, 7.5), "n"),
                        ((1, 3, 7, 2.5), "terms"), ((inf,), "seed")):
@@ -213,6 +229,7 @@ def test_non_finite_coefficients_are_rejected(bad):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_frames_matrices_and_points_are_rejected(bad):
     from extcalc import (
+        ScalarField,
         contract,
         contract_matrix,
         dd_check,
@@ -240,6 +257,12 @@ def test_non_finite_frames_matrices_and_points_are_rejected(bad):
         exterior_d(demo_two_form(), [1.0, bad, 3.0, 4.0])
     with pytest.raises(ValueError, match="finite"):
         omega_gradient([bad, 1.0, 2.0])
+    # so is an analytic derivative a field supplies
+    field = ScalarField(f1.fn, grad=lambda p: np.full(4, bad), hessian=lambda p: np.full((4, 4), bad))
+    with pytest.raises(ValueError, match="need a finite number"):
+        field.gradient_at([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="need a finite number"):
+        field.hessian_at([1.0, 2.0, 3.0, 4.0])
     # an entry the computation never reads is refused all the same
     with pytest.raises(ValueError, match="need a finite number"):
         contract(w, [1.0, 2.0, bad])
@@ -266,6 +289,10 @@ def test_points_must_be_one_dimensional():
         phi_example,
         dphi_example,
         lambda x: fd_gradient(f1.fn, x),
+        f1.gradient_at,
+        f1.hessian_at,
+        lambda x: f1.gradient_at(x, analytic=False),
+        demo_two_form().coefficients_at,
     )
     for take in takers:
         for point in (np.ones((4, 1)), np.ones((1, 4)), np.ones((3, 2)), [[1.0, 2.0], [3.0, 4.0]]):

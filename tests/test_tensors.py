@@ -83,6 +83,10 @@ def test_frame_shape_errors():
 def test_one_form_accepts_plain_vector():
     S = ktensor_from_rows([(3,)], [1.0])
     assert evaluate_tensor(S, np.array([14.0, 15.0, 16.0])) == 16.0
+    assert S(np.array([14.0, 15.0, 16.0])) == 16.0
+    # a 0-tensor is its constant on any frame
+    assert evaluate_tensor(KTensor(0, {(): 2.5}), np.zeros((3, 0))) == 2.5
+    assert evaluate_tensor(KTensor(0), np.zeros((3, 0))) == 0.0
 
 
 def test_tensor_product_terms():

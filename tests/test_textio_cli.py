@@ -162,6 +162,13 @@ def test_cli_add_rejects_mixed_types(tmp_path, capsys):
     b = _write(tmp_path, "b.txt", "ktensor k=1\n3 : 1\n")
     assert main(["add", a, b]) == 2
     assert "error:" in capsys.readouterr().err
+    v = _write(tmp_path, "v.txt", "1\n0\n0\n")
+    for argv, want in ((["wedge", a, b], "wedge needs two kform inputs"),
+                       (["contract", b, v], "contract needs a kform input"),
+                       (["pullback", b, v], "pullback needs a kform input")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {want}\n"
 
 
 def test_cli_eval_tensor(tmp_path, capsys):
@@ -341,7 +348,7 @@ def test_cli_closed_form_overflow_is_one_error_line(capsys):
      (["d", "--at", "1", "2", "3", "4", "5"], "R^4, got a point in R^5"),
      (["d", "--fd", "--field", "f2", "--at", "1", "2", "3"], "R^4, got a point in R^3"),
      (["verify", "ddzero", "--at", "1", "2", "3", "4", "5"], "R^4, got a point in R^5"),
-     (["verify", "ddzero", "--at", "1", "2"], "R^4, got a point in R^2")],
+     (["verify", "ddzero", "--at", "1", "2"], "point has dimension 2 but wedge indices reach 4")],
 )
 def test_cli_demo_fields_outside_r4_exit_2(argv, message, capsys):
     assert main(argv) == 2
