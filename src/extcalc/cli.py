@@ -6,20 +6,25 @@ by zero, invalid operation), reported as one error line.  File
 arguments accept "-" for stdin.  The EXTERIOR_TOL environment variable
 overrides the default tolerance used by the optional --zap cleanup flag.
 
-print, add, wedge and alt compute on Python floats and never import
-numpy; the coefficient store refuses a result that overflows.  The
-other subcommands import numpy and the modules they call inside their
-own bodies, and run with numpy's floating-point errors raised.
+main runs every subcommand with RuntimeWarning as an error, so a numpy
+floating-point error raises where it happens; the caller's warning
+filters are restored after.  print, add, wedge and alt compute on
+Python floats and never import numpy; the coefficient store refuses a
+result that overflows.  The other subcommands import the modules they
+call inside their own bodies.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import warnings
 
-from .sparse import ArityError, DimensionError, DEFAULT_TOL, _check_tol, format_coefficient
+from .sparse import (ArityError, DimensionError, DEFAULT_TOL, _check_enumeration, _check_tol,
+                     format_coefficient)
 from .tensors import alt
 from .forms import KForm, form_to_tensor, symbolic, wedge
 from .textio import ParseError, parse_form_text
@@ -63,19 +68,6 @@ def _emit_json(report) -> None:
     print(json.dumps(report, default=float, allow_nan=False))
 
 
-def _numeric(cmd):
-    # a subcommand that computes with numpy: an overflow, a division by
-    # zero or a NaN there is an error, not a warning
-    def run(args) -> int:
-        import numpy as np
-
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return cmd(args)
-
-    return run
-
-
-@_numeric
 def cmd_eval(args) -> int:
     from .tensors import evaluate_tensor
     from .forms import evaluate_form
@@ -107,7 +99,6 @@ def cmd_add(args) -> int:
     return _emit(_maybe_zap(a + b, args))
 
 
-@_numeric
 def cmd_contract(args) -> int:
     from .forms import contract_matrix
     from .textio import parse_matrix_text
@@ -123,10 +114,7 @@ def cmd_contract(args) -> int:
     return _emit(_maybe_zap(out, args))
 
 
-@_numeric
 def cmd_pullback(args) -> int:
-    import numpy as np
-
     from .forms import pullback
     from .textio import parse_matrix_text
 
@@ -134,18 +122,20 @@ def cmd_pullback(args) -> int:
     if not isinstance(w, KForm):
         raise ValueError("pullback needs a kform input")
     M = parse_matrix_text(_read(args.matrix))
-    M = np.atleast_2d(M)
     return _emit(_maybe_zap(pullback(w, M), args))
 
 
 def cmd_alt(args) -> int:
     obj = parse_form_text(_read(args.tensor))
     if isinstance(obj, KForm):
+        # alt's own bound, counted on the k! terms per key of the expansion before it is built
+        k, terms = obj.arity, len(obj) * math.factorial(obj.arity)
+        _check_enumeration(f"alt on arity {k}: {terms} terms x {k}! permutations",
+                           terms * math.factorial(k))
         obj = form_to_tensor(obj)
     return _emit(alt(obj))
 
 
-@_numeric
 def cmd_d(args) -> int:
     from . import derivatives
 
@@ -167,7 +157,6 @@ def cmd_print(args) -> int:
     return 0
 
 
-@_numeric
 def cmd_verify_stokes(args) -> int:
     from .stokes import verify_stokes
 
@@ -179,7 +168,6 @@ def cmd_verify_stokes(args) -> int:
     return 0 if ok else 1
 
 
-@_numeric
 def cmd_verify_ddzero(args) -> int:
     from .checks import check_dd_zero
 
@@ -188,7 +176,6 @@ def cmd_verify_ddzero(args) -> int:
     return 0 if rep["passed"] else 1
 
 
-@_numeric
 def cmd_verify_det46(args) -> int:
     import numpy as np
 
@@ -207,7 +194,6 @@ def cmd_verify_det46(args) -> int:
     return 0 if rep["passed"] else 1
 
 
-@_numeric
 def cmd_verify_suite(args) -> int:
     from .checks import suite
 
@@ -318,14 +304,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return args.func(args)
     except BrokenPipeError:
         # writer side of a closed pipe: silence the shutdown flush too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (
         ParseError, ArityError, DimensionError, ValueError, OverflowError,
-        FloatingPointError, OSError,
+        RuntimeWarning, OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sparse import DimensionError, _check_integral, _check_key
+from .sparse import DimensionError, _check_enumeration, _check_integral, _check_key
 from .forms import KForm, _canonical_rows, wedge
 from .tensors import _finite_array
 
@@ -39,6 +39,14 @@ GRAD_STEP = _EPS ** (1.0 / 3.0)
 HESS_STEP = _EPS ** 0.25
 
 
+def _shifted(f: Callable, x, hs, *moves):
+    # f at a copy of x moved by sign * hs[i] along each (i, sign); x + (-h) is x - h in IEEE
+    y = x.copy()
+    for i, sign in moves:
+        y[i] += sign * hs[i]
+    return f(y)
+
+
 def fd_gradient(f: Callable, x) -> np.ndarray:
     """Central-difference gradient with per-coordinate steps.
 
@@ -49,11 +57,7 @@ def fd_gradient(f: Callable, x) -> np.ndarray:
     hs = GRAD_STEP * np.maximum(1.0, np.abs(x))
     g = np.empty_like(x)
     for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += hs[i]
-        xm[i] -= hs[i]
-        g[i] = (f(xp) - f(xm)) / (2.0 * hs[i])
+        g[i] = (_shifted(f, x, hs, (i, 1)) - _shifted(f, x, hs, (i, -1))) / (2.0 * hs[i])
     if not np.all(np.isfinite(g)):
         raise ValueError(f"non-finite values in difference stencil near {x}")
     return g
@@ -76,25 +80,12 @@ def fd_hessian(f: Callable, x) -> np.ndarray:
     for r in range(n):
         for s in range(n):
             if r == s:
-                xp = x.copy()
-                xm = x.copy()
-                xp[r] += hs[r]
-                xm[r] -= hs[r]
-                H[r, r] = (f(xp) - 2.0 * f0 + f(xm)) / hs[r] ** 2
+                fp, fm = _shifted(f, x, hs, (r, 1)), _shifted(f, x, hs, (r, -1))
+                H[r, r] = (fp - 2.0 * f0 + fm) / hs[r] ** 2
                 continue
-            pp = x.copy()
-            pm = x.copy()
-            mp = x.copy()
-            mm = x.copy()
-            pp[r] += hs[r]
-            pp[s] += hs[s]
-            pm[r] += hs[r]
-            pm[s] -= hs[s]
-            mp[r] -= hs[r]
-            mp[s] += hs[s]
-            mm[r] -= hs[r]
-            mm[s] -= hs[s]
-            H[r, s] = (f(pp) - f(pm) - f(mp) + f(mm)) / (4.0 * hs[r] * hs[s])
+            pp, pm, mp, mm = (_shifted(f, x, hs, (r, a), (s, b))
+                              for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+            H[r, s] = (pp - pm - mp + mm) / (4.0 * hs[r] * hs[s])
     if not np.all(np.isfinite(H)):
         raise ValueError(f"non-finite values in difference stencil near {x}")
     return H
@@ -107,7 +98,9 @@ class ScalarField:
     `fn` reads the coordinates along axis 0: it receives shape (n,) for
     one point or (n, N) for N points and returns a scalar or an (N,)
     array (`w, x, y, z = p` unpacks either).  Calling the field
-    evaluates one point; the Stokes integrators call `fn` on stacks.
+    evaluates one point, which passes the array gate first (a wrong
+    shape raises DimensionError, NaN or inf ValueError); the Stokes
+    integrators call `fn` on stacks.
     When `grad` or `hessian` is supplied it is used directly; otherwise
     finite differences stand in.  At a point of R^n a supplied gradient
     must have shape exactly (n,) and a supplied Hessian (n, n), else
@@ -122,7 +115,7 @@ class ScalarField:
     hessian: Optional[Callable] = None
 
     def __call__(self, x) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
+        return float(self.fn(_finite_array(x, 1, "point")))
 
     def gradient_at(self, x, analytic: bool = True) -> np.ndarray:
         x = _finite_array(x, 1, "point")
@@ -190,7 +183,7 @@ class FieldForm:
 
     def coefficients_at(self, x) -> KForm:
         """The plain KForm with each field evaluated at x."""
-        return self._at(x, lambda field, x: KForm._trusted(0, [((), field(x))]))
+        return self._at(x, lambda field, x: KForm._trusted(0, [((), float(field.fn(x)))]))
 
     def _at(self, x, coefficient: Callable) -> KForm:
         # sum_j coefficient(f_j, x) ^ dx_{I_j}, x gated once before any field runs; each
@@ -213,10 +206,15 @@ def exterior_d(form: FieldForm, x, analytic: bool = True) -> KForm:
 
 
 def hat(n: int) -> KForm:
-    """The (n-1)-form sum_i dx_1 ^ ... ^ dx_{i-1} ^ dx_{i+1} ^ ... ^ dx_n."""
+    """The (n-1)-form sum_i dx_1 ^ ... ^ dx_{i-1} ^ dx_{i+1} ^ ... ^ dx_n.
+
+    Its n keys of n - 1 indices are counted against MAX_ENUMERATION
+    before the first is built.
+    """
     n = _check_integral(n, "n")
     if n < 2:
         raise ValueError("hat needs n >= 2")
+    _check_enumeration(f"hat({n}): {n} keys x {n - 1} indices", n * (n - 1))
     full = tuple(range(1, n + 1))
     return KForm._trusted(n - 1, ((full[:i] + full[i + 1 :], 1.0) for i in range(n)))
 

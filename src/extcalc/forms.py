@@ -287,15 +287,10 @@ def contract_matrix(w: KForm, V, lose: bool = True):
     """Left-fold contraction over the columns of V.
 
     With lose (the default) a fully contracted result is returned as a
-    plain float instead of a 0-form.  V is a 1-D vector (one column) or a
-    matrix with a row for each index up to the form's dimension, and
+    plain float instead of a 0-form.  V is a matrix with a row for each
+    index up to the form's dimension (a 1-D vector is its one column), and
     every entry must be finite, read or not.
     """
-    import numpy as np
-
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
     V = _finite_array(V, 2, "matrix of vectors", w.dimension)
     if V.shape[1] > w.arity:
         raise ArityError(
@@ -318,10 +313,10 @@ def pullback(w: KForm, M) -> KForm:
     into one stack and computed in one call; every target still sums
     its terms in key order, so the result is bitwise that of computing
     one minor at a time.  Exact-zero minors are skipped; near-zero
-    accumulations are kept; zap explicitly if wanted.  The matrix must
-    be square, reach the form's dimension and be finite, and more than
-    MAX_ENUMERATION minors (keys times targets) are refused before the
-    first chunk.
+    accumulations are kept; zap explicitly if wanted.  The matrix (a 1-D
+    array is one column) must be square, reach the form's dimension and
+    be finite; more than MAX_ENUMERATION minors (keys times targets)
+    are refused before the first chunk.
     """
     import numpy as np
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .sparse import DimensionError, _check_enumeration, _check_finite, _check_integral
 from .forms import KForm
-from .derivatives import FieldForm
+from .derivatives import FieldForm, hat
 from .tensors import _finite_array
 
 __all__ = [
@@ -96,10 +96,9 @@ def _dphi_coefficient(x):
 
 
 def _example_pair(n: int) -> tuple[FieldForm, FieldForm]:
-    # phi = coefficient * hat(n) and dphi = coefficient * dx_1^...^dx_n
-    full = tuple(range(1, n + 1))
-    phi = FieldForm((_phi_coefficient, full[:i] + full[i + 1 :]) for i in range(n))
-    return phi, FieldForm([(_dphi_coefficient, full)])
+    # phi = coefficient * hat(n) and dphi = coefficient * dx_1^...^dx_n; hat(n) holds the bound
+    phi = FieldForm((_phi_coefficient, key) for key in hat(n).terms)
+    return phi, FieldForm([(_dphi_coefficient, tuple(range(1, n + 1)))])
 
 
 def _point(x) -> np.ndarray:

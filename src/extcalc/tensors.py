@@ -68,6 +68,7 @@ def perm_sign(p) -> int:
 def _finite_array(A, ndim: int, what: str, min_rows: int = 0):
     """A caller's frame, vector, matrix or point as a float array: the one gate.
 
+    Where 2 axes are asked for, a 1-D array is read as one column.
     Other than ndim axes, or fewer than min_rows entries along axis 0,
     raises DimensionError naming `what`; any NaN or infinity, read or
     not, raises ValueError.
@@ -75,6 +76,8 @@ def _finite_array(A, ndim: int, what: str, min_rows: int = 0):
     import numpy as np
 
     A = np.asarray(A, dtype=float)
+    if ndim == 2 and A.ndim == 1:
+        A = A[:, None]
     if A.ndim != ndim:
         raise DimensionError(f"{what} must be a {ndim}-D array, got shape {A.shape}")
     if A.shape[0] < min_rows:
@@ -87,11 +90,6 @@ def _finite_array(A, ndim: int, what: str, min_rows: int = 0):
 
 def as_frame(E, arity: int, min_rows: int):
     """Coerce E to a finite float (n, arity) frame with n >= min_rows."""
-    import numpy as np
-
-    E = np.asarray(E, dtype=float)
-    if arity == 1 and E.ndim == 1:
-        E = E[:, None]
     E = _finite_array(E, 2, "frame", min_rows)
     if E.shape[1] != arity:
         raise DimensionError(

@@ -228,6 +228,10 @@ def test_hat_structure():
     assert hat(2).terms == {(1,): 1.0, (2,): 1.0}
     with pytest.raises(ValueError):
         hat(1)
+    # n keys of n - 1 indices: 1024 x 1023 fits MAX_ENUMERATION, 1025 x 1024 does not
+    assert len(hat(1024)) == 1024
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        hat(1025)
 
 
 def test_omega_gradient_small_cases():

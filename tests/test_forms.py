@@ -240,6 +240,8 @@ def test_pullback_worked_example_exact():
 def test_pullback_identity_and_errors():
     w = kform_from_rows([(2, 4)], [3.0])
     assert pullback(w, np.eye(4)) == w
+    # a vector where the matrix is expected is its one column
+    assert pullback(KForm(1, {(1,): 2.0}), [3.0]).terms == {(1,): 6.0}
     with pytest.raises(ValueError):
         pullback(w, np.ones((3, 4)))
     with pytest.raises(DimensionError):

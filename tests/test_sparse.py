@@ -257,6 +257,8 @@ def test_non_finite_frames_matrices_and_points_are_rejected(bad):
         exterior_d(demo_two_form(), [1.0, bad, 3.0, 4.0])
     with pytest.raises(ValueError, match="finite"):
         omega_gradient([bad, 1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        f1([1.0, bad, 1.0, 1.0])
     # so is an analytic derivative a field supplies
     field = ScalarField(f1.fn, grad=lambda p: np.full(4, bad), hessian=lambda p: np.full((4, 4), bad))
     with pytest.raises(ValueError, match="need a finite number"):
@@ -293,6 +295,7 @@ def test_points_must_be_one_dimensional():
         f1.hessian_at,
         lambda x: f1.gradient_at(x, analytic=False),
         demo_two_form().coefficients_at,
+        f1,
     )
     for take in takers:
         for point in (np.ones((4, 1)), np.ones((1, 4)), np.ones((3, 2)), [[1.0, 2.0], [3.0, 4.0]]):

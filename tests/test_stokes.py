@@ -404,6 +404,20 @@ def test_det_proportionality_guards():
         verify_det_proportionality(w, np.ones((2, 3)))
 
 
+def test_det_proportionality_reads_a_vector_as_one_column():
+    rep = verify_det_proportionality(KForm(1, {(1,): 2.0}), [3.0])
+    # lhs is 2 * 3 exactly; rhs takes det([[3]]) through LU, one rounding off
+    assert rep["n"] == 1 and rep["lhs"] == 6.0 and rep["rhs"] == pytest.approx(6.0)
+    assert rep["diff"] <= 1e-6
+
+
+def test_example_pair_is_bounded_before_it_builds():
+    # phi's n keys of n - 1 indices, counted as for hat(n)
+    for example in (phi_example, dphi_example):
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            example(np.ones(1025))
+
+
 def test_volume_node_count_stays_modest():
     # the n = 6 default-rule case visits 8^6 = 262144 nodes; make sure a
     # smaller rule still reproduces the closed form to quadrature accuracy

@@ -25,6 +25,7 @@ from extcalc import (
     rform,
 )
 import extcalc
+from extcalc import cli
 from extcalc.cli import main
 
 
@@ -239,6 +240,22 @@ def test_cli_alt_refuses_large_form_before_expanding(tmp_path, capsys):
         assert out == "" and err.startswith(f"error: alt on arity {k}:") and "exceeds the bound" in err
 
 
+def test_cli_alt_counts_a_form_before_expanding_it(tmp_path, capsys, monkeypatch):
+    # a one-term 9-form expands to 9! = 362,880 terms within the bound, but
+    # alt would then permute each 9! ways: refused before the expansion
+    def expand(w):
+        raise AssertionError("the form was expanded before alt's bound was checked")
+
+    monkeypatch.setattr(cli, "form_to_tensor", expand)
+    f = _write(tmp_path, "f.txt", "kform k=9\n" + " ".join(map(str, range(1, 10))) + " : 1\n")
+    assert main(["alt", f]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: alt on arity 9: 362880 terms x 9! permutations = 131681894400"
+        " exceeds the bound 1048576; refusing\n"
+    )
+
+
 def test_cli_d_default_demo(capsys):
     assert main(["d"]) == 0
     got = parse_form_text(capsys.readouterr().out)
@@ -294,26 +311,34 @@ def test_cli_non_finite_numbers_exit_2(argv, monkeypatch, capsys):
     assert out == "" and err.startswith("error:")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["eval", "big2", "m10"], ["pullback", "big2", "m10"], ["wedge", "big1", "ten1"],
-     ["contract", "big1", "v10"], ["contract", "big2", "v10", "--keep-form"],
-     ["d", "--omega", "--at", "1e200", "1", "1"], ["d", "--at", "nan", "2", "3", "4"],
-     ["d", "--omega", "--at", "inf", "1"], ["d", "--field", "f1", "--at", "1", "inf", "3", "4"],
-     ["d", "--at", "1e200", "1", "1", "1"], ["d", "--omega", "--at", "1e-100", "1e-100", "1e-100"],
-     ["verify", "det46", "--n", "300"], ["verify", "stokes", "--n", "3", "--m", "3", "--a", "1e100"]],
-)
+NON_FINITE_RESULT_FILES = {
+    "big2": "kform k=2\n1 2 : 1e308\n",
+    "big1": "kform k=1\n1 : 1e308\n",
+    "ten1": "kform k=1\n2 : 10\n",
+    "m10": "10 0\n0 10\n",
+    "v10": "10\n0\n",
+}
+NON_FINITE_RESULT_ARGV = [
+    ["eval", "big2", "m10"], ["pullback", "big2", "m10"], ["wedge", "big1", "ten1"],
+    ["contract", "big1", "v10"], ["contract", "big2", "v10", "--keep-form"],
+    ["d", "--omega", "--at", "1e200", "1", "1"], ["d", "--at", "nan", "2", "3", "4"],
+    ["d", "--omega", "--at", "inf", "1"], ["d", "--field", "f1", "--at", "1", "inf", "3", "4"],
+    ["d", "--at", "1e200", "1", "1", "1"], ["d", "--omega", "--at", "1e-100", "1e-100", "1e-100"],
+    ["verify", "det46", "--n", "300"], ["verify", "stokes", "--n", "3", "--m", "3", "--a", "1e100"],
+]
+
+
+def _with_files(tmp_path, argv):
+    # argv with each NON_FINITE_RESULT_FILES name replaced by the path of that file
+    files = NON_FINITE_RESULT_FILES
+    return [_write(tmp_path, a + ".txt", files[a]) if a in files else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_RESULT_ARGV)
 def test_cli_non_finite_results_exit_2(argv, tmp_path, capsys):
     # finite input whose result overflows, or a non-finite point: no
     # nan/inf may reach the text output
-    files = {
-        "big2": "kform k=2\n1 2 : 1e308\n",
-        "big1": "kform k=1\n1 : 1e308\n",
-        "ten1": "kform k=1\n2 : 10\n",
-        "m10": "10 0\n0 10\n",
-        "v10": "10\n0\n",
-    }
-    argv = [_write(tmp_path, a + ".txt", files[a]) if a in files else a for a in argv]
+    argv = _with_files(tmp_path, argv)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
@@ -332,6 +357,32 @@ def test_cli_floating_point_error_is_one_error_line():
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_cli_floating_point_policy_holds_in_a_fresh_interpreter(tmp_path):
+    # pytest turns every warning into an error, so only an interpreter
+    # without its filters shows that main alone makes numpy's overflow,
+    # division and invalid-value warnings one error line, and puts the
+    # caller's warning filters back
+    argvs = [_with_files(tmp_path, argv) for argv in NON_FINITE_RESULT_ARGV]
+    script = (
+        "import contextlib, io, warnings\n"
+        "from extcalc.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    before = list(warnings.filters)\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    lines = err.getvalue().splitlines()\n"
+        "    assert code == 2 and out.getvalue() == '', (argv, code, out.getvalue())\n"
+        "    assert len(lines) == 1 and lines[0].startswith('error:'), (argv, lines)\n"
+        "    assert warnings.filters == before, argv\n"
+    )
+    src = str(Path(extcalc.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_closed_form_overflow_is_one_error_line(capsys):
