@@ -6,12 +6,13 @@ by zero, invalid operation), reported as one error line.  File
 arguments accept "-" for stdin.  The EXTERIOR_TOL environment variable
 overrides the default tolerance used by the optional --zap cleanup flag.
 
-main runs every subcommand with RuntimeWarning as an error, so a numpy
-floating-point error raises where it happens; the caller's warning
-filters are restored after.  print, add, wedge and alt compute on
-Python floats and never import numpy; the coefficient store refuses a
-result that overflows.  The other subcommands import the modules they
-call inside their own bodies.
+Each subcommand returns its result: a form or tensor, a scalar, a line
+of text, or a verification's (report, passed) pair.  main alone writes
+it, applying --zap, and exits 1 on a failed verdict.  It runs both steps
+with RuntimeWarning as an error, so a numpy floating-point error raises
+where it happens, and restores the caller's warning filters.  print,
+add, wedge and alt compute on Python floats and never import numpy (the
+coefficient store refuses an overflow); the rest import what they call.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import os
 import sys
 import warnings
 
-from .sparse import (ArityError, DimensionError, DEFAULT_TOL, _check_enumeration, _check_tol,
-                     format_coefficient)
+from .sparse import DEFAULT_TOL, SparseMap, _check_enumeration, _check_tol, format_coefficient
 from .tensors import alt
 from .forms import KForm, form_to_tensor, symbolic, wedge
-from .textio import ParseError, parse_form_text
+from .textio import parse_form_text
 
 __all__ = ["main"]
 
@@ -53,79 +53,54 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _maybe_zap(obj, args):
-    if getattr(args, "zap", None) is not None:
-        return obj.zap(args.zap)
-    return obj
+def _kform(path: str, command: str) -> KForm:
+    w = parse_form_text(_read(path))
+    if not isinstance(w, KForm):
+        raise ValueError(f"{command} needs a kform input")
+    return w
 
 
-def _emit(obj) -> int:
-    sys.stdout.write(obj.to_text())
-    return 0
-
-
-def _emit_json(report) -> None:
-    print(json.dumps(report, default=float, allow_nan=False))
-
-
-def cmd_eval(args) -> int:
-    from .tensors import evaluate_tensor
-    from .forms import evaluate_form
+def cmd_eval(args):
     from .textio import parse_matrix_text
 
     obj = parse_form_text(_read(args.object))
-    E = parse_matrix_text(_read(args.frame))
-    if isinstance(obj, KForm):
-        value = evaluate_form(obj, E)
-    else:
-        value = evaluate_tensor(obj, E)
-    print(format_coefficient(value))
-    return 0
+    return obj(parse_matrix_text(_read(args.frame)))
 
 
-def cmd_wedge(args) -> int:
+def cmd_wedge(args):
     a = parse_form_text(_read(args.a))
     b = parse_form_text(_read(args.b))
     if not isinstance(a, KForm) or not isinstance(b, KForm):
         raise ValueError("wedge needs two kform inputs")
-    return _emit(_maybe_zap(wedge(a, b), args))
+    return wedge(a, b)
 
 
-def cmd_add(args) -> int:
+def cmd_add(args):
     a = parse_form_text(_read(args.a))
     b = parse_form_text(_read(args.b))
     if type(a) is not type(b):
         raise ValueError("add needs two objects of the same type")
-    return _emit(_maybe_zap(a + b, args))
+    return a + b
 
 
-def cmd_contract(args) -> int:
+def cmd_contract(args):
     from .forms import contract_matrix
     from .textio import parse_matrix_text
 
-    w = parse_form_text(_read(args.form))
-    if not isinstance(w, KForm):
-        raise ValueError("contract needs a kform input")
+    w = _kform(args.form, "contract")
     V = parse_matrix_text(_read(args.vectors))
-    out = contract_matrix(w, V, lose=not args.keep_form)
-    if isinstance(out, float):
-        print(format_coefficient(out))
-        return 0
-    return _emit(_maybe_zap(out, args))
+    return contract_matrix(w, V, lose=not args.keep_form)
 
 
-def cmd_pullback(args) -> int:
+def cmd_pullback(args):
     from .forms import pullback
     from .textio import parse_matrix_text
 
-    w = parse_form_text(_read(args.form))
-    if not isinstance(w, KForm):
-        raise ValueError("pullback needs a kform input")
-    M = parse_matrix_text(_read(args.matrix))
-    return _emit(_maybe_zap(pullback(w, M), args))
+    w = _kform(args.form, "pullback")
+    return pullback(w, parse_matrix_text(_read(args.matrix)))
 
 
-def cmd_alt(args) -> int:
+def cmd_alt(args):
     obj = parse_form_text(_read(args.tensor))
     if isinstance(obj, KForm):
         # alt's own bound, counted on the k! terms per key of the expansion before it is built
@@ -133,50 +108,46 @@ def cmd_alt(args) -> int:
         _check_enumeration(f"alt on arity {k}: {terms} terms x {k}! permutations",
                            terms * math.factorial(k))
         obj = form_to_tensor(obj)
-    return _emit(alt(obj))
+    return alt(obj)
 
 
-def cmd_d(args) -> int:
+def cmd_d(args):
     from . import derivatives
 
     if args.omega:
-        return _emit(derivatives.omega_gradient(args.at))
+        return derivatives.omega_gradient(args.at)
     if args.field:
         form = derivatives.FieldForm([(getattr(derivatives, args.field), ())])
     else:
         form = derivatives.demo_two_form()
-    return _emit(derivatives.exterior_d(form, args.at, analytic=not args.fd))
+    return derivatives.exterior_d(form, args.at, analytic=not args.fd)
 
 
-def cmd_print(args) -> int:
+def cmd_print(args):
     obj = parse_form_text(_read(args.object))
     style = args.style
     if style is None:
         style = "d" if isinstance(obj, KForm) else "letters"
-    print(symbolic(obj, style=style))
-    return 0
+    return symbolic(obj, style=style)
 
 
-def cmd_verify_stokes(args) -> int:
+def cmd_verify_stokes(args):
     from .stokes import verify_stokes
 
     tol = _check_tol(args.tol)
     rep = verify_stokes(args.n, args.a, args.m)
     scale = max(1.0, abs(rep["volume"]))
-    ok = rep["err_bv"] / scale <= tol and rep["err_vc"] / scale <= tol
-    _emit_json(rep)
-    return 0 if ok else 1
+    return rep, rep["err_bv"] / scale <= tol and rep["err_vc"] / scale <= tol
 
 
-def cmd_verify_ddzero(args) -> int:
+def cmd_verify_ddzero(args):
     from .checks import check_dd_zero
 
     rep = check_dd_zero(tuple(args.at))
-    _emit_json(rep)
-    return 0 if rep["passed"] else 1
+    return rep, rep["passed"]
 
 
-def cmd_verify_det46(args) -> int:
+def cmd_verify_det46(args):
     import numpy as np
 
     from .stokes import dphi_example, verify_det_proportionality
@@ -190,17 +161,31 @@ def cmd_verify_det46(args) -> int:
     tol = 1e-6 * max(1.0, abs(rep["lhs"]))
     rep["tol"] = tol
     rep["passed"] = bool(rep["diff"] <= tol)
-    _emit_json(rep)
-    return 0 if rep["passed"] else 1
+    return rep, rep["passed"]
 
 
-def cmd_verify_suite(args) -> int:
+def cmd_verify_suite(args):
     from .checks import suite
 
     reports = suite()
     ok = all(r["passed"] for r in reports)
-    _emit_json({"checks": reports, "passed": ok})
-    return 0 if ok else 1
+    return {"checks": reports, "passed": ok}, ok
+
+
+def _write(result, args) -> int:
+    """Write a subcommand's result to stdout and return the exit code."""
+    if isinstance(result, tuple):
+        report, passed = result
+        print(json.dumps(report, default=float, allow_nan=False))
+        return 0 if passed else 1
+    if isinstance(result, SparseMap):
+        if getattr(args, "zap", None) is not None:
+            result = result.zap(args.zap)
+        sys.stdout.write(result.to_text())
+    else:
+        # evaluate_tensor returns numpy.float64, a float subclass
+        print(format_coefficient(result) if isinstance(result, float) else result)
+    return 0
 
 
 def _add_zap(p: argparse.ArgumentParser):
@@ -306,15 +291,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            return args.func(args)
+            return _write(args.func(args), args)
     except BrokenPipeError:
         # writer side of a closed pipe: silence the shutdown flush too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (
-        ParseError, ArityError, DimensionError, ValueError, OverflowError,
-        RuntimeWarning, OSError,
-    ) as exc:
+    except (ValueError, OverflowError, RuntimeWarning, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

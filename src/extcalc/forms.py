@@ -434,15 +434,15 @@ def rform(seed: int = 1, k: int = 3, n: int = 7, terms: int = 8) -> KForm:
     drawn immediately afterwards as v = next() mod 24, mapped to v-12
     for v < 12 (giving -12..-1) and to v-11 otherwise (giving 1..12).
     Equal seeds give equal forms on every platform.  All four arguments
-    must be integral.
+    must be integral, with k >= 1, n >= 1 and 0 <= terms <= C(n,k).
     """
     seed, k = _check_integral(seed, "seed"), _check_integral(k, "k")
     n, terms = _check_integral(n, "n"), _check_integral(terms, "terms")
+    if k < 1 or n < 1 or terms < 0:
+        raise ValueError(f"need k >= 1, n >= 1 and terms >= 0, got k={k}, n={n}, terms={terms}")
     total = math.comb(n, k)
     if terms > total:
         raise ValueError(f"cannot place {terms} distinct keys among C({n},{k})={total}")
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
     g = SplitMix64(seed)
     acc: dict[tuple, float] = {}
     seen: set[int] = set()

@@ -204,8 +204,12 @@ class SparseMap:
         return self._trusted(self.arity, ((k, s * c) for k, c in self.terms.items()))
 
     def __add__(self, other):
+        """Termwise sum, of the left operand's type; a form plus a tensor raises
+        TypeError, as key (1, 2) means dx1^dx2 in one and phi1 (x) phi2 in the other."""
         if not isinstance(other, SparseMap):
             return NotImplemented
+        if self._header and other._header and self._header != other._header:
+            raise TypeError(f"cannot add a {self._header} and a {other._header}")
         if self.arity != other.arity:
             raise ArityError(
                 f"cannot add arity {self.arity} and arity {other.arity} maps"

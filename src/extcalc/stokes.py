@@ -242,7 +242,8 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
 
 
 def verify_det_proportionality(w: KForm, E) -> dict:
-    """Check evaluate_form(w, E) = det(E) * evaluate_form(w, I) for top forms."""
+    """Check evaluate_form(w, E) = det(E) * evaluate_form(w, I) for top forms;
+    a report that would hold NaN or infinity raises ValueError naming n."""
     E = _finite_array(E, 2, "frame")
     if E.shape[0] != E.shape[1]:
         raise ValueError(f"need a square frame, got shape {E.shape}")
@@ -253,4 +254,7 @@ def verify_det_proportionality(w: KForm, E) -> dict:
         )
     lhs = w(E)
     rhs = float(np.linalg.det(E)) * w(np.eye(n))
-    return {"n": n, "lhs": lhs, "rhs": rhs, "diff": abs(lhs - rhs)}
+    report = {"n": n, "lhs": lhs, "rhs": rhs, "diff": abs(lhs - rhs)}
+    if not all(map(math.isfinite, report.values())):
+        raise ValueError(f"the determinant check overflows at n = {n}")
+    return report

@@ -425,6 +425,12 @@ def test_rform_deterministic_and_shaped():
         rform(1, 3, 7, math.comb(7, 3) + 1)
 
 
+@pytest.mark.parametrize("args", [(1, 3, 7, -1), (1, 0, 5, 2), (1, 3, 0, 0), (1, -1, 5, 0)])
+def test_rform_checks_its_ranges_before_counting_keys(args):
+    with pytest.raises(ValueError, match="need k >= 1, n >= 1 and terms >= 0"):
+        rform(*args)
+
+
 def test_rform_distinct_keys_fill_full_space():
     w = rform(5, 2, 4, 6)
     assert set(w.terms) == set(itertools.combinations(range(1, 5), 2))

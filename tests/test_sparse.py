@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from extcalc import ArityError, KForm, SparseMap
+from extcalc import ArityError, KForm, KTensor, SparseMap
 from extcalc.sparse import format_coefficient
 
 
@@ -26,6 +26,14 @@ def test_addition_merges_and_cancels():
     assert type(-w) is KForm and (-w).terms == {(1, 3): -1.0}
     with pytest.raises(ValueError, match="strictly increasing"):
         w + SparseMap(2, {(3, 1): 1.0})
+
+
+def test_a_form_plus_a_tensor_is_refused():
+    # dx1^dx2 = phi1 (x) phi2 - phi2 (x) phi1: neither type may read the other's keys
+    w, T = KForm(2, {(1, 2): 1.0}), KTensor(2, {(1, 2): 1.0})
+    for f in (lambda: w + T, lambda: T + w, lambda: w - T, lambda: T - w):
+        with pytest.raises(TypeError, match="cannot add a k"):
+            f()
 
 
 def test_add_requires_matching_arity():

@@ -411,6 +411,13 @@ def test_det_proportionality_reads_a_vector_as_one_column():
     assert rep["diff"] <= 1e-6
 
 
+def test_det_proportionality_refuses_an_overflowing_report():
+    # sum_j j^j is finite up to n = 143, but det(E) * w(I) overflows from n = 129 on
+    E = np.random.default_rng(0).random((130, 130))
+    with pytest.raises(ValueError, match="the determinant check overflows at n = 130"):
+        verify_det_proportionality(dphi_example(np.arange(1.0, 131.0)), E)
+
+
 def test_example_pair_is_bounded_before_it_builds():
     # phi's n keys of n - 1 indices, counted as for hat(n)
     for example in (phi_example, dphi_example):

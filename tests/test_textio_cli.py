@@ -427,6 +427,12 @@ def test_cli_det46_refuses_large_n_before_allocating(n, capsys):
     assert out == "" and err.startswith("error:") and "--n <= 143" in err
 
 
+def test_cli_det46_overflow_is_refused_by_name(capsys):
+    assert main(["verify", "det46", "--n", "130"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the determinant check overflows at n = 130\n"
+
+
 def test_cli_zap_env_default(tmp_path, monkeypatch, capsys):
     a = _write(tmp_path, "a.txt", "kform k=1\n1 : 1\n2 : 0.4\n")
     b = _write(tmp_path, "b.txt", "kform k=1\n1 : 1\n")
