@@ -15,13 +15,12 @@ import math
 import numpy as np
 
 from .sparse import SparseMap
-from .tensors import KTensor, alt, evaluate_tensor, tensor_product
+from .tensors import KTensor, alt, evaluate_tensor
 from .forms import (
     KForm,
     contract,
     contract_matrix,
     evaluate_form,
-    kform_from_rows,
     pullback,
     rform,
     wedge,
@@ -77,9 +76,7 @@ def _random_tensor(rng, k: int, n: int, terms: int = 5) -> KTensor:
 
 
 def _random_form(rng, k: int, n: int, max_terms: int = 4) -> KForm:
-    from math import comb
-
-    terms = int(rng.integers(1, min(max_terms, comb(n, k)) + 1))
+    terms = int(rng.integers(1, min(max_terms, math.comb(n, k)) + 1))
     return rform(int(rng.integers(0, 2**63)), k, n, terms)
 
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
 
-from .sparse import DEFAULT_TOL, SparseMap, _check_enumeration, _check_tol, format_coefficient
-from .tensors import alt
+from .sparse import DEFAULT_TOL, SparseMap, _check_tol, format_coefficient
+from .tensors import _count_permutations, alt
 from .forms import KForm, form_to_tensor, symbolic, wedge
 from .textio import parse_form_text
 
@@ -104,9 +103,7 @@ def cmd_alt(args):
     obj = parse_form_text(_read(args.tensor))
     if isinstance(obj, KForm):
         # alt's own bound, counted on the k! terms per key of the expansion before it is built
-        k, terms = obj.arity, len(obj) * math.factorial(obj.arity)
-        _check_enumeration(f"alt on arity {k}: {terms} terms x {k}! permutations",
-                           terms * math.factorial(k))
+        _count_permutations("alt", obj.arity, len(obj), obj.arity)
         obj = form_to_tensor(obj)
     return alt(obj)
 
@@ -183,7 +180,6 @@ def _write(result, args) -> int:
             result = result.zap(args.zap)
         sys.stdout.write(result.to_text())
     else:
-        # evaluate_tensor returns numpy.float64, a float subclass
         print(format_coefficient(result) if isinstance(result, float) else result)
     return 0
 

@@ -19,7 +19,8 @@ import operator
 
 from .sparse import (ArityError, SparseMap, _check_enumeration, _check_integral,
                      _check_key, _check_rows, format_coefficient)
-from .tensors import KTensor, _finite_array, _parity, alt, as_frame, tensor_product
+from .tensors import (KTensor, _count_permutations, _finite_array, _parity, _signed_permutations,
+                      alt, as_frame, tensor_product)
 
 __all__ = [
     "KForm",
@@ -214,22 +215,11 @@ def form_to_tensor(w: KForm) -> KTensor:
     """Expand a k-form into its alternating k-tensor.
 
     Each increasing key I with coefficient c becomes the k! signed
-    terms sign(sigma) * c on the permuted keys sigma(I); more than
-    MAX_ENUMERATION permutations (len(w) * k!) are refused up front.
+    terms sign(sigma) * c on the permuted keys sigma(I).  More than
+    MAX_ENUMERATION permutations (len(w) * k!) are refused up front,
+    without a factorial past 20!; an empty form expands to nothing.
     """
-    k = w.arity
-    _check_enumeration(
-        f"form_to_tensor on arity {k}: {len(w)} terms x {k}! permutations",
-        len(w) * math.factorial(k),
-    )
-    return KTensor._trusted(
-        k,
-        (
-            (tuple(key[i] for i in perm), _parity(perm) * c)
-            for key, c in w.terms.items()
-            for perm in itertools.permutations(range(k))
-        ),
-    )
+    return KTensor._trusted(w.arity, _signed_permutations(w, "form_to_tensor"))
 
 
 def alternating_tensor_to_form(T: KTensor) -> KForm:
@@ -239,25 +229,22 @@ def alternating_tensor_to_form(T: KTensor) -> KForm:
         for key, c in T.terms.items()
         if all(a < b for a, b in zip(key, key[1:]))
     }
-    return KForm(T.arity, acc)
+    return KForm._trusted(T.arity, acc.items())
 
 
 def wedge_definitional(w: KForm, e: KForm) -> KForm:
     """Wedge by the definition: C(k+l, k) * alt(w x e).
 
-    Exponentially slower than `wedge`; exists as the independent
-    second route for verification.  Its largest stage, alt over (k+l)!
-    permutations of len(w) k! x len(e) l! terms, must fit MAX_ENUMERATION.
+    Exponentially slower than `wedge`: the independent second route for
+    verification.  Its largest stage, alt over (k+l)! permutations of
+    len(w) k! x len(e) l! terms, must fit MAX_ENUMERATION (counted with
+    no factorial past 20!); with nothing to permute, w x e is the form.
     """
     k, l = w.arity, e.arity
-    terms = len(w) * math.factorial(k) * len(e) * math.factorial(l)
-    _check_enumeration(
-        f"wedge_definitional on arity {k + l}: {terms} terms x {k + l}! permutations",
-        terms * math.factorial(k + l),
-    )
+    _count_permutations("wedge_definitional", k + l, len(w) * len(e), k, l)
     prod = tensor_product(form_to_tensor(w), form_to_tensor(e))
-    if k + l == 0:
-        return KForm(0, prod.terms)
+    if k + l == 0 or not prod:
+        return KForm._trusted(k + l, prod.terms.items())
     scaled = alt(prod).scale(float(math.comb(k + l, k)))
     return alternating_tensor_to_form(scaled)
 

@@ -2,7 +2,7 @@
 
 A multi-index (i1, ..., ik) addresses one basis product inside a rank-k
 multilinear object; a SparseMap is a finite map from such keys to float
-coefficients, every key sharing one arity k.  Three hygiene rules hold
+coefficients, every key sharing one arity k.  Four hygiene rules hold
 everywhere:
 
 * a coefficient that becomes exactly 0.0 is deleted, never stored;

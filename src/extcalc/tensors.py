@@ -2,9 +2,11 @@
 
 A KTensor of arity k on R^n is a sparse sum of basis products
 phi_{i1} x ... x phi_{ik}; its key set is unrestricted (any positive
-indices, repeats allowed).  Evaluation takes an n-by-k frame whose
-columns are the k argument vectors; it alone imports numpy, when first
-called.
+indices, repeats allowed).  evaluate_tensor, tensor_product and alt
+read every key so and refuse a KForm, whose key (1, 2) means dx1^dx2 =
+phi1 x phi2 - phi2 x phi1 (form_to_tensor expands one).  Evaluation
+takes an n-by-k frame whose columns are the k argument vectors; it
+alone imports numpy, when first called.
 """
 
 from __future__ import annotations
@@ -98,25 +100,29 @@ def as_frame(E, arity: int, min_rows: int):
     return E
 
 
+def _refuse_kforms(call: str, *maps: SparseMap) -> None:
+    if any(m._header == "kform" for m in maps):
+        raise TypeError(f"{call} needs a tensor, not a kform: expand it with form_to_tensor first")
+
+
 def evaluate_tensor(S: KTensor, E) -> float:
     """Evaluate S on the frame E (columns are the k argument vectors).
 
     Rows of E beyond the implied dimension are ignored.
     """
+    _refuse_kforms("evaluate_tensor", S)
     if S.arity == 0:
         return S.terms.get((), 0.0)
-    E = as_frame(E, S.arity, S.dimension)
+    E = as_frame(E, S.arity, S.dimension).tolist()
     total = 0.0
     for key, c in S.terms.items():
-        p = c
-        for j, i in enumerate(key):
-            p *= E[i - 1, j]
-        total += p
+        total += math.prod((E[i - 1][j] for j, i in enumerate(key)), start=c)
     return total
 
 
 def tensor_product(S: SparseMap, T: SparseMap) -> KTensor:
     """Tensor product: keys concatenate, coefficients multiply."""
+    _refuse_kforms("tensor_product", S, T)
     return KTensor._trusted(
         S.arity + T.arity,
         (
@@ -127,26 +133,40 @@ def tensor_product(S: SparseMap, T: SparseMap) -> KTensor:
     )
 
 
+def _count_permutations(call: str, k: int, terms: int, *expanded: int) -> None:
+    # the one count of the definitional routes: `terms` terms, each first expanded j! ways
+    # per arity j <= k in `expanded`, then permuted k! ways; 10! alone exceeds the bound
+    if not terms:
+        return
+    if k > 20:
+        raise ValueError(f"{call} on arity {k}: {k}! permutations exceed the bound; refusing")
+    terms *= math.prod(map(math.factorial, expanded))
+    _check_enumeration(f"{call} on arity {k}: {terms} terms x {k}! permutations",
+                       terms * math.factorial(k))
+
+
+def _signed_permutations(S: SparseMap, call: str):
+    # counted first, then lazily (sigma(key), sign(sigma) * c): terms outside, sigma inside
+    _count_permutations(call, S.arity, len(S))
+    return (
+        (tuple(key[i] for i in perm), _parity(perm) * c)
+        for key, c in S.terms.items()
+        for perm in itertools.permutations(range(S.arity))
+    )
+
+
 def alt(T: SparseMap) -> KTensor:
     """Alternating part: alt(T) = (1/k!) sum_sigma sign(sigma) T o sigma.
 
-    An exact k!-term enumeration per term.  This is the definitional
-    route, kept as a correctness oracle rather than a hot path, so more
-    than MAX_ENUMERATION permutations (len(T) * k!) are refused before
-    the first.
+    The definitional route, an exact k!-term enumeration per term kept
+    as a correctness oracle rather than a hot path: more than
+    MAX_ENUMERATION permutations (len(T) * k!) are refused before the
+    first, no factorial past 20! is evaluated, and an empty T is empty.
     """
+    _refuse_kforms("alt", T)
     k = T.arity
     if k < 1:
         raise ArityError("alt needs arity >= 1")
-    _check_enumeration(
-        f"alt on arity {k}: {len(T)} terms x {k}! permutations", len(T) * math.factorial(k)
-    )
-    fact = float(math.factorial(k))
-    return KTensor._trusted(
-        k,
-        (
-            (tuple(key[i] for i in perm), _parity(perm) * c / fact)
-            for key, c in T.terms.items()
-            for perm in itertools.permutations(range(k))
-        ),
-    )
+    signed = _signed_permutations(T, "alt")
+    fact = float(math.factorial(k)) if T.terms else 1.0
+    return KTensor._trusted(k, ((key, c / fact) for key, c in signed))

@@ -7,7 +7,6 @@ from extcalc import (
     ArityError,
     DimensionError,
     FieldForm,
-    KForm,
     ScalarField,
     dd_check,
     demo_two_form,
@@ -19,7 +18,6 @@ from extcalc import (
     fd_hessian,
     grad,
     hat,
-    kform_from_rows,
     omega_gradient,
 )
 
@@ -93,6 +91,17 @@ def test_fd_rejects_nonfinite_and_bad_steps():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError):
             fd_gradient(blows_up, np.array([1.0, 0.0]))
+
+
+def test_fd_hessian_refuses_a_non_finite_stencil():
+    # finite at the point, infinite one step along x_1: the point passes the
+    # gate, and the stencil built around it is refused
+    def wall(x):
+        return math.inf if x[0] > 1.0 else float(x[0] * x[1])
+
+    assert wall(np.array([1.0, 2.0])) == 2.0
+    with pytest.raises(ValueError, match="non-finite values in difference stencil"):
+        fd_hessian(wall, np.array([1.0, 2.0]))
 
 
 def test_grad_builds_one_form():

@@ -144,6 +144,25 @@ def test_definitional_routes_refuse_large_arity_before_expanding():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_definitional_routes_settle_empty_and_oversized_forms_at_once():
+    t0 = time.perf_counter()
+    big = KForm(100000)
+    # no term: nothing counted and no C(200000, 100000) scale factor taken
+    empty = wedge_definitional(big, big)
+    assert empty.arity == 200000 and not empty.terms
+    assert not form_to_tensor(big).terms and form_to_tensor(big).arity == 100000
+    assert not wedge_definitional(KForm(3, {(1, 2, 3): 1.0}), KForm(40)).terms
+    # one term each, arity 22 > 20: refused without evaluating 22!
+    one = KForm(11, {tuple(range(1, 12)): 1.0})
+    with pytest.raises(ValueError) as refused:
+        wedge_definitional(one, KForm(11, {tuple(range(12, 23)): 1.0}))
+    assert str(refused.value) == (
+        "wedge_definitional on arity 22: 22! permutations exceed the bound; refusing")
+    with pytest.raises(ValueError, match="^form_to_tensor on arity 25: 25! permutations"):
+        form_to_tensor(KForm(25, {tuple(range(1, 26)): 1.0}))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_wedge_definitional_agreement_small():
     rng = np.random.default_rng(12)
     for _ in range(20):

@@ -9,10 +9,12 @@ mutated: a check whose reference breaks along with its subject shows
 nothing.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from extcalc import checks, forms, stokes
+from extcalc import checks, derivatives, forms, stokes
 
 
 def _merge_sign_always_plus(monkeypatch):
@@ -56,6 +58,55 @@ def _boundary_orientations_swapped(monkeypatch):
     monkeypatch.setattr(stokes, "integrate_boundary", swapped)
 
 
+def _canonical_rows_unsigned(monkeypatch):
+    def unsigned(rows, coeffs):
+        # _canonical_rows with every sort permutation taken as even
+        for row, c in zip(rows, coeffs):
+            if len(set(row)) == len(row):
+                yield tuple(sorted(row)), c
+
+    # kform_from_rows reads forms._canonical_rows; dd_check calls its own import
+    monkeypatch.setattr(forms, "_canonical_rows", unsigned)
+    monkeypatch.setattr(derivatives, "_canonical_rows", unsigned)
+
+
+def _pullback_first_chunk_only(monkeypatch):
+    # C(n, k) <= 10 targets for the suite's n <= 5 pullbacks, so at the
+    # default _TARGET_CHUNK of 4096 they never span two chunks: shrink it
+    monkeypatch.setattr(forms, "_TARGET_CHUNK", 2)
+    pullback = forms.pullback
+
+    def first_chunk(w, M):
+        # every target keeps its own sum, so dropping the later chunks is a filter
+        n = np.asarray(M).shape[0]
+        targets = itertools.combinations(range(1, n + 1), w.arity)
+        first = set(itertools.islice(targets, forms._TARGET_CHUNK))
+        return forms.KForm._trusted(
+            w.arity, ((key, c) for key, c in pullback(w, M).terms.items() if key in first))
+
+    monkeypatch.setattr(checks, "pullback", first_chunk)
+
+
+def _contract_matrix_columns_reversed(monkeypatch):
+    contract_matrix = forms.contract_matrix
+
+    def reversed_columns(w, V, lose=True):
+        return contract_matrix(w, np.asarray(V)[:, ::-1], lose)
+
+    monkeypatch.setattr(forms, "contract_matrix", reversed_columns)
+    monkeypatch.setattr(checks, "contract_matrix", reversed_columns)
+
+
+def _fd_hessian_symmetrized(monkeypatch):
+    fd_hessian = derivatives.fd_hessian
+
+    def symmetrized(f, x):
+        H = fd_hessian(f, x)
+        return (H + H.T) / 2
+
+    monkeypatch.setattr(derivatives, "fd_hessian", symmetrized)
+
+
 MUTANTS = {
     "merge-sign-always-plus": (
         _merge_sign_always_plus, {"wedge-algebra", "wedge-definitional", "omega-closedness"}),
@@ -65,6 +116,13 @@ MUTANTS = {
         _dets_absolute,
         {"alternation-column-swap", "contraction-vs-evaluation", "det-proportionality", "pullback"}),
     "boundary-orientations-swapped": (_boundary_orientations_swapped, {"stokes-cubes"}),
+    "canonical-rows-unsigned": (_canonical_rows_unsigned, {"dd-zero"}),
+    "pullback-first-chunk-only": (_pullback_first_chunk_only, {"pullback"}),
+    "contract-matrix-columns-reversed": (
+        _contract_matrix_columns_reversed, {"contraction-vs-evaluation"}),
+    # at dd-zero's one point the raw cross stencils already come out exactly
+    # symmetric (fd_max is 0.0), so symmetrizing changes nothing it reads
+    "fd-hessian-symmetrized": (_fd_hessian_symmetrized, set()),
 }
 
 

@@ -1,12 +1,18 @@
+import time
+
 import numpy as np
 import pytest
 
 from extcalc import (
     ArityError,
     DimensionError,
+    KForm,
     KTensor,
+    SparseMap,
     alt,
+    evaluate_form,
     evaluate_tensor,
+    form_to_tensor,
     ktensor_from_rows,
     perm_sign,
     tensor_product,
@@ -146,6 +152,63 @@ def test_alt_guards():
         alt(KTensor(0, {(): 1.0}))
     with pytest.raises(ValueError, match="permutations"):
         alt(KTensor(11, {tuple(range(1, 12)): 1.0}))
+
+
+def test_alt_settles_empty_and_oversized_inputs_before_any_factorial():
+    t0 = time.perf_counter()
+    # nothing to permute: the empty tensor at any arity, although 171! overflows a float
+    for k in (171, 10**6):
+        empty = alt(KTensor(k))
+        assert empty.arity == k and not empty.terms
+    # one term past 20!: refused without evaluating the count, so none is printed
+    with pytest.raises(ValueError) as refused:
+        alt(KTensor(10**4, {tuple(range(1, 10**4 + 1)): 1.0}))
+    assert str(refused.value) == (
+        "alt on arity 10000: 10000! permutations exceed the bound; refusing")
+    assert time.perf_counter() - t0 < 1.0
+    # at 20! the count is still evaluated and printed
+    with pytest.raises(ValueError) as refused:
+        alt(KTensor(20, {tuple(range(1, 21)): 1.0}))
+    assert str(refused.value) == (
+        "alt on arity 20: 1 terms x 20! permutations = 2432902008176640000"
+        " exceeds the bound 1048576; refusing")
+    with pytest.raises(ValueError, match="^alt on arity 21: 21! permutations exceed the bound"):
+        alt(KTensor(21, {tuple(range(1, 22)): 1.0}))
+
+
+# key (1, 2) of a kform is dx1^dx2 = phi1 x phi2 - phi2 x phi1; read as
+# phi1 x phi2, alt halved it, evaluation gave 0 where the form gives -1,
+# and the tensor product dropped the (2, 1, 3) term
+DX12 = KForm(2, {(1, 2): 1.0})
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+KFORM_CALLS = {
+    "alt": lambda w: alt(w),
+    "evaluate_tensor": lambda w: evaluate_tensor(w, SWAP),
+    "tensor_product": lambda w: tensor_product(w, KTensor(1, {(3,): 1.0})),
+}
+
+
+@pytest.mark.parametrize("call", KFORM_CALLS, ids=KFORM_CALLS)
+def test_tensor_routes_refuse_a_kform(call):
+    with pytest.raises(TypeError, match=f"^{call} needs a tensor, not a kform: .*form_to_tensor"):
+        KFORM_CALLS[call](DX12)
+
+
+def test_tensor_routes_take_an_expanded_form_and_a_plain_map():
+    T = form_to_tensor(DX12)
+    assert alt(T) == T
+    assert evaluate_tensor(T, SWAP) == evaluate_form(DX12, SWAP) == -1.0
+    assert tensor_product(T, KTensor(1, {(3,): 1.0})).terms == {(1, 2, 3): 1.0, (2, 1, 3): -1.0}
+    plain = SparseMap(2, {(1, 2): 1.0})
+    assert alt(plain).terms == {(1, 2): 0.5, (2, 1): -0.5}
+    assert evaluate_tensor(plain, SWAP) == 0.0
+    assert tensor_product(KTensor(1, {(3,): 1.0}), plain).terms == {(3, 1, 2): 1.0}
+
+
+def test_evaluate_tensor_returns_a_python_float():
+    assert type(KTensor(1, {(1,): 2.0})([1.0])) is float
+    assert type(evaluate_tensor(example_tensor(), np.ones((5, 4)))) is float
+    assert type(KForm(1, {(1,): 2.0})([1.0])) is float
 
 
 def test_perm_sign():

@@ -240,6 +240,16 @@ def test_cli_alt_refuses_large_form_before_expanding(tmp_path, capsys):
         assert out == "" and err.startswith(f"error: alt on arity {k}:") and "exceeds the bound" in err
 
 
+def test_cli_alt_of_an_empty_huge_arity_object_is_immediate(tmp_path, capsys):
+    # nothing to permute: neither 1000000! nor its float is ever formed
+    for header in ("ktensor", "kform"):
+        f = _write(tmp_path, "f.txt", f"{header} k=1000000\nzero k=1000000\n")
+        t0 = time.perf_counter()
+        assert main(["alt", f]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr() == ("ktensor k=1000000\nzero k=1000000\n", "")
+
+
 def test_cli_alt_counts_a_form_before_expanding_it(tmp_path, capsys, monkeypatch):
     # a one-term 9-form expands to 9! = 362,880 terms within the bound, but
     # alt would then permute each 9! ways: refused before the expansion
@@ -357,6 +367,30 @@ def test_cli_floating_point_error_is_one_error_line():
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_cli_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path):
+    # more than 1 MB of output, far past a pipe's buffer (64 KB on Linux):
+    # the writer is still writing when the reader stops after a few bytes
+    rows = "".join(f"{i} {i + 1} {i + 2} : 1\n" for i in range(1, 60001))
+    f = _write(tmp_path, "f.txt", "kform k=3\n" + rows)
+    # buffered stdout, as by default: unbuffered, a write cut short by the
+    # closed pipe returns its partial count and never raises
+    src = str(Path(extcalc.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "extcalc.cli", "add", f, f],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(16) == b"kform k=3\n1 2 3 "
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0 and err == b""
+    assert len(parse_form_text(Path(f).read_text()).scale(2.0).to_text()) > 2**20
 
 
 def test_cli_floating_point_policy_holds_in_a_fresh_interpreter(tmp_path):
