@@ -11,8 +11,9 @@ of text, or a verification's (report, passed) pair.  main alone writes
 it, applying --zap, and exits 1 on a failed verdict.  It runs both steps
 with RuntimeWarning as an error, so a numpy floating-point error raises
 where it happens, and restores the caller's warning filters.  print,
-add, wedge and alt compute on Python floats and never import numpy (the
-coefficient store refuses an overflow); the rest import what they call.
+add, wedge, alt, eval, contract and pullback of degree 3 or less compute
+on Python floats and never import numpy (the coefficient store and the
+evaluations refuse an overflow); the rest import what they call.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import warnings
 
 from .sparse import DEFAULT_TOL, SparseMap, _check_tol, format_coefficient
 from .tensors import _count_permutations, alt
-from .forms import KForm, form_to_tensor, symbolic, wedge
-from .textio import parse_form_text
+from .forms import KForm, contract_matrix, form_to_tensor, pullback, symbolic, wedge
+from .textio import _parse_rows, parse_form_text
 
 __all__ = ["main"]
 
@@ -60,10 +61,8 @@ def _kform(path: str, command: str) -> KForm:
 
 
 def cmd_eval(args):
-    from .textio import parse_matrix_text
-
     obj = parse_form_text(_read(args.object))
-    return obj(parse_matrix_text(_read(args.frame)))
+    return obj(_parse_rows(_read(args.frame)))
 
 
 def cmd_wedge(args):
@@ -83,20 +82,13 @@ def cmd_add(args):
 
 
 def cmd_contract(args):
-    from .forms import contract_matrix
-    from .textio import parse_matrix_text
-
     w = _kform(args.form, "contract")
-    V = parse_matrix_text(_read(args.vectors))
-    return contract_matrix(w, V, lose=not args.keep_form)
+    return contract_matrix(w, _parse_rows(_read(args.vectors)), lose=not args.keep_form)
 
 
 def cmd_pullback(args):
-    from .forms import pullback
-    from .textio import parse_matrix_text
-
     w = _kform(args.form, "pullback")
-    return pullback(w, parse_matrix_text(_read(args.matrix)))
+    return pullback(w, _parse_rows(_read(args.matrix)))
 
 
 def cmd_alt(args):
@@ -199,9 +191,7 @@ def _add_zap(p: argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="extcalc",
-        description="sparse exterior calculus on serialized k-forms and k-tensors",
-    )
+        prog="extcalc", description="sparse exterior calculus on serialized k-forms and k-tensors")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a form or tensor on a frame")
@@ -224,11 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contract", help="interior product with vectors")
     p.add_argument("form")
     p.add_argument("vectors")
-    p.add_argument(
-        "--keep-form",
-        action="store_true",
-        help="return a 0-form instead of a bare scalar when fully contracted",
-    )
+    p.add_argument("--keep-form", action="store_true",
+                   help="return a 0-form instead of a bare scalar when fully contracted")
     _add_zap(p)
     p.set_defaults(func=cmd_contract)
 
@@ -246,9 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", nargs="+", type=float, default=[1.0, 2.0, 3.0, 4.0])
     src = p.add_mutually_exclusive_group()
     src.add_argument("--field", choices=sorted(_FIELDS), help="d of one demo 0-form")
-    src.add_argument(
-        "--omega", action="store_true", help="gradient 1-form of the singular (n-1)-form"
-    )
+    src.add_argument("--omega", action="store_true",
+                     help="gradient 1-form of the singular (n-1)-form")
     p.add_argument("--fd", action="store_true", help="force finite differences")
     p.set_defaults(func=cmd_d)
 

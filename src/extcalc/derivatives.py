@@ -39,6 +39,12 @@ GRAD_STEP = _EPS ** (1.0 / 3.0)
 HESS_STEP = _EPS ** 0.25
 
 
+def _gated(A, ndim: int, what: str, min_rows: int = 0) -> np.ndarray:
+    # the array gate's checked values as a float array of its shape
+    values, shape = _finite_array(A, ndim, what, min_rows)
+    return np.array(values, dtype=float).reshape(shape)
+
+
 def _shifted(f: Callable, x, hs, *moves):
     # f at a copy of x moved by sign * hs[i] along each (i, sign); x + (-h) is x - h in IEEE
     y = x.copy()
@@ -53,7 +59,7 @@ def fd_gradient(f: Callable, x) -> np.ndarray:
     The step is cbrt(machine eps) * max(1, |x_i|).  x must be a finite
     1-D point.
     """
-    x = _finite_array(x, 1, "point")
+    x = _gated(x, 1, "point")
     hs = GRAD_STEP * np.maximum(1.0, np.abs(x))
     g = np.empty_like(x)
     for i in range(x.size):
@@ -72,7 +78,7 @@ def fd_hessian(f: Callable, x) -> np.ndarray:
     downstream checks rely on the raw mixed partials.  x must be a
     finite 1-D point.
     """
-    x = _finite_array(x, 1, "point")
+    x = _gated(x, 1, "point")
     n = x.size
     hs = HESS_STEP * np.maximum(1.0, np.abs(x))
     H = np.empty((n, n))
@@ -115,16 +121,16 @@ class ScalarField:
     hessian: Optional[Callable] = None
 
     def __call__(self, x) -> float:
-        return float(self.fn(_finite_array(x, 1, "point")))
+        return float(self.fn(_gated(x, 1, "point")))
 
     def gradient_at(self, x, analytic: bool = True) -> np.ndarray:
-        x = _finite_array(x, 1, "point")
+        x = _gated(x, 1, "point")
         if analytic and self.grad is not None:
             return _analytic(self.grad(x), (x.size,), "gradient")
         return fd_gradient(self.fn, x)
 
     def hessian_at(self, x, analytic: bool = True) -> np.ndarray:
-        x = _finite_array(x, 1, "point")
+        x = _gated(x, 1, "point")
         if analytic and self.hessian is not None:
             return _analytic(self.hessian(x), (x.size, x.size), "Hessian")
         return fd_hessian(self.fn, x)
@@ -132,7 +138,7 @@ class ScalarField:
 
 def _analytic(values, shape: tuple, what: str) -> np.ndarray:
     # a supplied derivative, through the array gate and then held to the point's exact shape
-    A = _finite_array(values, len(shape), f"analytic {what}")
+    A = _gated(values, len(shape), f"analytic {what}")
     if A.shape != shape:
         raise DimensionError(f"analytic {what} has shape {A.shape} at a point of R^{shape[0]}")
     return A
@@ -140,8 +146,8 @@ def _analytic(values, shape: tuple, what: str) -> np.ndarray:
 
 def grad(values) -> KForm:
     """The 1-form sum_i values[i] dx_i (zero entries dropped)."""
-    values = _finite_array(values, 1, "gradient", min_rows=1)
-    return KForm._trusted(1, (((i + 1,), v) for i, v in enumerate(values.tolist())))
+    values = _finite_array(values, 1, "gradient", min_rows=1)[0]
+    return KForm._trusted(1, (((i + 1,), v) for i, v in enumerate(values)))
 
 
 @dataclass(frozen=True)
@@ -160,10 +166,8 @@ class FieldForm:
     terms: tuple
 
     def __init__(self, terms):
-        pairs = [
-            (field if isinstance(field, ScalarField) else ScalarField(field), tuple(key))
-            for field, key in terms
-        ]
+        pairs = [(field if isinstance(field, ScalarField) else ScalarField(field), tuple(key))
+                 for field, key in terms]
         if not pairs:
             raise ValueError("need at least one (field, key) term")
         k = len(pairs[0][1])
@@ -188,11 +192,10 @@ class FieldForm:
     def _at(self, x, coefficient: Callable) -> KForm:
         # sum_j coefficient(f_j, x) ^ dx_{I_j}, x gated once before any field runs; each
         # field's wedge has distinct keys, so one accumulation sums each key in field order
-        x = _finite_array(x, 1, "point")
+        x = _gated(x, 1, "point")
         if x.size < self.dimension:
-            raise DimensionError(
-                f"point has dimension {x.size} but wedge indices reach {self.dimension}"
-            )
+            raise DimensionError(f"point has dimension {x.size} but wedge indices reach "
+                                 f"{self.dimension}")
         items = []
         for field, key in self.terms:
             c = coefficient(field, x)
@@ -225,7 +228,7 @@ def omega_gradient(x) -> KForm:
     Coefficient i is (-1)^(i-1) (S^(n/2) - n x_i^2 S^(n/2-1)) / S^n with
     S = sum x_j^2; undefined at the origin.
     """
-    x = _finite_array(x, 1, "point")
+    x = _gated(x, 1, "point")
     n = x.size
     if n < 2:
         raise ValueError("need n >= 2")
@@ -276,14 +279,8 @@ def _f1_grad(p):
 
 def _f1_hess(p):
     w, x, y, z = _wxyz(p)
-    return np.array(
-        [
-            [0.0, y * z, x * z, x * y],
-            [y * z, 0.0, w * z, y * w],
-            [x * z, w * z, 6.0 * y, x * w],
-            [x * y, y * w, x * w, 0.0],
-        ]
-    )
+    return np.array([[0.0, y * z, x * z, x * y], [y * z, 0.0, w * z, y * w],
+                     [x * z, w * z, 6.0 * y, x * w], [x * y, y * w, x * w, 0.0]])
 
 
 def _f2(p):
@@ -293,26 +290,17 @@ def _f2(p):
 
 def _f2_grad(p):
     w, x, y, z = _wxyz(p)
-    return np.array(
-        [
-            2.0 * w * x * y * z + np.cos(w) + 1.0,
-            w**2 * y * z,
-            w**2 * x * z,
-            w**2 * x * y + 1.0,
-        ]
-    )
+    return np.array([2.0 * w * x * y * z + np.cos(w) + 1.0, w**2 * y * z, w**2 * x * z,
+                     w**2 * x * y + 1.0])
 
 
 def _f2_hess(p):
     w, x, y, z = _wxyz(p)
-    return np.array(
-        [
-            [2.0 * x * y * z - np.sin(w), 2.0 * w * y * z, 2.0 * w * x * z, 2.0 * w * x * y],
-            [2.0 * w * y * z, 0.0, w**2 * z, w**2 * y],
-            [2.0 * w * x * z, w**2 * z, 0.0, w**2 * x],
-            [2.0 * w * x * y, w**2 * y, w**2 * x, 0.0],
-        ]
-    )
+    return np.array([
+        [2.0 * x * y * z - np.sin(w), 2.0 * w * y * z, 2.0 * w * x * z, 2.0 * w * x * y],
+        [2.0 * w * y * z, 0.0, w**2 * z, w**2 * y],
+        [2.0 * w * x * z, w**2 * z, 0.0, w**2 * x],
+        [2.0 * w * x * y, w**2 * y, w**2 * x, 0.0]])
 
 
 def _f3(p):
@@ -322,26 +310,13 @@ def _f3(p):
 
 def _f3_grad(p):
     w, x, y, z = _wxyz(p)
-    return np.array(
-        [
-            x * y * z - np.sin(w),
-            w * y * z + np.cos(x),
-            w * x * z,
-            w * x * y,
-        ]
-    )
+    return np.array([x * y * z - np.sin(w), w * y * z + np.cos(x), w * x * z, w * x * y])
 
 
 def _f3_hess(p):
     w, x, y, z = _wxyz(p)
-    return np.array(
-        [
-            [-np.cos(w), y * z, x * z, x * y],
-            [y * z, -np.sin(x), w * z, w * y],
-            [x * z, w * z, 0.0, w * x],
-            [x * y, w * y, w * x, 0.0],
-        ]
-    )
+    return np.array([[-np.cos(w), y * z, x * z, x * y], [y * z, -np.sin(x), w * z, w * y],
+                     [x * z, w * z, 0.0, w * x], [x * y, w * y, w * x, 0.0]])
 
 
 f1 = ScalarField(_f1, grad=_f1_grad, hessian=_f1_hess)

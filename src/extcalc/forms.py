@@ -6,21 +6,22 @@ redundant tensor storage.  Construction from arbitrary rows sorts each
 row, picks up the permutation sign, and drops rows with repeated
 indices; after that every operation preserves the canonical key order.
 
-The key algebra runs on Python floats; only the frame and matrix
-routines (evaluate_form, contract, contract_matrix, pullback) import
-numpy, when first called.
+Everything runs on Python floats, frames and matrices included: minors
+through 3x3 are expanded by cofactors.  Only evaluate_form and pullback
+of degree 4 or more import numpy, for a stack of np.linalg.det calls.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 
 from .sparse import (ArityError, SparseMap, _check_enumeration, _check_integral,
                      _check_key, _check_rows, format_coefficient)
-from .tensors import (KTensor, _count_permutations, _finite_array, _parity, _signed_permutations,
-                      alt, as_frame, tensor_product)
+from .tensors import (KTensor, _count_permutations, _finite_array, _finite_sum, _parity,
+                      _signed_permutations, alt, as_frame, tensor_product)
 
 __all__ = [
     "KForm",
@@ -59,10 +60,8 @@ class KForm(SparseMap):
         for key, _ in items:
             key = tuple(key)
             if any(a >= b for a, b in zip(key, key[1:])):
-                raise ValueError(
-                    f"form keys must be strictly increasing, got {key}; "
-                    "use kform_from_rows to canonicalize raw rows"
-                )
+                raise ValueError(f"form keys must be strictly increasing, got {key}; "
+                                 "use kform_from_rows to canonicalize raw rows")
 
     def __call__(self, frame):
         return evaluate_form(self, frame)
@@ -120,10 +119,8 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
         coeffs = [1.0] * len(subsets)
     coeffs = [float(c) for c in coeffs]
     if len(coeffs) != len(subsets):
-        raise ValueError(
-            f"need {len(subsets)} coefficients for C({len(idx)},{k}) subsets, "
-            f"got {len(coeffs)}"
-        )
+        raise ValueError(f"need {len(subsets)} coefficients for C({len(idx)},{k}) subsets, "
+                         f"got {len(coeffs)}")
     return KForm._trusted(k, zip(subsets, coeffs))
 
 
@@ -131,49 +128,76 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
 _TARGET_CHUNK = 4096
 
 
-def _dets(A):
-    """Determinants of a stack of square matrices, shape (..., m, m).
+def _cofactors(row, below, cols) -> list:
+    # per increasing column tuple J of cols (one size, at most 3), the minor with `row` on top,
+    # expanded along it left to right over the minors of the rows under it, read from `below`
+    # (see _minor_table): a 3x3 minor is a0*m12 - a1*m02 + a2*m01, bitwise as _dets once did
+    m = len(cols[0]) if cols else 0
+    if m == 3:
+        return [row[a] * below[b][c] - row[b] * below[a][c] + row[c] * below[a][b]
+                for a, b, c in cols]
+    if m == 2:
+        return [row[a] * below[b] - row[b] * below[a] for a, b in cols]
+    return [row[a] * below for a, in cols] if m else [1.0] * len(cols)
 
-    Sizes 0..3 use direct cofactor formulas, elementwise over the stack,
-    so small integer minors stay exact; larger sizes make one batched
-    np.linalg.det call.  Every determinant is bitwise the one its matrix
-    would give on its own.
-    """
+
+def _minor_table(rows, n: int):
+    # the minors of 0-2 rows on the increasing column tuples among range(n), by their
+    # columns in turn: 1.0 for no row, the row itself for one, [b][c] (b < c) for two
+    if len(rows) < 2:
+        return rows[0] if rows else 1.0
+    table = [[None] * n for _ in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    for (b, c), m in zip(pairs, _cofactors(rows[0], rows[1], pairs)):
+        table[b][c] = m
+    return table
+
+
+def _dets(A):
+    """Determinants of a stack of square matrices of size 4 and up, shape (..., m, m), in
+    one np.linalg.det call; each is bitwise the one its matrix would give on its own."""
     import numpy as np
 
-    m = A.shape[-1]
-    if m == 0:
-        return np.ones(A.shape[:-2])
-    if m == 1:
-        return A[..., 0, 0]
-    if m == 2:
-        return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    if m == 3:
-        return (
-            A[..., 0, 0] * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
-            - A[..., 0, 1] * (A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0])
-            + A[..., 0, 2] * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0])
-        )
     return np.linalg.det(A)
+
+
+def _minor_routes(M, width: int, keys, k: int):
+    # (per key, its minors of M, rows of `width` floats, as a function of a chunk's columns;
+    # the map from a chunk of increasing 1-based k-column tuples to those columns): through 3x3
+    # by _cofactors over a table of the key's other rows, else one _dets stack per key and chunk
+    if k > 3:
+        import numpy as np
+
+        A = np.reshape(M, (-1, width))
+        return ([lambda cols, rows=(np.array(key, dtype=np.intp) - 1)[:, None]:
+                 _dets(A[rows, cols]).tolist() for key in keys],
+                lambda chunk: np.array(chunk, dtype=np.intp).reshape(len(chunk), 1, k) - 1)
+    tables = {rest: _minor_table([M[i - 1] for i in rest], width)
+              for rest in {key[1:] for key in keys}}
+    return ([functools.partial(_cofactors, M[key[0] - 1] if key else None, tables[key[1:]])
+             for key in keys],
+            lambda chunk: [tuple(j - 1 for j in J) for J in chunk])
 
 
 def evaluate_form(w: KForm, E) -> float:
     """Evaluate the form on a frame: sum of coeff * det(E[key rows]).
 
-    The k-by-k blocks E[key rows] of all keys are stacked and their
-    determinants taken in one call; the terms are then summed left to
-    right in key order.  The frame must be finite.
+    The terms are summed left to right in key order; a NaN or infinite
+    value raises ValueError, and the frame must be finite.  Minors are
+    cofactor expansions on Python floats for k <= 3, else numpy's det.
     """
-    import numpy as np
-
     if w.arity == 0:
         return w.terms.get((), 0.0)
-    E = as_frame(E, w.arity, w.dimension)
-    rows = np.array(list(w.terms), dtype=np.intp).reshape(-1, w.arity) - 1
-    total = 0.0
-    for c, d in zip(w.terms.values(), _dets(E[rows]).tolist()):
-        total += c * d
-    return total
+    k = w.arity
+    E = as_frame(E, k, w.dimension)
+    if k > 3:  # the blocks of all keys in one stack
+        import numpy as np
+
+        rows = np.array(list(w.terms), dtype=np.intp).reshape(-1, k) - 1
+        dets = _dets(np.reshape(E, (-1, k))[rows]).tolist()
+    else:
+        dets = [m([tuple(range(k))])[0] for m in _minor_routes(E, k, w.terms, k)[0]]
+    return _finite_sum(map(operator.mul, w.terms.values(), dets), "evaluate_form")
 
 
 def _merge_signed(a: tuple, b: tuple):
@@ -224,12 +248,8 @@ def form_to_tensor(w: KForm) -> KTensor:
 
 def alternating_tensor_to_form(T: KTensor) -> KForm:
     """Read a k-form off an alternating tensor's increasing keys."""
-    acc = {
-        key: c
-        for key, c in T.terms.items()
-        if all(a < b for a, b in zip(key, key[1:]))
-    }
-    return KForm._trusted(T.arity, acc.items())
+    return KForm._trusted(T.arity, ((key, c) for key, c in T.terms.items()
+                                    if all(a < b for a, b in zip(key, key[1:]))))
 
 
 def wedge_definitional(w: KForm, e: KForm) -> KForm:
@@ -241,10 +261,12 @@ def wedge_definitional(w: KForm, e: KForm) -> KForm:
     no factorial past 20!); with nothing to permute, w x e is the form.
     """
     k, l = w.arity, e.arity
+    if not w.terms or not e.terms:
+        return KForm._trusted(k + l, ())
     _count_permutations("wedge_definitional", k + l, len(w) * len(e), k, l)
     prod = tensor_product(form_to_tensor(w), form_to_tensor(e))
-    if k + l == 0 or not prod:
-        return KForm._trusted(k + l, prod.terms.items())
+    if k + l == 0:
+        return KForm._trusted(0, prod.terms.items())
     scaled = alt(prod).scale(float(math.comb(k + l, k)))
     return alternating_tensor_to_form(scaled)
 
@@ -258,16 +280,11 @@ def contract(w: KForm, v) -> KForm:
     """
     if w.arity == 0:
         raise ArityError("cannot contract a 0-form")
-    vals = _finite_array(v, 1, "vector", w.dimension).tolist()
+    vals = _finite_array(v, 1, "vector", w.dimension)[0]
     return KForm._trusted(
         w.arity - 1,
-        (
-            (key[:j] + key[j + 1 :], (-vals[i - 1] if j % 2 else vals[i - 1]) * c)
-            for key, c in w.terms.items()
-            for j, i in enumerate(key)
-            if vals[i - 1] != 0.0
-        ),
-    )
+        ((key[:j] + key[j + 1 :], (-vals[i - 1] if j % 2 else vals[i - 1]) * c)
+         for key, c in w.terms.items() for j, i in enumerate(key) if vals[i - 1] != 0.0))
 
 
 def contract_matrix(w: KForm, V, lose: bool = True):
@@ -278,14 +295,12 @@ def contract_matrix(w: KForm, V, lose: bool = True):
     index up to the form's dimension (a 1-D vector is its one column), and
     every entry must be finite, read or not.
     """
-    V = _finite_array(V, 2, "matrix of vectors", w.dimension)
-    if V.shape[1] > w.arity:
-        raise ArityError(
-            f"cannot contract arity {w.arity} form with {V.shape[1]} vectors"
-        )
+    V, (_, m) = _finite_array(V, 2, "matrix of vectors", w.dimension)
+    if m > w.arity:
+        raise ArityError(f"cannot contract arity {w.arity} form with {m} vectors")
     out = w
-    for j in range(V.shape[1]):
-        out = contract(out, V[:, j])
+    for j in range(m):
+        out = contract(out, [row[j] for row in V])
     if out.arity == 0 and lose:
         return out.terms.get((), 0.0)
     return out
@@ -296,33 +311,31 @@ def pullback(w: KForm, M) -> KForm:
 
     Each key I maps onto every increasing target J with the minor
     determinant det(M[I, J]) as weight.  The targets are taken in fixed
-    chunks, and for each key the minors of a whole chunk are gathered
-    into one stack and computed in one call; every target still sums
-    its terms in key order, so the result is bitwise that of computing
-    one minor at a time.  Exact-zero minors are skipped; near-zero
+    chunks; per key, a chunk's minors are cofactor expansions on Python
+    floats for k <= 3, over the key's lower minors computed once, else
+    one numpy determinant stack.  Every target still sums its terms in
+    key order, so the result is bitwise that of one minor at a time.  Exact-zero minors are skipped; near-zero
     accumulations are kept; zap explicitly if wanted.  The matrix (a 1-D
     array is one column) must be square, reach the form's dimension and
     be finite; more than MAX_ENUMERATION minors (keys times targets)
     are refused before the first chunk.
     """
-    import numpy as np
-
-    M = _finite_array(M, 2, "matrix", w.dimension)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"transformation matrix must be square, got {M.shape}")
-    n = M.shape[0]
-    k = w.arity
+    M, shape = _finite_array(M, 2, "matrix", w.dimension)
+    if shape[0] != shape[1]:
+        raise ValueError(f"transformation matrix must be square, got {shape}")
+    n, k = shape[0], w.arity
     _check_enumeration(f"pullback: {len(w)} keys x C({n}, {k}) minors", len(w) * math.comb(n, k))
-    rows_coeffs = [((np.array(key, dtype=np.intp) - 1)[:, None], a) for key, a in w.terms.items()]
+    minors, columns = _minor_routes(M, n, w.terms, k)
+    keyed = list(zip(minors, w.terms.values()))
     targets = itertools.combinations(range(1, n + 1), k)
 
     def terms():
         # chunks outside, keys inside: each target still receives its
         # terms in key order, so the sums match a key-by-key loop bitwise
-        while rows_coeffs and (chunk := list(itertools.islice(targets, _TARGET_CHUNK))):
-            cols = np.array(chunk, dtype=np.intp).reshape(len(chunk), 1, k) - 1
-            for rows, a in rows_coeffs:
-                for target, d in zip(chunk, _dets(M[rows, cols]).tolist()):
+        while keyed and (chunk := list(itertools.islice(targets, _TARGET_CHUNK))):
+            cols = columns(chunk)
+            for key_minors, a in keyed:
+                for target, d in zip(chunk, key_minors(cols)):
                     if d != 0.0:
                         yield target, a * d
 

@@ -22,8 +22,7 @@ import numpy as np
 
 from .sparse import DimensionError, _check_enumeration, _check_finite, _check_integral
 from .forms import KForm
-from .derivatives import FieldForm, hat
-from .tensors import _finite_array
+from .derivatives import FieldForm, _gated, hat
 
 __all__ = [
     "CubeDomain",
@@ -102,7 +101,7 @@ def _example_pair(n: int) -> tuple[FieldForm, FieldForm]:
 
 
 def _point(x) -> np.ndarray:
-    x = _finite_array(x, 1, "point")
+    x = _gated(x, 1, "point")
     if x.size < 2:
         raise ValueError("need a point in dimension >= 2")
     return x
@@ -157,10 +156,8 @@ def _integrate(field: FieldForm, cube: CubeDomain, rule: QuadratureRule, faces) 
     n = cube.n
     degree = len(faces[0][3])
     if field.arity != degree or field.dimension > n:
-        raise DimensionError(
-            f"integrand must be a {degree}-form on R^{n}, got degree "
-            f"{field.arity} with indices reaching {field.dimension}"
-        )
+        raise DimensionError(f"integrand must be a {degree}-form on R^{n}, got degree "
+                             f"{field.arity} with indices reaching {field.dimension}")
     # every face's free axes are its key's, so one grid serves all faces
     grid, weights = _node_grid(rule, degree)
     total = 0.0
@@ -244,16 +241,17 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
 def verify_det_proportionality(w: KForm, E) -> dict:
     """Check evaluate_form(w, E) = det(E) * evaluate_form(w, I) for top forms;
     a report that would hold NaN or infinity raises ValueError naming n."""
-    E = _finite_array(E, 2, "frame")
+    E = _gated(E, 2, "frame")
     if E.shape[0] != E.shape[1]:
         raise ValueError(f"need a square frame, got shape {E.shape}")
     n = E.shape[0]
-    if w.arity != n:
-        raise DimensionError(
-            f"need a top form: degree {w.arity} on an {n}x{n} frame"
-        )
-    lhs = w(E)
-    rhs = float(np.linalg.det(E)) * w(np.eye(n))
+    if w.arity != n or w.dimension > n:
+        raise DimensionError(f"need a top form: degree {w.arity}, indices reaching "
+                             f"{w.dimension}, on an {n}x{n} frame")
+    try:  # with E gated and w a top form, an evaluation fails only by overflowing
+        lhs, rhs = w(E), float(np.linalg.det(E)) * w(np.eye(n))
+    except ValueError:
+        lhs = rhs = math.inf
     report = {"n": n, "lhs": lhs, "rhs": rhs, "diff": abs(lhs - rhs)}
     if not all(map(math.isfinite, report.values())):
         raise ValueError(f"the determinant check overflows at n = {n}")

@@ -5,8 +5,9 @@ phi_{i1} x ... x phi_{ik}; its key set is unrestricted (any positive
 indices, repeats allowed).  evaluate_tensor, tensor_product and alt
 read every key so and refuse a KForm, whose key (1, 2) means dx1^dx2 =
 phi1 x phi2 - phi2 x phi1 (form_to_tensor expands one).  Evaluation
-takes an n-by-k frame whose columns are the k argument vectors; it
-alone imports numpy, when first called.
+takes an n-by-k frame whose columns are the k argument vectors.  The
+array gate shared by every module reads nested lists of Python numbers
+itself, so this module imports numpy only to read any other input.
 """
 
 from __future__ import annotations
@@ -67,37 +68,70 @@ def perm_sign(p) -> int:
     return _parity(p)
 
 
+_NUMBERS = {int, float, bool}
+
+
+def _nested(A, what: str):
+    # (shape, values) of a Python int or float, or a list or tuple of them or of equally long
+    # rows of them; None for anything else, which numpy reads; unequal rows raise DimensionError
+    if type(A) in _NUMBERS:
+        return (), float(A)
+    if not isinstance(A, (list, tuple)):
+        return None
+    if set(map(type, A)) <= _NUMBERS:
+        return (len(A),), list(map(float, A))
+    if not (all(isinstance(row, (list, tuple)) for row in A)
+            and set(map(type, itertools.chain.from_iterable(A))) <= _NUMBERS):
+        return None
+    if len(widths := set(map(len, A))) > 1:
+        raise DimensionError(f"{what} has rows of unequal lengths: {sorted(widths)}")
+    return (len(A), widths.pop()), [list(map(float, row)) for row in A]
+
+
 def _finite_array(A, ndim: int, what: str, min_rows: int = 0):
-    """A caller's frame, vector, matrix or point as a float array: the one gate.
+    """A caller's frame, vector, matrix or point as (values, shape): the one gate.
 
-    Where 2 axes are asked for, a 1-D array is read as one column.
-    Other than ndim axes, or fewer than min_rows entries along axis 0,
-    raises DimensionError naming `what`; any NaN or infinity, read or
-    not, raises ValueError.
+    values is a list of floats for 1 axis and a list of rows for 2.  Lists
+    of Python numbers are read without numpy; other input goes through
+    numpy.asarray.  Where 2 axes are asked for, a 1-D input is one column.
+    Other than ndim axes, unequal rows, or fewer than min_rows entries
+    along axis 0, raises DimensionError naming `what`; any NaN or
+    infinity, read or not, raises ValueError.
     """
-    import numpy as np
+    if (nested := _nested(A, what)) is None:
+        import numpy as np
 
-    A = np.asarray(A, dtype=float)
-    if ndim == 2 and A.ndim == 1:
-        A = A[:, None]
-    if A.ndim != ndim:
-        raise DimensionError(f"{what} must be a {ndim}-D array, got shape {A.shape}")
-    if A.shape[0] < min_rows:
-        have = f"length {A.shape[0]}" if ndim == 1 else f"{A.shape[0]} rows"
+        A = np.asarray(A, dtype=float)
+        nested = A.shape, A.tolist()
+    shape, values = nested
+    if ndim == 2 and len(shape) == 1:
+        shape, values = (shape[0], 1), [[v] for v in values]
+    if len(shape) != ndim:
+        raise DimensionError(f"{what} must be a {ndim}-D array, got shape {shape}")
+    if shape[0] < min_rows:
+        have = f"length {shape[0]}" if ndim == 1 else f"{shape[0]} rows"
         raise DimensionError(f"{what} has {have} but indices reach {min_rows}")
-    for v in A.ravel().tolist():
+    for v in values if ndim == 1 else itertools.chain.from_iterable(values):
         _check_finite(v)
-    return A
+    return values, shape
 
 
-def as_frame(E, arity: int, min_rows: int):
-    """Coerce E to a finite float (n, arity) frame with n >= min_rows."""
-    E = _finite_array(E, 2, "frame", min_rows)
-    if E.shape[1] != arity:
-        raise DimensionError(
-            f"frame has {E.shape[1]} columns but the object has arity {arity}"
-        )
+def as_frame(E, arity: int, min_rows: int) -> list:
+    """E as the rows of a finite (n, arity) frame with n >= min_rows."""
+    E, shape = _finite_array(E, 2, "frame", min_rows)
+    if shape[1] != arity:
+        raise DimensionError(f"frame has {shape[1]} columns but the object has arity {arity}")
     return E
+
+
+def _finite_sum(terms, call: str) -> float:
+    # the terms summed left to right; a NaN or infinite total is refused once, at the end
+    total = 0.0
+    for t in terms:
+        total += t
+    if not math.isfinite(total):
+        raise ValueError(f"{call}: the value came out {total}: a product or sum overflowed")
+    return total
 
 
 def _refuse_kforms(call: str, *maps: SparseMap) -> None:
@@ -108,16 +142,15 @@ def _refuse_kforms(call: str, *maps: SparseMap) -> None:
 def evaluate_tensor(S: KTensor, E) -> float:
     """Evaluate S on the frame E (columns are the k argument vectors).
 
-    Rows of E beyond the implied dimension are ignored.
+    Rows of E beyond the implied dimension are ignored; a NaN or
+    infinite value (an overflowing product or sum) raises ValueError.
     """
     _refuse_kforms("evaluate_tensor", S)
     if S.arity == 0:
         return S.terms.get((), 0.0)
-    E = as_frame(E, S.arity, S.dimension).tolist()
-    total = 0.0
-    for key, c in S.terms.items():
-        total += math.prod((E[i - 1][j] for j, i in enumerate(key)), start=c)
-    return total
+    E = as_frame(E, S.arity, S.dimension)
+    return _finite_sum((math.prod((E[i - 1][j] for j, i in enumerate(key)), start=c)
+                        for key, c in S.terms.items()), "evaluate_tensor")
 
 
 def tensor_product(S: SparseMap, T: SparseMap) -> KTensor:
@@ -125,12 +158,7 @@ def tensor_product(S: SparseMap, T: SparseMap) -> KTensor:
     _refuse_kforms("tensor_product", S, T)
     return KTensor._trusted(
         S.arity + T.arity,
-        (
-            (ka + kb, ca * cb)
-            for ka, ca in S.terms.items()
-            for kb, cb in T.terms.items()
-        ),
-    )
+        ((ka + kb, ca * cb) for ka, ca in S.terms.items() for kb, cb in T.terms.items()))
 
 
 def _count_permutations(call: str, k: int, terms: int, *expanded: int) -> None:

@@ -3,7 +3,9 @@
 Writing lives on SparseMap.to_text(); this module holds the parsers.
 The term format is one `i1 i2 ... ik : coefficient` line per key, lines
 in lexicographic key order, `zero k=<arity>` for the empty map, with a
-`kform k=<arity>` or `ktensor k=<arity>` header naming the type.
+`kform k=<arity>` or `ktensor k=<arity>` header naming the type.  Only
+parse_matrix_text imports numpy, for the array it returns; the CLI reads
+frames and matrices as lists of Python floats.
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ def _parse_term(lineno: int, line: str, arity: int):
     except ValueError:
         raise ParseError(lineno, f"bad index in {line!r}") from None
     if len(key) != arity:
-        raise ArityError(
-            f"line {lineno}: key {key} has arity {len(key)}, expected {arity}"
-        )
+        raise ArityError(f"line {lineno}: key {key} has arity {len(key)}, expected {arity}")
     if any(i < 1 for i in key):
         raise ParseError(lineno, f"indices are 1-based and positive, got {key}")
     try:
@@ -100,6 +100,22 @@ def parse_form_text(text: str) -> SparseMap:
     return KTensor._trusted(arity, zip(rows, coeffs))
 
 
+def _parse_rows(text: str) -> list:
+    # whitespace-separated rows as lists of floats; a single row is returned as that one row
+    rows = []
+    for lineno, line in _significant_lines(text):
+        try:
+            row = [_check_finite(tok) for tok in line.split()]
+        except ValueError:
+            raise ParseError(lineno, f"bad number in {line!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(lineno, f"row has {len(row)} entries, expected {len(rows[0])}")
+        rows.append(row)
+    if not rows:
+        raise ParseError(1, "empty matrix")
+    return rows[0] if len(rows) == 1 else rows
+
+
 def parse_matrix_text(text: str):
     """Parse whitespace-separated rows into a float numpy matrix.
 
@@ -107,21 +123,4 @@ def parse_matrix_text(text: str):
     """
     import numpy as np
 
-    rows = []
-    width = None
-    for lineno, line in _significant_lines(text):
-        try:
-            row = [_check_finite(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError(lineno, f"bad number in {line!r}") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(
-                lineno, f"row has {len(row)} entries, expected {width}"
-            )
-        rows.append(row)
-    if not rows:
-        raise ParseError(1, "empty matrix")
-    M = np.asarray(rows, dtype=float)
-    return M[0] if M.shape[0] == 1 else M
+    return np.asarray(_parse_rows(text), dtype=float)

@@ -20,6 +20,7 @@ from extcalc import (
     hat,
     omega_gradient,
 )
+from extcalc.derivatives import HESS_STEP
 
 P = np.array([1.0, 2.0, 3.0, 4.0])
 
@@ -64,6 +65,28 @@ def test_fd_hessian_f1_integer_table():
         ]
     )
     assert np.max(np.abs(H - want)) < 1e-4
+
+
+def test_fd_hessian_keeps_each_raw_cross_stencil():
+    # H[0, 1] and H[1, 0] read the same four values but sum them in different orders;
+    # near this zero crossing the two sums round apart, and neither may be replaced by
+    # their mean: dd_check relies on the raw mixed partials
+    def f(p):
+        return np.sin(3 * p[0]) * np.cos(5 * p[1]) + 0.1 * p[0]
+
+    x = np.array([1e-4, 2e-4])
+    h = HESS_STEP * np.maximum(1.0, np.abs(x))
+
+    def at(a, b):
+        y = x.copy()
+        y[0] += a * h[0]
+        y[1] += b * h[1]
+        return f(y)
+
+    H = fd_hessian(f, x)
+    assert H[0, 1] == (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * h[0] * h[1])
+    assert H[1, 0] == (at(1, 1) - at(-1, 1) - at(1, -1) + at(-1, -1)) / (4.0 * h[1] * h[0])
+    assert H[0, 1] != H[1, 0]
 
 
 def test_analytic_derivatives_match_fd():

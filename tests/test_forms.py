@@ -163,6 +163,15 @@ def test_definitional_routes_settle_empty_and_oversized_forms_at_once():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_wedge_definitional_with_one_empty_operand_is_the_empty_product():
+    # the empty side is seen before the other is expanded: 11! permutations of the
+    # one-term side would exceed the bound
+    one = KForm(11, {tuple(range(1, 12)): 1.0})
+    for w, e in ((one, KForm(11)), (KForm(11), one)):
+        product = wedge_definitional(w, e)
+        assert product.arity == 22 and not product.terms
+
+
 def test_wedge_definitional_agreement_small():
     rng = np.random.default_rng(12)
     for _ in range(20):
@@ -453,3 +462,38 @@ def test_rform_checks_its_ranges_before_counting_keys(args):
 def test_rform_distinct_keys_fill_full_space():
     w = rform(5, 2, 4, 6)
     assert set(w.terms) == set(itertools.combinations(range(1, 5), 2))
+
+
+def test_evaluate_form_refuses_a_non_finite_value():
+    # the factors are finite, the product overflows: refused once, at the end of the sum
+    with pytest.raises(ValueError, match="evaluate_form: the value came out inf"):
+        evaluate_form(KForm(1, {(1,): 1e308}), [10.0])
+    with pytest.raises(ValueError, match="evaluate_form: the value came out inf"):
+        evaluate_form(KForm(2, {(1, 2): 1e308}), [[10.0, 0.0], [0.0, 10.0]])
+    # a 4x4 minor goes through the numpy stack and is refused alike
+    with pytest.raises(ValueError, match="evaluate_form: the value came out -inf"):
+        evaluate_form(KForm(4, {(1, 2, 3, 4): -1e308}), np.eye(4) * 10.0)
+    assert evaluate_form(KForm(1, {(1,): 1e308}), [1.0]) == 1e308
+
+
+def _hex(x):
+    # a result's exact bits: a float, or a form's (key, float.hex) items in order
+    if isinstance(x, float):
+        return x.hex()
+    return [(key, c.hex()) for key, c in x.terms.items()]
+
+
+def test_list_and_ndarray_inputs_give_bitwise_equal_results():
+    # the list route never converts to numpy; every degree through 3 must agree bit for bit
+    rng = np.random.default_rng(141)
+    for k in range(4):
+        for _ in range(5):
+            n = int(rng.integers(max(k, 1), 7))
+            w = rform(int(rng.integers(0, 2**63)), k, n, min(5, math.comb(n, k))) if k else (
+                KForm(0, {(): float(rng.integers(-9, 10) or 1)}))
+            M = rng.standard_normal((n, n))
+            M[rng.random((n, n)) < 0.2] = 0.0
+            E = M[:, :k]
+            assert _hex(evaluate_form(w, E.tolist())) == _hex(evaluate_form(w, E))
+            assert _hex(pullback(w, M.tolist())) == _hex(pullback(w, M))
+            assert _hex(contract_matrix(w, E.tolist())) == _hex(contract_matrix(w, E))

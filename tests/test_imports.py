@@ -1,7 +1,8 @@
 """Import hygiene: each command loads only the modules it calls.
 
-The text subcommands (print, add, wedge, alt) compute on Python floats
-and must run without numpy; `import extcalc` itself loads no submodule.
+The text subcommands (print, add, wedge, alt), eval, contract and
+pullback of degree 3 or less compute on Python floats and must run
+without numpy; `import extcalc` itself loads no submodule.
 Both are checked in a fresh interpreter, since the test process has
 long since imported everything.
 """
@@ -35,6 +36,17 @@ def _loaded_after(script: str) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _run_quietly(argv_list) -> str:
+    # a script running each argv through main with stdout discarded, asserting exit 0
+    return (
+        "import contextlib, io\n"
+        "from extcalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {argv_list!r}]\n"
+        "assert codes == [0] * len(codes), codes\n"
+    )
+
+
 def test_import_extcalc_loads_no_heavy_module():
     assert _loaded_after("import extcalc") == []
 
@@ -48,14 +60,7 @@ def test_text_subcommands_run_without_numpy(tmp_path):
     t.write_text("ktensor k=2\n1 2 : 3\n")
     commands = [["print", str(a)], ["add", str(a), str(a), "--zap"], ["wedge", str(a), str(b)],
                 ["alt", str(t)], ["alt", str(b)]]
-    script = (
-        "import contextlib, io\n"
-        "from extcalc.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [main(argv) for argv in {commands!r}]\n"
-        "assert codes == [0] * len(codes), codes\n"
-    )
-    assert _loaded_after(script) == []
+    assert _loaded_after(_run_quietly(commands)) == []
 
 
 def test_kform_general_runs_without_numpy():
@@ -63,18 +68,29 @@ def test_kform_general_runs_without_numpy():
     assert _loaded_after(script) == []
 
 
+def test_eval_contract_and_small_pullbacks_run_without_numpy(tmp_path):
+    # minors through 3x3 are cofactor expansions on Python floats
+    w = tmp_path / "w.txt"
+    t = tmp_path / "t.txt"
+    m = tmp_path / "m.txt"
+    e = tmp_path / "e.txt"
+    w.write_text("kform k=3\n1 2 3 : 2\n2 3 4 : -1\n")
+    t.write_text("ktensor k=3\n1 2 4 : 3\n")
+    m.write_text("1 2 0 1\n3 4 1 0\n0 1 2 3\n1 0 0 2\n")
+    e.write_text("1 0 2\n0 1 1\n2 1 0\n1 1 1\n")
+    commands = [["eval", str(w), str(e)], ["eval", str(t), str(e)],
+                ["contract", str(w), str(e)], ["contract", str(w), str(e), "--keep-form"],
+                ["pullback", str(w), str(m)]]
+    assert _loaded_after(_run_quietly(commands)) == []
+
+
 def test_numeric_subcommand_loads_numpy_but_not_unused_layers(tmp_path):
+    # a degree-4 pullback takes its minors from numpy.linalg.det stacks
     w = tmp_path / "w.txt"
     m = tmp_path / "m.txt"
-    w.write_text("kform k=1\n1 : 2\n")
-    m.write_text("1 2\n3 4\n")
-    script = (
-        "import contextlib, io\n"
-        "from extcalc.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main(['pullback', {str(w)!r}, {str(m)!r}]) == 0\n"
-    )
-    assert _loaded_after(script) == ["numpy"]
+    w.write_text("kform k=4\n1 2 3 4 : 2\n")
+    m.write_text("1 2 0 1\n3 4 1 0\n0 1 2 3\n1 0 0 2\n")
+    assert _loaded_after(_run_quietly([["pullback", str(w), str(m)]])) == ["numpy"]
 
 
 def test_star_import_binds_every_export():

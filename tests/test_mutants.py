@@ -40,8 +40,11 @@ def _contract_negated_above_arity_1(monkeypatch):
 
 
 def _dets_absolute(monkeypatch):
-    dets = forms._dets
+    # both determinant routes: cofactor expansion through 3x3 and the stack from 4x4 up
+    dets, cofactors = forms._dets, forms._cofactors
     monkeypatch.setattr(forms, "_dets", lambda A: np.abs(dets(A)))
+    monkeypatch.setattr(forms, "_cofactors",
+                        lambda row, below, cols: [abs(d) for d in cofactors(row, below, cols)])
 
 
 def _boundary_orientations_swapped(monkeypatch):

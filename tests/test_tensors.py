@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -18,6 +19,7 @@ from extcalc import (
     tensor_product,
 )
 
+from extcalc.tensors import _finite_array
 from oracles import dense_tensor_value
 
 
@@ -245,3 +247,38 @@ def test_not_linear_in_whole_frame():
     lhs = evaluate_tensor(S, 2.0 * E1 + 1.0 * E2)
     rhs = 2.0 * evaluate_tensor(S, E1) + 1.0 * evaluate_tensor(S, E2)
     assert abs(lhs - rhs) > 1e-3
+
+
+def test_evaluate_tensor_refuses_a_non_finite_value():
+    with pytest.raises(ValueError, match="evaluate_tensor: the value came out inf"):
+        evaluate_tensor(KTensor(2, {(1, 2): 1e308}), [[10, 0], [0, 10]])
+    # two finite terms overflow to +inf and -inf, and their sum is NaN
+    with pytest.raises(ValueError, match="evaluate_tensor: the value came out nan"):
+        evaluate_tensor(KTensor(1, {(1,): 1e308, (2,): -1e308}), [1e10, 1e10])
+
+
+def _gate_outcome(A, ndim, min_rows):
+    try:
+        return _finite_array(A, ndim, "frame", min_rows)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("A", [
+    [], [[]], [[], []], [1.0, 2], (3, -4.5), [[1, 2], [3, 4]], [(1.0,), (2.0,)], 3.0, True,
+    [[[1.0]]], [1, math.nan], [[1, math.inf], [0, 0]], [[-math.inf]],
+])
+def test_list_gate_reads_lists_as_numpy_would(A):
+    # nested lists of Python numbers take the numpy-free path; values, shape and every
+    # refusal equal those of the same entries given as a numpy array
+    for ndim in (1, 2):
+        for min_rows in (0, 2):
+            got = _gate_outcome(A, ndim, min_rows)
+            assert got == _gate_outcome(np.asarray(A, dtype=float), ndim, min_rows)
+
+
+def test_list_gate_refuses_rows_of_unequal_length():
+    with pytest.raises(DimensionError, match="frame has rows of unequal lengths"):
+        _finite_array([[1.0, 2.0], [3.0]], 2, "frame")
+    with pytest.raises(DimensionError, match="rows of unequal lengths"):
+        evaluate_form(KForm(1, {(1,): 1.0}), [[1.0], [2.0, 3.0]])
