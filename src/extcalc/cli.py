@@ -141,8 +141,9 @@ def cmd_verify_det46(args):
 
     from .stokes import dphi_example, verify_det_proportionality
 
-    if args.n > DET46_MAX_N:
-        raise ValueError(f"det46 needs --n <= {DET46_MAX_N}: sum_j j^j overflows beyond it")
+    if not 2 <= args.n <= DET46_MAX_N:
+        raise ValueError(f"det46 needs 2 <= --n <= {DET46_MAX_N}, got {args.n}: the example "
+                         f"needs two dimensions, and sum_j j^j overflows above {DET46_MAX_N}")
     rng = np.random.default_rng(args.seed)
     x = np.arange(1.0, args.n + 1.0)
     E = rng.random((args.n, args.n))

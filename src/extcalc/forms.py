@@ -7,8 +7,10 @@ row, picks up the permutation sign, and drops rows with repeated
 indices; after that every operation preserves the canonical key order.
 
 Everything runs on Python floats, frames and matrices included: minors
-through 3x3 are expanded by cofactors.  Only evaluate_form and pullback
-of degree 4 or more import numpy, for a stack of np.linalg.det calls.
+through 3x3 are expanded by cofactors.  One loop computes every minor:
+pullback runs it on all increasing targets, and evaluate_form on the
+single target (1, ..., k).  Only degree 4 or more imports numpy, for
+stacks of np.linalg.det calls.
 """
 
 from __future__ import annotations
@@ -161,43 +163,48 @@ def _dets(A):
     return np.linalg.det(A)
 
 
-def _minor_routes(M, width: int, keys, k: int):
-    # (per key, its minors of M, rows of `width` floats, as a function of a chunk's columns;
-    # the map from a chunk of increasing 1-based k-column tuples to those columns): through 3x3
-    # by _cofactors over a table of the key's other rows, else one _dets stack per key and chunk
+def _pulled(w: KForm, M, width: int, targets):
+    # (target, c * det(M[key rows, target cols])) per key of w and increasing 1-based target of
+    # `targets`, M being rows of `width` floats, exact zeros skipped: through 3x3 by _cofactors
+    # over a _minor_table per distinct set of lower rows, from 4x4 one _dets stack per key and chunk
+    k, targets = w.arity, iter(targets)
     if k > 3:
         import numpy as np
 
         A = np.reshape(M, (-1, width))
-        return ([lambda cols, rows=(np.array(key, dtype=np.intp) - 1)[:, None]:
-                 _dets(A[rows, cols]).tolist() for key in keys],
-                lambda chunk: np.array(chunk, dtype=np.intp).reshape(len(chunk), 1, k) - 1)
-    tables = {rest: _minor_table([M[i - 1] for i in rest], width)
-              for rest in {key[1:] for key in keys}}
-    return ([functools.partial(_cofactors, M[key[0] - 1] if key else None, tables[key[1:]])
-             for key in keys],
-            lambda chunk: [tuple(j - 1 for j in J) for J in chunk])
+        minors = [lambda cols, rows=(np.array(key, dtype=np.intp) - 1)[:, None]:
+                  _dets(A[rows, cols]).tolist() for key in w.terms]
+        columns = lambda chunk: np.array(chunk, dtype=np.intp)[:, None, :] - 1
+    else:
+        tables = {rest: _minor_table([M[i - 1] for i in rest], width)
+                  for rest in {key[1:] for key in w.terms}}
+        minors = [functools.partial(_cofactors, M[key[0] - 1] if key else None, tables[key[1:]])
+                  for key in w.terms]
+        columns = lambda chunk: [tuple(j - 1 for j in J) for J in chunk]
+    # chunks outside, keys inside: each target still receives its terms
+    # in key order, so its sum matches a key-by-key loop bitwise
+    while w.terms and (chunk := list(itertools.islice(targets, _TARGET_CHUNK))):
+        cols = columns(chunk)
+        for key_minors, c in zip(minors, w.terms.values()):
+            for target, d in zip(chunk, key_minors(cols)):
+                if d != 0.0:
+                    yield target, c * d
 
 
 def evaluate_form(w: KForm, E) -> float:
     """Evaluate the form on a frame: sum of coeff * det(E[key rows]).
 
-    The terms are summed left to right in key order; a NaN or infinite
-    value raises ValueError, and the frame must be finite.  Minors are
-    cofactor expansions on Python floats for k <= 3, else numpy's det.
+    This is the one coefficient of dy1^...^dyk in the pullback along E,
+    computed by pullback's own loop on that single target.  The terms
+    are summed left to right in key order; a NaN or infinite value
+    raises ValueError, and the frame must be finite.
     """
     if w.arity == 0:
         return w.terms.get((), 0.0)
     k = w.arity
     E = as_frame(E, k, w.dimension)
-    if k > 3:  # the blocks of all keys in one stack
-        import numpy as np
-
-        rows = np.array(list(w.terms), dtype=np.intp).reshape(-1, k) - 1
-        dets = _dets(np.reshape(E, (-1, k))[rows]).tolist()
-    else:
-        dets = [m([tuple(range(k))])[0] for m in _minor_routes(E, k, w.terms, k)[0]]
-    return _finite_sum(map(operator.mul, w.terms.values(), dets), "evaluate_form")
+    return _finite_sum((c for _, c in _pulled(w, E, k, [tuple(range(1, k + 1))])),
+                       "evaluate_form")
 
 
 def _merge_signed(a: tuple, b: tuple):
@@ -313,33 +320,20 @@ def pullback(w: KForm, M) -> KForm:
     determinant det(M[I, J]) as weight.  The targets are taken in fixed
     chunks; per key, a chunk's minors are cofactor expansions on Python
     floats for k <= 3, over the key's lower minors computed once, else
-    one numpy determinant stack.  Every target still sums its terms in
-    key order, so the result is bitwise that of one minor at a time.  Exact-zero minors are skipped; near-zero
-    accumulations are kept; zap explicitly if wanted.  The matrix (a 1-D
-    array is one column) must be square, reach the form's dimension and
-    be finite; more than MAX_ENUMERATION minors (keys times targets)
-    are refused before the first chunk.
+    one numpy determinant stack.  Every target sums its terms in key
+    order, so the result is bitwise that of one minor at a time.
+    Exact-zero minors are skipped; near-zero accumulations are kept;
+    zap explicitly if wanted.  The matrix (a 1-D array is one column)
+    must be square, reach the form's dimension and be finite; more than
+    MAX_ENUMERATION minors (keys times targets) are refused before the
+    first chunk.
     """
     M, shape = _finite_array(M, 2, "matrix", w.dimension)
     if shape[0] != shape[1]:
         raise ValueError(f"transformation matrix must be square, got {shape}")
     n, k = shape[0], w.arity
     _check_enumeration(f"pullback: {len(w)} keys x C({n}, {k}) minors", len(w) * math.comb(n, k))
-    minors, columns = _minor_routes(M, n, w.terms, k)
-    keyed = list(zip(minors, w.terms.values()))
-    targets = itertools.combinations(range(1, n + 1), k)
-
-    def terms():
-        # chunks outside, keys inside: each target still receives its
-        # terms in key order, so the sums match a key-by-key loop bitwise
-        while keyed and (chunk := list(itertools.islice(targets, _TARGET_CHUNK))):
-            cols = columns(chunk)
-            for key_minors, a in keyed:
-                for target, d in zip(chunk, key_minors(cols)):
-                    if d != 0.0:
-                        yield target, a * d
-
-    return KForm._trusted(k, terms())
+    return KForm._trusted(k, _pulled(w, M, n, itertools.combinations(range(1, n + 1), k)))
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -435,11 +429,14 @@ def rform(seed: int = 1, k: int = 3, n: int = 7, terms: int = 8) -> KForm:
     for v < 12 (giving -12..-1) and to v-11 otherwise (giving 1..12).
     Equal seeds give equal forms on every platform.  All four arguments
     must be integral, with k >= 1, n >= 1 and 0 <= terms <= C(n,k).
+    Unranking a key takes up to n steps, so more than MAX_ENUMERATION
+    steps (terms times n) are refused before the first draw.
     """
     seed, k = _check_integral(seed, "seed"), _check_integral(k, "k")
     n, terms = _check_integral(n, "n"), _check_integral(terms, "terms")
     if k < 1 or n < 1 or terms < 0:
         raise ValueError(f"need k >= 1, n >= 1 and terms >= 0, got k={k}, n={n}, terms={terms}")
+    _check_enumeration(f"rform: {terms} keys x {n} unranking steps", terms * n)
     total = math.comb(n, k)
     if terms > total:
         raise ValueError(f"cannot place {terms} distinct keys among C({n},{k})={total}")

@@ -464,6 +464,16 @@ def test_rform_distinct_keys_fill_full_space():
     assert set(w.terms) == set(itertools.combinations(range(1, 5), 2))
 
 
+def test_rform_refuses_more_unranking_steps_than_the_bound_before_drawing():
+    # one key on R^(2^21) would walk up to 2^21 math.comb steps
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="rform: 1 keys x 2097152 unranking steps"):
+        rform(1, 1, 2**21, 1)
+    assert time.perf_counter() - t0 < 0.1
+    # at the bound it still draws
+    assert len(rform(1, 1, sparse.MAX_ENUMERATION, 1)) == 1
+
+
 def test_evaluate_form_refuses_a_non_finite_value():
     # the factors are finite, the product overflows: refused once, at the end of the sum
     with pytest.raises(ValueError, match="evaluate_form: the value came out inf"):

@@ -90,6 +90,18 @@ def _pullback_first_chunk_only(monkeypatch):
     monkeypatch.setattr(checks, "pullback", first_chunk)
 
 
+def _pulled_drops_last_key(monkeypatch):
+    # the one minors loop behind both pullback and evaluate_form
+    pulled = forms._pulled
+
+    def dropped(w, M, width, targets):
+        if len(w) > 1:
+            w = forms.KForm._trusted(w.arity, list(w.terms.items())[:-1])
+        return pulled(w, M, width, targets)
+
+    monkeypatch.setattr(forms, "_pulled", dropped)
+
+
 def _contract_matrix_columns_reversed(monkeypatch):
     contract_matrix = forms.contract_matrix
 
@@ -121,6 +133,7 @@ MUTANTS = {
     "boundary-orientations-swapped": (_boundary_orientations_swapped, {"stokes-cubes"}),
     "canonical-rows-unsigned": (_canonical_rows_unsigned, {"dd-zero"}),
     "pullback-first-chunk-only": (_pullback_first_chunk_only, {"pullback"}),
+    "pulled-drops-last-key": (_pulled_drops_last_key, {"contraction-vs-evaluation", "pullback"}),
     "contract-matrix-columns-reversed": (
         _contract_matrix_columns_reversed, {"contraction-vs-evaluation"}),
     # at dd-zero's one point the raw cross stencils already come out exactly

@@ -461,6 +461,13 @@ def test_cli_det46_refuses_large_n_before_allocating(n, capsys):
     assert out == "" and err.startswith("error:") and "--n <= 143" in err
 
 
+@pytest.mark.parametrize("n", ["-1", "0", "1"])
+def test_cli_det46_refuses_n_below_2_by_its_range(n, capsys):
+    assert main(["verify", "det46", "--n", n]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: det46 needs 2 <= --n <= 143, got {n}:")
+
+
 def test_cli_det46_overflow_is_refused_by_name(capsys):
     assert main(["verify", "det46", "--n", "130"]) == 2
     out, err = capsys.readouterr()
