@@ -11,9 +11,10 @@ of text, or a verification's (report, passed) pair.  main alone writes
 it, applying --zap, and exits 1 on a failed verdict.  It runs both steps
 with RuntimeWarning as an error, so a numpy floating-point error raises
 where it happens, and restores the caller's warning filters.  print,
-add, wedge, alt, eval, contract and pullback of degree 3 or less compute
-on Python floats and never import numpy (the coefficient store and the
-evaluations refuse an overflow); the rest import what they call.
+add, wedge, alt, eval, contract, pullback of degree 3 or less and verify
+stokes compute on Python floats and never import numpy (the coefficient
+store and the evaluations refuse an overflow); the rest import what they
+call.
 """
 
 from __future__ import annotations
@@ -137,13 +138,15 @@ def cmd_verify_ddzero(args):
 
 
 def cmd_verify_det46(args):
+    if not 2 <= args.n <= DET46_MAX_N:
+        raise ValueError(f"det46 needs 2 <= --n <= {DET46_MAX_N}, got {args.n}: the example "
+                         f"needs two dimensions, and sum_j j^j overflows above {DET46_MAX_N}")
+    if args.seed < 0:
+        raise ValueError(f"det46 needs --seed >= 0, got {args.seed}: it seeds numpy's default_rng")
     import numpy as np
 
     from .stokes import dphi_example, verify_det_proportionality
 
-    if not 2 <= args.n <= DET46_MAX_N:
-        raise ValueError(f"det46 needs 2 <= --n <= {DET46_MAX_N}, got {args.n}: the example "
-                         f"needs two dimensions, and sum_j j^j overflows above {DET46_MAX_N}")
     rng = np.random.default_rng(args.seed)
     x = np.arange(1.0, args.n + 1.0)
     E = rng.random((args.n, args.n))

@@ -5,14 +5,18 @@ the field carries one and by central finite differences otherwise.
 Includes the closed-form gradient of the classical (n-1)-form with an
 isolated singularity at the origin, and the d(d(.)) = 0 check through
 per-field Hessians.
+
+The module imports without numpy: a coefficient function gets one point
+as a sequence of n Python floats, and only the finite differences, the
+array gate, the analytic derivatives and the demo fields load numpy.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from .sparse import DimensionError, _check_enumeration, _check_integral, _check_key
 from .forms import KForm, _canonical_rows, wedge
@@ -34,15 +38,26 @@ __all__ = [
     "demo_two_form",
 ]
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 GRAD_STEP = _EPS ** (1.0 / 3.0)
 HESS_STEP = _EPS ** 0.25
 
 
 def _gated(A, ndim: int, what: str, min_rows: int = 0) -> np.ndarray:
     # the array gate's checked values as a float array of its shape
+    import numpy as np
+
     values, shape = _finite_array(A, ndim, what, min_rows)
     return np.array(values, dtype=float).reshape(shape)
+
+
+def _value(fn: Callable, x) -> float:
+    # fn at the point x as a float; Python's float ** raises OverflowError past the float
+    # range (numpy gave inf), which reads as inf here, for the coefficient store to refuse
+    try:
+        return float(fn(x))
+    except OverflowError:
+        return math.inf
 
 
 def _shifted(f: Callable, x, hs, *moves):
@@ -59,6 +74,8 @@ def fd_gradient(f: Callable, x) -> np.ndarray:
     The step is cbrt(machine eps) * max(1, |x_i|).  x must be a finite
     1-D point.
     """
+    import numpy as np
+
     x = _gated(x, 1, "point")
     hs = GRAD_STEP * np.maximum(1.0, np.abs(x))
     g = np.empty_like(x)
@@ -78,6 +95,8 @@ def fd_hessian(f: Callable, x) -> np.ndarray:
     downstream checks rely on the raw mixed partials.  x must be a
     finite 1-D point.
     """
+    import numpy as np
+
     x = _gated(x, 1, "point")
     n = x.size
     hs = HESS_STEP * np.maximum(1.0, np.abs(x))
@@ -101,12 +120,12 @@ def fd_hessian(f: Callable, x) -> np.ndarray:
 class ScalarField:
     """A scalar function of a point, optionally with analytic derivatives.
 
-    `fn` reads the coordinates along axis 0: it receives shape (n,) for
-    one point or (n, N) for N points and returns a scalar or an (N,)
-    array (`w, x, y, z = p` unpacks either).  Calling the field
-    evaluates one point, which passes the array gate first (a wrong
-    shape raises DimensionError, NaN or inf ValueError); the Stokes
-    integrators call `fn` on stacks.
+    `fn` takes one point, a sequence of n Python floats (`w, x, y, z = p`
+    unpacks it), and returns a number.  Calling the field, its
+    FieldForm's evaluations and the Stokes integrators all pass that
+    protocol; the point passes the array gate first (a wrong shape
+    raises DimensionError, NaN or inf ValueError).  Finite differences
+    pass the shifted points as float arrays, which are such sequences.
     When `grad` or `hessian` is supplied it is used directly; otherwise
     finite differences stand in.  At a point of R^n a supplied gradient
     must have shape exactly (n,) and a supplied Hessian (n, n), else
@@ -121,7 +140,7 @@ class ScalarField:
     hessian: Optional[Callable] = None
 
     def __call__(self, x) -> float:
-        return float(self.fn(_gated(x, 1, "point")))
+        return _value(self.fn, _finite_array(x, 1, "point")[0])
 
     def gradient_at(self, x, analytic: bool = True) -> np.ndarray:
         x = _gated(x, 1, "point")
@@ -156,8 +175,9 @@ class FieldForm:
 
     This is the one form-valued field: coefficients_at, exterior_d and
     dd_check evaluate it at a point through one gated assembly, and
-    integrate_volume/integrate_boundary evaluate each coefficient on a
-    whole face's node stack (see ScalarField for the protocol).  A plain
+    integrate_volume/integrate_boundary evaluate each coefficient at
+    each node; every caller passes one point as a sequence of n Python
+    floats (see ScalarField for the protocol).  A plain
     callable coefficient is wrapped as ScalarField(fn), so its
     derivatives come from finite differences.  Keys must be strictly
     increasing tuples of 1-based integral indices sharing one arity.
@@ -187,14 +207,15 @@ class FieldForm:
 
     def coefficients_at(self, x) -> KForm:
         """The plain KForm with each field evaluated at x."""
-        return self._at(x, lambda field, x: KForm._trusted(0, [((), float(field.fn(x)))]))
+        return self._at(x, lambda field, x: KForm._trusted(0, [((), _value(field.fn, x))]))
 
     def _at(self, x, coefficient: Callable) -> KForm:
-        # sum_j coefficient(f_j, x) ^ dx_{I_j}, x gated once before any field runs; each
-        # field's wedge has distinct keys, so one accumulation sums each key in field order
-        x = _gated(x, 1, "point")
-        if x.size < self.dimension:
-            raise DimensionError(f"point has dimension {x.size} but wedge indices reach "
+        # sum_j coefficient(f_j, x) ^ dx_{I_j}, x gated once, to a list of floats, before any
+        # field runs; each field's wedge has distinct keys, so one accumulation sums each key
+        # in field order
+        x = _finite_array(x, 1, "point")[0]
+        if len(x) < self.dimension:
+            raise DimensionError(f"point has dimension {len(x)} but wedge indices reach "
                                  f"{self.dimension}")
         items = []
         for field, key in self.terms:
@@ -228,6 +249,8 @@ def omega_gradient(x) -> KForm:
     Coefficient i is (-1)^(i-1) (S^(n/2) - n x_i^2 S^(n/2-1)) / S^n with
     S = sum x_j^2; undefined at the origin.
     """
+    import numpy as np
+
     x = _gated(x, 1, "point")
     n = x.size
     if n < 2:
@@ -251,7 +274,7 @@ def dd_check(form: FieldForm, x, analytic: bool = False) -> KForm:
 
     def raw_two_form(field, x):
         H = field.hessian_at(x, analytic=analytic)
-        pairs = [(r, s) for r in range(1, x.size + 1) for s in range(1, x.size + 1)]
+        pairs = [(r, s) for r in range(1, len(x) + 1) for s in range(1, len(x) + 1)]
         return KForm._trusted(2, _canonical_rows(pairs, [H[r - 1, s - 1] for r, s in pairs]))
 
     return form._at(x, raw_two_form)
@@ -261,7 +284,7 @@ def dd_check(form: FieldForm, x, analytic: bool = False) -> KForm:
 
 
 def _wxyz(p):
-    # the coordinates of a point (4,) or a stack (4, N) of points in R^4
+    # the coordinates of a point in R^4
     if len(p) != 4:
         raise DimensionError(f"the demo fields f1, f2, f3 live on R^4, got a point in R^{len(p)}")
     return p
@@ -273,28 +296,38 @@ def _f1(p):
 
 
 def _f1_grad(p):
+    import numpy as np
+
     w, x, y, z = _wxyz(p)
     return np.array([x * y * z, 1.0 + y * w * z, 3.0 * y**2 + x * w * z, x * y * w])
 
 
 def _f1_hess(p):
+    import numpy as np
+
     w, x, y, z = _wxyz(p)
     return np.array([[0.0, y * z, x * z, x * y], [y * z, 0.0, w * z, y * w],
                      [x * z, w * z, 6.0 * y, x * w], [x * y, y * w, x * w, 0.0]])
 
 
 def _f2(p):
+    import numpy as np
+
     w, x, y, z = _wxyz(p)
     return w**2 * x * y * z + np.sin(w) + w + z
 
 
 def _f2_grad(p):
+    import numpy as np
+
     w, x, y, z = _wxyz(p)
     return np.array([2.0 * w * x * y * z + np.cos(w) + 1.0, w**2 * y * z, w**2 * x * z,
                      w**2 * x * y + 1.0])
 
 
 def _f2_hess(p):
+    import numpy as np
+
     w, x, y, z = _wxyz(p)
     return np.array([
         [2.0 * x * y * z - np.sin(w), 2.0 * w * y * z, 2.0 * w * x * z, 2.0 * w * x * y],
@@ -304,16 +337,22 @@ def _f2_hess(p):
 
 
 def _f3(p):
+    import numpy as np
+
     w, x, y, z = _wxyz(p)
     return w * x * y * z + np.sin(x) + np.cos(w)
 
 
 def _f3_grad(p):
+    import numpy as np
+
     w, x, y, z = _wxyz(p)
     return np.array([x * y * z - np.sin(w), w * y * z + np.cos(x), w * x * z, w * x * y])
 
 
 def _f3_hess(p):
+    import numpy as np
+
     w, x, y, z = _wxyz(p)
     return np.array([[-np.cos(w), y * z, x * z, x * y], [y * z, -np.sin(x), w * z, w * y],
                      [x * z, w * z, 0.0, w * x], [x * y, w * y, w * x, 0.0]])

@@ -430,13 +430,20 @@ def rform(seed: int = 1, k: int = 3, n: int = 7, terms: int = 8) -> KForm:
     Equal seeds give equal forms on every platform.  All four arguments
     must be integral, with k >= 1, n >= 1 and 0 <= terms <= C(n,k).
     Unranking a key takes up to n steps, so more than MAX_ENUMERATION
-    steps (terms times n) are refused before the first draw.
+    steps (terms times n) are refused before the first draw.  terms = 0
+    is the empty form at once; otherwise C(n,k) is computed, and a bound
+    on its bit length, min(k, n - k) times the bit length of n, is
+    counted against MAX_ENUMERATION first.
     """
     seed, k = _check_integral(seed, "seed"), _check_integral(k, "k")
     n, terms = _check_integral(n, "n"), _check_integral(terms, "terms")
     if k < 1 or n < 1 or terms < 0:
         raise ValueError(f"need k >= 1, n >= 1 and terms >= 0, got k={k}, n={n}, terms={terms}")
     _check_enumeration(f"rform: {terms} keys x {n} unranking steps", terms * n)
+    if terms == 0:
+        return KForm._trusted(k, ())
+    bits = max(0, min(k, n - k)) * n.bit_length()
+    _check_enumeration(f"rform: C({n},{k}) of up to {bits} bits", bits)
     total = math.comb(n, k)
     if terms > total:
         raise ValueError(f"cannot place {terms} distinct keys among C({n},{k})={total}")

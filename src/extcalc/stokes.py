@@ -9,18 +9,21 @@ frame e_j (j != i) has one nonzero minor, on the key without i (Spivak,
 Thm 4-13), so the face integrand is the form's coefficient on that key.
 
 Integrands are FieldForms.  Each coefficient function is called once
-per face on the (n, N) stack of that face's N nodes (coordinates along
-axis 0) and returns their N values, so no form is built per node.
+per node on that point, a tuple of n Python floats, and returns a
+number; no form is built per node.  The rule, the nodes and the sums
+are Python floats throughout, so `verify stokes` never imports numpy,
+and its digits follow libm's pow (through Python's float **), not the
+SIMD loops numpy picks for the CPU.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .sparse import DimensionError, _check_enumeration, _check_finite, _check_integral
+from .tensors import _finite_array
 from .forms import KForm
 from .derivatives import FieldForm, _gated, hat
 
@@ -54,12 +57,18 @@ class CubeDomain:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre nodes and weights on [0, a], m points per axis."""
+    """Gauss-Legendre nodes and weights on [0, a], m points per axis.
+
+    points and weights are tuples of m Python floats, points ascending.
+    The rule comes from Newton's method on the Legendre polynomial P_m,
+    so its m^2 recurrence steps are counted against MAX_ENUMERATION
+    before the first iteration (m <= 1024).
+    """
 
     m: int
     a: float
-    points: np.ndarray
-    weights: np.ndarray
+    points: tuple
+    weights: tuple
 
     @classmethod
     def gauss_legendre(cls, m: int, a: float) -> "QuadratureRule":
@@ -68,30 +77,70 @@ class QuadratureRule:
             raise ValueError("need at least 2 points per axis")
         if not a > 0:
             raise ValueError("need a > 0")
-        _check_finite(a)
-        t, w = np.polynomial.legendre.leggauss(m)
-        return cls(m=m, a=float(a), points=(t + 1.0) * (a / 2.0), weights=w * (a / 2.0))
+        a = _check_finite(a)
+        _check_enumeration(f"gauss_legendre: m^2 = {m}^2 recurrence steps", m * m)
+        t, w = _legendre_rule(m)
+        half = a / 2.0
+        return cls(m=m, a=a, points=tuple((x + 1.0) * half for x in t),
+                   weights=tuple(v * half for v in w))
 
 
-def _axis_numbers(x) -> np.ndarray:
-    # 1..n, shaped to broadcast along axis 0 of a point (n,) or a stack (n, N)
-    return np.arange(1, len(x) + 1).reshape((-1,) + (1,) * (np.ndim(x) - 1))
+def _legendre(m: int, x: float) -> tuple[float, float]:
+    # P_m(x) by the three-term recurrence k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2),
+    # and P_m'(x) from P_m and P_(m-1); |x| < 1
+    p0, p1 = 1.0, x
+    for k in range(2, m + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, m * (x * p1 - p0) / (x * x - 1.0)
 
 
-def _phi_coefficient(x):
-    # sum_i (-1)^(i-1) x_i^i, scaled in place to hold one stack-sized temporary
-    i = _axis_numbers(x)
-    terms = x**i
-    terms *= np.where(i % 2 == 1, 1.0, -1.0)
-    return np.sum(terms, axis=0)
+def _polished(m: int, x: float) -> float:
+    # one last Newton step with the recurrence run on integers in units of 2^-128: float
+    # P_m near a root small against 1 is only good to a few ulp of that root
+    num, den = x.as_integer_ratio()
+    shift = den.bit_length() - 1
+    p0, p1 = 1 << 128, (num << 128) >> shift
+    for k in range(2, m + 1):
+        p0, p1 = p1, (((2 * k - 1) * num * p1 >> shift) - (k - 1) * p0) // k
+    p, q = p1 / (1 << 128), p0 / (1 << 128)
+    return x - p / (m * (x * p - q) / (x * x - 1.0))
 
 
-def _dphi_coefficient(x):
+def _legendre_rule(m: int) -> tuple[list, list]:
+    # the ascending roots of P_m on [-1, 1] and their weights 2 / ((1 - t^2) P_m'(t)^2):
+    # Newton's method from cos(pi (i + 3/4) / (m + 1/2)) for each positive root, mirrored
+    # so that t[m - 1 - i] = -t[i], with the middle root of an odd m exactly 0.0
+    t = [0.0] * m
+    for i in range(m // 2):
+        x = math.cos(math.pi * (i + 0.75) / (m + 0.5))
+        step = 1.0
+        while abs(step) > 1e-14:
+            p, dp = _legendre(m, x)
+            step = p / dp
+            x -= step
+        x = _polished(m, x)
+        t[i], t[m - 1 - i] = -x, x
+    w = [0.0] * m
+    for i in range(m - m // 2):
+        dp = _legendre(m, t[i])[1]
+        w[i] = w[m - 1 - i] = 2.0 / ((1.0 - t[i] * t[i]) * dp * dp)
+    return t, w
+
+
+def _phi_coefficient(x) -> float:
+    # sum_i (-1)^(i-1) x_i^i, left to right
+    total = 0.0
+    for i, xi in enumerate(x, 1):
+        total += xi**i if i % 2 else -(xi**i)
+    return total
+
+
+def _dphi_coefficient(x) -> float:
     # sum_j j x_j^(j-1), written by hand rather than derived from phi
-    j = _axis_numbers(x)
-    terms = x ** (j - 1)
-    terms *= j
-    return np.sum(terms, axis=0)
+    total = 0.0
+    for j, xj in enumerate(x, 1):
+        total += xj ** (j - 1) * j
+    return total
 
 
 def _example_pair(n: int) -> tuple[FieldForm, FieldForm]:
@@ -100,9 +149,9 @@ def _example_pair(n: int) -> tuple[FieldForm, FieldForm]:
     return phi, FieldForm([(_dphi_coefficient, tuple(range(1, n + 1)))])
 
 
-def _point(x) -> np.ndarray:
-    x = _gated(x, 1, "point")
-    if x.size < 2:
+def _point(x) -> list:
+    x = _finite_array(x, 1, "point")[0]
+    if len(x) < 2:
         raise ValueError("need a point in dimension >= 2")
     return x
 
@@ -110,13 +159,13 @@ def _point(x) -> np.ndarray:
 def phi_example(x) -> KForm:
     """The example (n-1)-form: (sum_i (-1)^(i-1) x_i^i) * hat(n)."""
     x = _point(x)
-    return _example_pair(x.size)[0].coefficients_at(x)
+    return _example_pair(len(x))[0].coefficients_at(x)
 
 
 def dphi_example(x) -> KForm:
     """Exterior derivative of phi_example: (sum_j j x_j^(j-1)) dx_1^...^dx_n."""
     x = _point(x)
-    return _example_pair(x.size)[1].coefficients_at(x)
+    return _example_pair(len(x))[1].coefficients_at(x)
 
 
 def closed_form_value(n: int, a: float) -> float:
@@ -135,17 +184,6 @@ def closed_form_value(n: int, a: float) -> float:
     return value
 
 
-def _node_grid(rule: QuadratureRule, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # the (k, m^k) nodes of k axes in lexicographic order, and each node's
-    # weight as the left-to-right product of its per-axis weights; the
-    # index stack is freed on return, before any coefficient runs
-    index = np.indices((rule.m,) * k).reshape(k, -1)
-    weights = np.ones(index.shape[1])
-    for row in index:
-        weights = weights * rule.weights[row]
-    return rule.points[index], weights
-
-
 def _integrate(field: FieldForm, cube: CubeDomain, rule: QuadratureRule, faces) -> float:
     # sum orient * w * (coefficient on key) over each (fixed axis or None,
     # side, orient, key) face's nodes in lexicographic order, left to right
@@ -158,26 +196,33 @@ def _integrate(field: FieldForm, cube: CubeDomain, rule: QuadratureRule, faces) 
     if field.arity != degree or field.dimension > n:
         raise DimensionError(f"integrand must be a {degree}-form on R^{n}, got degree "
                              f"{field.arity} with indices reaching {field.dimension}")
-    # every face's free axes are its key's, so one grid serves all faces
-    grid, weights = _node_grid(rule, degree)
+    # every face's free axes are its key's, so one list of node weights serves all faces;
+    # each is the left-to-right product of its per-axis weights
+    weights = [math.prod(w) for w in itertools.product(rule.weights, repeat=degree)]
     total = 0.0
-    for fixed, side, orient, key in faces:
-        X = grid if fixed is None else np.insert(grid, fixed, side, axis=0)
-        c = np.zeros(X.shape[1])
-        for f, k in field.terms:
-            if k == key:
-                c = c + np.broadcast_to(np.asarray(f.fn(X), dtype=float), c.shape)
-        for term in (orient * weights * c).tolist():
-            total += term
+    try:
+        for fixed, side, orient, key in faces:
+            axes = [rule.points] * degree
+            if fixed is not None:
+                axes.insert(fixed, (side,))
+            fns = [f.fn for f, k in field.terms if k == key]
+            for w, x in zip(weights, itertools.product(*axes)):
+                c = 0.0
+                for fn in fns:
+                    c += fn(x)
+                total += orient * w * c
+    except OverflowError:  # a coefficient's float ** passed the float range: infinite
+        return math.inf
     return total
 
 
 def integrate_volume(field: FieldForm, cube: CubeDomain, rule: QuadratureRule) -> float:
     """Integrate a degree-n FieldForm over the cube.
 
-    Each coefficient function is called once, on the (n, m^n) node
-    stack.  Nodes are accumulated left to right in lexicographic order,
-    so results are bitwise deterministic.
+    Each coefficient function is called once per node, on the point as
+    a tuple of n floats.  Nodes are accumulated left to right in
+    lexicographic order, each weight the left-to-right product of its
+    per-axis weights, so results are bitwise deterministic.
     """
     return _integrate(field, cube, rule, [(None, 0.0, 1.0, tuple(range(1, cube.n + 1)))])
 
@@ -190,8 +235,9 @@ def integrate_boundary(field: FieldForm, cube: CubeDomain, rule: QuadratureRule)
     vectors e_j, j != i, in increasing order.  This sign convention is
     pinned by the Green's-theorem case x1 dx2 - x2 dx1 on [0,1]^2
     integrating to +2.  The integrand is the coefficient on the key
-    without i, read once per face on the (n, m^(n-1)) node stack; faces
-    and then nodes are accumulated left to right.
+    without i, read at each of the face's m^(n-1) nodes as a tuple of n
+    floats whose coordinate i is the face's side; faces and then nodes
+    are accumulated left to right.
     """
     full = tuple(range(1, cube.n + 1))
     faces = [
@@ -241,6 +287,8 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
 def verify_det_proportionality(w: KForm, E) -> dict:
     """Check evaluate_form(w, E) = det(E) * evaluate_form(w, I) for top forms;
     a report that would hold NaN or infinity raises ValueError naming n."""
+    import numpy as np
+
     E = _gated(E, 2, "frame")
     if E.shape[0] != E.shape[1]:
         raise ValueError(f"need a square frame, got shape {E.shape}")

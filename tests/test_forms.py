@@ -474,6 +474,22 @@ def test_rform_refuses_more_unranking_steps_than_the_bound_before_drawing():
     assert len(rform(1, 1, sparse.MAX_ENUMERATION, 1)) == 1
 
 
+def test_rform_settles_no_terms_and_bounds_the_binomial_before_computing_it(monkeypatch):
+    def no_comb(*args):
+        raise AssertionError("math.comb ran")
+
+    monkeypatch.setattr(math, "comb", no_comb)
+    # no key is wanted: the empty form, without C(300000, 150000)
+    empty = rform(1, 150000, 300000, 0)
+    assert empty.arity == 150000 and not empty.terms
+    # one key would need C(300000, 150000), up to 150000 * 19 bits: refused unbuilt
+    with pytest.raises(ValueError, match=r"rform: C\(300000,150000\) of up to 2850000 bits"):
+        rform(1, 150000, 300000, 1)
+    monkeypatch.undo()
+    # small binomials are computed as before
+    assert len(rform(1, 3, 7, 8)) == 8
+
+
 def test_evaluate_form_refuses_a_non_finite_value():
     # the factors are finite, the product overflows: refused once, at the end of the sum
     with pytest.raises(ValueError, match="evaluate_form: the value came out inf"):

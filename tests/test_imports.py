@@ -1,8 +1,8 @@
 """Import hygiene: each command loads only the modules it calls.
 
-The text subcommands (print, add, wedge, alt), eval, contract and
-pullback of degree 3 or less compute on Python floats and must run
-without numpy; `import extcalc` itself loads no submodule.
+The text subcommands (print, add, wedge, alt), eval, contract,
+pullback of degree 3 or less and verify stokes compute on Python floats
+and must run without numpy; `import extcalc` itself loads no submodule.
 Both are checked in a fresh interpreter, since the test process has
 long since imported everything.
 """
@@ -82,6 +82,12 @@ def test_eval_contract_and_small_pullbacks_run_without_numpy(tmp_path):
                 ["contract", str(w), str(e)], ["contract", str(w), str(e), "--keep-form"],
                 ["pullback", str(w), str(m)]]
     assert _loaded_after(_run_quietly(commands)) == []
+
+
+def test_verify_stokes_runs_without_numpy():
+    # the rule, the nodes and the sums are Python floats
+    commands = [["verify", "stokes", "--n", str(n), "--m", "3"] for n in range(2, 7)]
+    assert _loaded_after(_run_quietly(commands)) == ["extcalc.derivatives", "extcalc.stokes"]
 
 
 def test_numeric_subcommand_loads_numpy_but_not_unused_layers(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -82,8 +83,11 @@ def test_dphi_matches_numeric_exterior_d():
 
 def test_quadrature_rule_basics():
     rule = QuadratureRule.gauss_legendre(8, 2.5)
-    assert rule.points.shape == (8,)
-    assert np.all((0 < rule.points) & (rule.points < 2.5))
+    # tuples of Python floats, points ascending
+    for values in (rule.points, rule.weights):
+        assert type(values) is tuple and all(type(v) is float for v in values)
+    assert np.shape(rule.points) == (8,) and list(rule.points) == sorted(rule.points)
+    assert np.all((0 < np.array(rule.points)) & (np.array(rule.points) < 2.5))
     assert np.sum(rule.weights) == pytest.approx(2.5, rel=1e-14)
     with pytest.raises(ValueError):
         QuadratureRule.gauss_legendre(1, 1.0)
@@ -97,8 +101,36 @@ def test_quadrature_exact_for_monomials():
     m, a = 5, 1.7
     rule = QuadratureRule.gauss_legendre(m, a)
     for p in range(2 * m):
-        got = float(np.sum(rule.weights * rule.points**p))
+        got = float(np.sum(np.array(rule.weights) * np.array(rule.points) ** p))
         assert got == pytest.approx(monomial_integral(p, a), rel=1e-13)
+
+
+def test_newton_rule_matches_numpy_leggauss():
+    # nodes within 4 ulp, weights within 1e-10 relative (numpy rescales its
+    # weights to sum to 2); on [0, 2] the points are t + 1
+    for m in range(2, 129):
+        t, w = np.polynomial.legendre.leggauss(m)
+        ours, weights = stokes._legendre_rule(m)
+        for x, want in zip(ours, t.tolist()):
+            assert abs(x - want) <= 4 * math.ulp(want), (m, x, want)
+        assert np.allclose(weights, w, rtol=1e-10, atol=0.0), m
+        assert ours == [-x for x in reversed(ours)]
+        rule = QuadratureRule.gauss_legendre(m, 2.0)
+        assert rule.points == tuple(x + 1.0 for x in ours)
+
+
+def test_quadrature_rule_counts_its_newton_work_first(monkeypatch):
+    def no_newton(*args):
+        raise AssertionError("Newton ran")
+
+    # m^2 recurrence steps: m = 1024 is at the bound, 1025 is refused unbuilt
+    monkeypatch.setattr(stokes, "_legendre_rule", no_newton)
+    for m in (1025, 10**6):
+        with pytest.raises(ValueError, match=f"gauss_legendre: m\\^2 = {m}\\^2 recurrence "
+                                             f"steps = {m * m} exceeds the bound"):
+            QuadratureRule.gauss_legendre(m, 1.0)
+    with pytest.raises(AssertionError, match="Newton ran"):
+        QuadratureRule.gauss_legendre(1024, 1.0)
 
 
 def test_cube_validation():
@@ -171,6 +203,7 @@ def _boundary_by_face_frames(field, cube, rule):
     # the definition: evaluate the form on the face's tangent frame
     # e_j (j != i, increasing) at every node, weighted and oriented
     n = cube.n
+    points, weights = np.array(rule.points), np.array(rule.weights)
     total = 0.0
     for i in range(1, n + 1):
         frame = np.delete(np.eye(n), i - 1, axis=1)
@@ -178,8 +211,8 @@ def _boundary_by_face_frames(field, cube, rule):
         for side, orient in ((cube.a, (-1.0) ** (i - 1)), (0.0, (-1.0) ** i)):
             for combo in itertools.product(range(rule.m), repeat=n - 1):
                 x = np.full(n, side)
-                x[free] = rule.points[list(combo)]
-                w = float(np.prod(rule.weights[list(combo)]))
+                x[free] = points[list(combo)]
+                w = float(np.prod(weights[list(combo)]))
                 total += orient * w * evaluate_form(field.coefficients_at(x), frame)
     return total
 
@@ -193,8 +226,9 @@ def test_boundary_matches_face_frame_evaluation():
         C = rng.uniform(-2.0, 2.0, (n, 3 * n + 1))
 
         def coeff(x, row):
-            # works on a point (n,) and on a stack (n, N) alike
-            basis = np.concatenate((np.ones((1,) + x.shape[1:]), x, x**2, x**3))
+            # one point, a sequence of n floats
+            x = np.asarray(x)
+            basis = np.concatenate(([1.0], x, x**2, x**3))
             return C[row] @ basis
 
         field = FieldForm([(lambda x, r=r: coeff(x, r), key) for r, key in enumerate(keys)])
@@ -215,7 +249,7 @@ def test_integrators_refuse_indices_beyond_the_cube():
         integrate_boundary(FieldForm([(lambda x: 1.0, (2, 4))]), cube, rule)
 
 
-def test_integrators_read_each_face_on_its_node_stack():
+def test_integrators_read_each_node_as_one_point():
     n, m, a = 3, 4, 1.5
     cube = CubeDomain(n, a)
     rule = QuadratureRule.gauss_legendre(m, a)
@@ -223,27 +257,26 @@ def test_integrators_read_each_face_on_its_node_stack():
 
     def spy(key):
         def fn(x):
-            calls.append((key, x.shape, x.copy()))
+            calls.append((key, x))
             return 1.0
 
         return fn
 
     keys = [(2, 3), (1, 3), (1, 2)]
     integrate_boundary(FieldForm([(spy(key), key) for key in keys]), cube, rule)
-    # one call per face, faces x_i = a then x_i = 0 for i = 1..n
-    assert [(key, shape) for key, shape, _ in calls] == [
-        (key, (n, m ** (n - 1))) for key in keys for _ in range(2)
-    ]
-    for face, (_, _, X) in enumerate(calls):
-        i, side = face // 2, (a, 0.0)[face % 2]
-        assert np.all(X[i] == side)
-        free = np.delete(X, i, axis=0)
-        want = [rule.points[list(c)] for c in itertools.product(range(m), repeat=n - 1)]
-        assert np.array_equal(free.T, np.array(want))
+    # one call per node: faces x_i = a then x_i = 0 for i = 1..n, each face's
+    # nodes in lexicographic order with coordinate i fixed on its side
+    want = []
+    for i, key in enumerate(keys):
+        for side in (a, 0.0):
+            for free in itertools.product(rule.points, repeat=n - 1):
+                want.append((key, free[:i] + (side,) + free[i:]))
+    assert calls == want
+    assert all(type(x) is tuple and all(type(v) is float for v in x) for _, x in calls)
 
     calls.clear()
     integrate_volume(FieldForm([(spy((1, 2, 3)), (1, 2, 3))]), cube, rule)
-    assert [shape for _, shape, _ in calls] == [(n, m**n)]
+    assert calls == [((1, 2, 3), x) for x in itertools.product(rule.points, repeat=n)]
 
     # a wrong degree or an index beyond the cube fails before any call
     calls.clear()
@@ -271,18 +304,18 @@ def test_example_pair_is_what_verify_stokes_integrates(monkeypatch):
 
 
 def test_verify_stokes_sums_node_by_node_left_to_right():
-    # the stack evaluation gives bitwise the sums of visiting one node at a
-    # time: faces in order, nodes in lexicographic order, each weight the
-    # left-to-right product of its per-axis weights
+    # the integrators give bitwise the sums of visiting one node at a time
+    # through the example forms: faces in order, nodes in lexicographic
+    # order, each weight the left-to-right product of its per-axis weights
     for n, a, m in ((2, 1.0, 5), (3, 0.5, 4), (4, 1.3, 3)):
         rule = QuadratureRule.gauss_legendre(m, a)
         full = tuple(range(1, n + 1))
 
         def node_sum(example, fixed, side, orient, key, total):
             for combo in itertools.product(range(m), repeat=len(key)):
-                x = rule.points[list(combo)]
+                x = [rule.points[c] for c in combo]
                 if fixed is not None:
-                    x = np.insert(x, fixed, side)
+                    x.insert(fixed, side)
                 w = 1.0
                 for c in combo:
                     w *= rule.weights[c]
@@ -416,6 +449,20 @@ def test_det_proportionality_refuses_an_overflowing_report():
     E = np.random.default_rng(0).random((130, 130))
     with pytest.raises(ValueError, match="the determinant check overflows at n = 130"):
         verify_det_proportionality(dphi_example(np.arange(1.0, 131.0)), E)
+
+
+def test_an_overflowing_coefficient_reads_as_infinite():
+    # x_3^3 and x_3^2 pass the float range, where Python's ** raises OverflowError:
+    # the evaluations store inf, which is refused, and the integrators return inf
+    for example in (phi_example, dphi_example):
+        with pytest.raises(ValueError, match="non-finite coefficient inf"):
+            example([1.0, 1.0, 1e200])
+    field = FieldForm([(lambda x: x[0] ** 2, (1,))])
+    with pytest.raises(ValueError, match="non-finite coefficient inf"):
+        field.coefficients_at([1e200])
+    assert field.terms[0][0]([1e200]) == float("inf")
+    rule = QuadratureRule.gauss_legendre(2, 1e200)
+    assert integrate_boundary(field, CubeDomain(2, 1e200), rule) == float("inf")
 
 
 def test_example_pair_is_bounded_before_it_builds():

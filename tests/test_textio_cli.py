@@ -468,6 +468,15 @@ def test_cli_det46_refuses_n_below_2_by_its_range(n, capsys):
     assert out == "" and err.startswith(f"error: det46 needs 2 <= --n <= 143, got {n}:")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(-(2**70))])
+def test_cli_det46_refuses_a_negative_seed_by_name(seed, capsys):
+    assert main(["verify", "det46", "--seed", seed]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: det46 needs --seed >= 0, got {seed}:")
+    # every non-negative seed default_rng takes still runs
+    assert main(["verify", "det46", "--seed", str(2**64)]) == 0
+
+
 def test_cli_det46_overflow_is_refused_by_name(capsys):
     assert main(["verify", "det46", "--n", "130"]) == 2
     out, err = capsys.readouterr()
