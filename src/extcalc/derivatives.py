@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .sparse import DimensionError, _check_enumeration, _check_integral, _check_key
@@ -116,8 +115,42 @@ def fd_hessian(f: Callable, x) -> np.ndarray:
     return H
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class _Record:
+    """A frozen record of the fields named by __slots__, set once by __init__: equal,
+    hashed and shown as the tuple of its fields, like a frozen dataclass."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ScalarField(_Record):
     """A scalar function of a point, optionally with analytic derivatives.
 
     `fn` takes one point, a sequence of n Python floats (`w, x, y, z = p`
@@ -135,9 +168,11 @@ class ScalarField:
     for the built-in fields).
     """
 
-    fn: Callable
-    grad: Optional[Callable] = None
-    hessian: Optional[Callable] = None
+    __slots__ = ("fn", "grad", "hessian")
+
+    def __init__(self, fn: Callable, grad: Optional[Callable] = None,
+                 hessian: Optional[Callable] = None):
+        self._set(fn=fn, grad=grad, hessian=hessian)
 
     def __call__(self, x) -> float:
         return _value(self.fn, _finite_array(x, 1, "point")[0])
@@ -169,8 +204,7 @@ def grad(values) -> KForm:
     return KForm._trusted(1, (((i + 1,), v) for i, v in enumerate(values)))
 
 
-@dataclass(frozen=True)
-class FieldForm:
+class FieldForm(_Record):
     """A form whose coefficients are scalar fields: sum_j f_j dx_{I_j}.
 
     This is the one form-valued field: coefficients_at, exterior_d and
@@ -183,7 +217,7 @@ class FieldForm:
     increasing tuples of 1-based integral indices sharing one arity.
     """
 
-    terms: tuple
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
         pairs = [(field if isinstance(field, ScalarField) else ScalarField(field), tuple(key))
@@ -195,7 +229,7 @@ class FieldForm:
         for _, key in pairs:
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError(f"wedge keys must be strictly increasing, got {key}")
-        object.__setattr__(self, "terms", tuple(pairs))
+        self._set(terms=tuple(pairs))
 
     @property
     def arity(self) -> int:

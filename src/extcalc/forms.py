@@ -6,11 +6,12 @@ redundant tensor storage.  Construction from arbitrary rows sorts each
 row, picks up the permutation sign, and drops rows with repeated
 indices; after that every operation preserves the canonical key order.
 
-Everything runs on Python floats, frames and matrices included: minors
-through 3x3 are expanded by cofactors.  One loop computes every minor:
-pullback runs it on all increasing targets, and evaluate_form on the
-single target (1, ..., k).  Only degree 4 or more imports numpy, for
-stacks of np.linalg.det calls.
+Everything runs on Python floats, frames and matrices included: the
+wedge works on integer index masks, and minors through 3x3 are expanded
+by cofactors.  One loop computes every minor and sums each target's
+terms: pullback runs it on all increasing targets, and evaluate_form on
+the single target (1, ..., k).  Only degree 4 or more imports numpy,
+for stacks of up to _TARGET_CHUNK minors per np.linalg.det call.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
     return KForm._trusted(k, zip(subsets, coeffs))
 
 
-# pullback gathers the minors of this many targets per key at a time
+# pullback takes this many targets at a time, and from 4x4 up stacks this many minors per call
 _TARGET_CHUNK = 4096
 
 
@@ -164,31 +165,38 @@ def _dets(A):
 
 
 def _pulled(w: KForm, M, width: int, targets):
-    # (target, c * det(M[key rows, target cols])) per key of w and increasing 1-based target of
-    # `targets`, M being rows of `width` floats, exact zeros skipped: through 3x3 by _cofactors
-    # over a _minor_table per distinct set of lower rows, from 4x4 one _dets stack per key and chunk
+    # (target, sum over the keys in key order of c * det(M[key rows, target cols])) per increasing
+    # 1-based target of `targets`, M being rows of `width` floats: through 3x3 by _cofactors over
+    # a _minor_table per distinct set of lower rows, from 4x4 by _dets stacks of up to
+    # _TARGET_CHUNK (key, target) minors; a sum of 0.0 is the storage kernel's to drop
     k, targets = w.arity, iter(targets)
     if k > 3:
         import numpy as np
 
         A = np.reshape(M, (-1, width))
-        minors = [lambda cols, rows=(np.array(key, dtype=np.intp) - 1)[:, None]:
-                  _dets(A[rows, cols]).tolist() for key in w.terms]
-        columns = lambda chunk: np.array(chunk, dtype=np.intp)[:, None, :] - 1
+        rows = np.reshape(np.array(list(w.terms), dtype=np.intp), (-1, 1, k, 1)) - 1
+
+        def minors(chunk):
+            cols = np.array(chunk, dtype=np.intp)[None, :, None, :] - 1
+            step = max(1, _TARGET_CHUNK // len(chunk))
+            for g in range(0, len(rows), step):
+                yield from _dets(A[rows[g:g + step], cols]).tolist()
     else:
         tables = {rest: _minor_table([M[i - 1] for i in rest], width)
                   for rest in {key[1:] for key in w.terms}}
-        minors = [functools.partial(_cofactors, M[key[0] - 1] if key else None, tables[key[1:]])
-                  for key in w.terms]
-        columns = lambda chunk: [tuple(j - 1 for j in J) for J in chunk]
-    # chunks outside, keys inside: each target still receives its terms
-    # in key order, so its sum matches a key-by-key loop bitwise
+        firsts = [M[key[0] - 1] if key else None for key in w.terms]
+        belows = [tables[key[1:]] for key in w.terms]
+
+        def minors(chunk):
+            cols = [tuple(j - 1 for j in J) for J in chunk]
+            return map(_cofactors, firsts, belows, itertools.repeat(cols))
+    # chunks outside, keys inside, one running sum per target: a zero minor adds +-0.0, which
+    # leaves a sum (never -0.0) as it is, so each is bitwise that of a loop skipping exact zeros
     while w.terms and (chunk := list(itertools.islice(targets, _TARGET_CHUNK))):
-        cols = columns(chunk)
-        for key_minors, c in zip(minors, w.terms.values()):
-            for target, d in zip(chunk, key_minors(cols)):
-                if d != 0.0:
-                    yield target, c * d
+        sums = [0.0] * len(chunk)
+        for c, key_minors in zip(w.terms.values(), minors(chunk)):
+            sums = [s + c * d for s, d in zip(sums, key_minors)]
+        yield from zip(chunk, sums)
 
 
 def evaluate_form(w: KForm, E) -> float:
@@ -207,39 +215,29 @@ def evaluate_form(w: KForm, E) -> float:
                        "evaluate_form")
 
 
-def _merge_signed(a: tuple, b: tuple):
-    # merge two strictly increasing tuples; None on shared index,
-    # else (merged, sign) with sign = parity of the block shuffle
-    out = []
-    i = j = 0
-    inv = 0
-    la = len(a)
-    while i < la and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-            inv += la - i
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1 if inv % 2 else 1)
+def _above(bits) -> int:
+    # XOR over a key's index bits b of -2 * b, the bits above b: bit r of the result is set
+    # iff an odd number of the key's indices rank below r
+    return functools.reduce(operator.xor, map((-2).__mul__, bits), 0)
 
 
 def wedge(w: KForm, e: KForm) -> KForm:
-    """Wedge product by sorted key merge with inversion-count signs."""
-    return KForm._trusted(
-        w.arity + e.arity,
-        (
-            (merged[0], merged[1] * ca * cb)
-            for ka, ca in w.terms.items()
-            for kb, cb in e.terms.items()
-            if (merged := _merge_signed(ka, kb)) is not None
-        ),
-    )
+    """Wedge product by index masks, pairs of w's and e's terms in turn.
+
+    Each index gets the bit of its rank among both operands' indices, so
+    a mask costs a bit per distinct index, however large.  A pair whose
+    masks meet shares an index and drops; otherwise the merged key is
+    the sorted concatenation, and the sign is the parity of the index
+    pairs (i in ka, j in kb) with i > j: the bits of ka's mask above
+    kb's indices.  Each coefficient is sign * ca * cb.
+    """
+    indices = sorted({*itertools.chain(*w.terms, *e.terms)})
+    bit = {i: 1 << r for r, i in enumerate(indices)}.__getitem__
+    left = [(ka, ca, sum(map(bit, ka))) for ka, ca in w.terms.items()]
+    right = [(kb, cb, sum(map(bit, kb)), _above(map(bit, kb))) for kb, cb in e.terms.items()]
+    return KForm._trusted(w.arity + e.arity, (
+        (tuple(sorted(ka + kb)), (-ca if (ma & above).bit_count() & 1 else ca) * cb)
+        for ka, ca, ma in left for kb, cb, mb, above in right if not ma & mb))
 
 
 def form_to_tensor(w: KForm) -> KTensor:
@@ -320,13 +318,14 @@ def pullback(w: KForm, M) -> KForm:
     determinant det(M[I, J]) as weight.  The targets are taken in fixed
     chunks; per key, a chunk's minors are cofactor expansions on Python
     floats for k <= 3, over the key's lower minors computed once, else
-    one numpy determinant stack.  Every target sums its terms in key
-    order, so the result is bitwise that of one minor at a time.
-    Exact-zero minors are skipped; near-zero accumulations are kept;
-    zap explicitly if wanted.  The matrix (a 1-D array is one column)
-    must be square, reach the form's dimension and be finite; more than
-    MAX_ENUMERATION minors (keys times targets) are refused before the
-    first chunk.
+    they come from numpy determinant stacks, up to _TARGET_CHUNK minors
+    of several keys per call.  Each target of a chunk keeps one running
+    sum, added to key by key in key order, and is stored once, so the
+    result is bitwise that of one minor at a time.  Exact-zero sums are
+    dropped; near-zero ones are kept; zap explicitly if wanted.  The
+    matrix (a 1-D array is one column) must be square, reach the form's
+    dimension and be finite; more than MAX_ENUMERATION minors (keys
+    times targets) are refused before the first chunk.
     """
     M, shape = _finite_array(M, 2, "matrix", w.dimension)
     if shape[0] != shape[1]:

@@ -17,7 +17,8 @@ value >= 1 and key lengths must match the arity.  Results computed
 inside the package have canonical keys by construction, so they go
 through the trusted path (SparseMap._trusted), which skips that
 validation.  Both paths store their terms through one accumulation
-kernel, which enforces the zero, order and finiteness rules.
+kernel, which enforces the zero, order and finiteness rules; to_text
+writes every term line from one `%d ... %d : %s` template.
 
 Instances are immutable by convention: every operation returns a new map
 and never touches its operands, so values can be shared freely between
@@ -131,9 +132,10 @@ def _accumulate(items) -> dict:
 
     Coefficients are added per key in iteration order as Python floats,
     a sum that is exactly 0.0 is deleted, and the result is returned in
-    lexicographic key order.  A NaN or infinite sum raises ValueError:
-    once a sum is non-finite it stays so and is never 0.0, so checking
-    the final sums catches every non-finite item.
+    lexicographic key order, sorting the keys alone, not the items.  A
+    NaN or infinite sum raises ValueError: once a sum is non-finite it
+    stays so and is never 0.0, so checking the final sums catches every
+    non-finite item.
     """
     acc: dict[tuple, float] = {}
     for key, c in items:
@@ -145,7 +147,7 @@ def _accumulate(items) -> dict:
     for c in acc.values():
         if not math.isfinite(c):
             raise ValueError(f"cannot store the non-finite coefficient {c}")
-    return dict(sorted(acc.items()))
+    return {key: acc[key] for key in sorted(acc)}
 
 
 class SparseMap:
@@ -277,15 +279,11 @@ class SparseMap:
         The empty map serializes as `zero k=<arity>`.  Subclasses with a
         `_header` prepend their `<header> k=<arity>` line.
         """
-        lines = []
-        if self._header is not None:
-            lines.append(f"{self._header} k={self.arity}")
+        lines = [] if self._header is None else [f"{self._header} k={self.arity}"]
         if not self.terms:
             lines.append(f"zero k={self.arity}")
-        else:
-            for key, c in self.terms.items():
-                idx = " ".join(str(i) for i in key)
-                lines.append(f"{idx} : {format_coefficient(c)}")
+        line = " ".join(["%d"] * self.arity) + " : %s"
+        lines += [line % (*key, format_coefficient(c)) for key, c in self.terms.items()]
         return "\n".join(lines) + "\n"
 
     def __repr__(self):

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .sparse import DimensionError, _check_enumeration, _check_finite, _check_integral
 from .tensors import _finite_array
 from .forms import KForm
-from .derivatives import FieldForm, _gated, hat
+from .derivatives import FieldForm, _Record, _gated, hat
 
 __all__ = [
     "CubeDomain",
@@ -39,24 +38,22 @@ __all__ = [
     "verify_det_proportionality",
 ]
 
-@dataclass(frozen=True)
-class CubeDomain:
+class CubeDomain(_Record):
     """The cube [0, a]^n; n must be integral."""
 
-    n: int
-    a: float = 1.0
+    __slots__ = ("n", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _check_integral(self.n, "n"))
-        if self.n < 2:
+    def __init__(self, n: int, a: float = 1.0):
+        n = _check_integral(n, "n")
+        if n < 2:
             raise ValueError("need n >= 2")
-        if not self.a > 0:
+        if not a > 0:
             raise ValueError("need edge length a > 0")
-        _check_finite(self.a)
+        _check_finite(a)
+        self._set(n=n, a=a)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(_Record):
     """Gauss-Legendre nodes and weights on [0, a], m points per axis.
 
     points and weights are tuples of m Python floats, points ascending.
@@ -65,10 +62,10 @@ class QuadratureRule:
     before the first iteration (m <= 1024).
     """
 
-    m: int
-    a: float
-    points: tuple
-    weights: tuple
+    __slots__ = ("m", "a", "points", "weights")
+
+    def __init__(self, m: int, a: float, points: tuple, weights: tuple):
+        self._set(m=m, a=a, points=points, weights=weights)
 
     @classmethod
     def gauss_legendre(cls, m: int, a: float) -> "QuadratureRule":

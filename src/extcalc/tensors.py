@@ -174,12 +174,15 @@ def _count_permutations(call: str, k: int, terms: int, *expanded: int) -> None:
 
 
 def _signed_permutations(S: SparseMap, call: str):
-    # counted first, then lazily (sigma(key), sign(sigma) * c): terms outside, sigma inside
+    # counted first, then lazily (sigma(key), sign(sigma) * c): terms outside, sigma inside;
+    # the k! signs are computed once per call, in itertools.permutations order
     _count_permutations(call, S.arity, len(S))
+    perms = lambda: itertools.permutations(range(S.arity))
+    signs = [_parity(perm) for perm in perms()] if S.terms else []
     return (
-        (tuple(key[i] for i in perm), _parity(perm) * c)
+        (tuple(map(key.__getitem__, perm)), sign * c)
         for key, c in S.terms.items()
-        for perm in itertools.permutations(range(S.arity))
+        for perm, sign in zip(perms(), signs)
     )
 
 

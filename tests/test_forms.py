@@ -523,3 +523,89 @@ def test_list_and_ndarray_inputs_give_bitwise_equal_results():
             assert _hex(evaluate_form(w, E.tolist())) == _hex(evaluate_form(w, E))
             assert _hex(pullback(w, M.tolist())) == _hex(pullback(w, M))
             assert _hex(contract_matrix(w, E.tolist())) == _hex(contract_matrix(w, E))
+
+
+def _wedge_pair_by_pair(w, e):
+    # the wedge by merging each pair of keys: a shared index drops the pair, otherwise the
+    # merged key is sorted and its sign counts the index pairs (i in ka, j in kb) with i > j;
+    # sums accumulate per key in pair order (w's terms outside), exact zeros deleted
+    acc = {}
+    for ka, ca in w.terms.items():
+        for kb, cb in e.terms.items():
+            if set(ka) & set(kb):
+                continue
+            inversions = sum(1 for i in ka for j in kb if i > j)
+            c = acc.get(tuple(sorted(ka + kb)), 0.0) + (-1 if inversions % 2 else 1) * ca * cb
+            if c == 0.0:
+                acc.pop(tuple(sorted(ka + kb)), None)
+            else:
+                acc[tuple(sorted(ka + kb))] = c
+    return sorted(acc.items())
+
+
+def test_wedge_matches_a_pair_by_pair_merge_bitwise():
+    rng = np.random.default_rng(171)
+    cases = [(KForm(0, {(): 2.5}), KForm(0, {(): -3.0})), (KForm(0, {(): 0.5}), rform(3, 2, 5, 4)),
+             (KForm(2, {}), rform(4, 1, 5, 3)), (rform(5, 2, 6, 7), KForm(3, {})),
+             (KForm(0, {}), KForm(0, {}))]
+    for _ in range(300):
+        n = int(rng.choice([4, 9, 70, 200]))
+        k, l = (int(rng.integers(1, 4)) for _ in range(2))
+        cases.append(tuple(KForm(arity, {tuple(sorted(rng.choice(np.arange(1, n + 1), arity,
+                                                                   replace=False).tolist())):
+                                          float(rng.choice([rng.integers(-9, 10) or 1,
+                                                            rng.standard_normal()]))
+                                          for _ in range(int(rng.integers(1, 8)))})
+                           for arity in (k, l)))
+    # indices 64 and up take more than one machine word of mask, and 10^12 would take 10^12
+    # bits if masks were indexed by the index itself
+    cases.append((KForm(2, {(3, 64): 1.5, (65, 10**12): -2.0}), KForm(2, {(1, 200): 3.0, (64, 99): 1.0})))
+    cases.append((KForm(1, {(10**12,): 2.0}), KForm(1, {(1,): 1.0, (10**12 + 1,): 4.0})))
+    for w, e in cases:
+        for a, b in ((w, e), (e, w)):
+            assert _hex(wedge(a, b)) == [(key, c.hex()) for key, c in _wedge_pair_by_pair(a, b)]
+    assert wedge(KForm(1, {(10**12,): 2.0}), KForm(1, {(1,): 1.0})).terms == {(1, 10**12): -2.0}
+    # an overflowing product is refused by the storage kernel, as the merge's would be
+    with pytest.raises(ValueError, match="cannot store the non-finite coefficient inf"):
+        wedge(KForm(1, {(2,): 1e200}), KForm(1, {(1,): -1e200}))
+
+
+def test_pullback_and_evaluation_drop_a_target_whose_terms_cancel_across_keys():
+    # two keys whose minors on a target are equal and whose coefficients are opposite: the
+    # target's sum is exactly 0.0 and is dropped, through cofactors (k <= 3) and the stack (k >= 4)
+    for k in (1, 2, 3, 4, 5):
+        n = k + 1
+        M = np.eye(n)
+        M[k, :] = M[k - 1, :]  # rows k and k + 1 (1-based) are equal
+        upper = tuple(range(1, k)) + (k,)
+        lower = tuple(range(1, k)) + (k + 1,)
+        w = KForm(k, {upper: 2.0, lower: -2.0})
+        out = pullback(w, M)
+        assert tuple(range(1, k + 1)) not in out.terms
+        assert list(out.terms.items()) == _pullback_minor_by_minor(w, M)
+        E = M[:, :k]
+        assert _hex(evaluate_form(w, E)) == (0.0).hex() == _hex(_evaluate_minor_by_minor(w, E))
+        if k == 1:
+            continue
+        # a third key keeps the targets alive, summed in key order
+        w3 = KForm(k, {upper: 2.0, lower: -2.0, tuple(range(2, k + 2)): 0.5})
+        assert list(pullback(w3, M).terms.items()) == _pullback_minor_by_minor(w3, M)
+        assert _hex(evaluate_form(w3, E)) == _hex(_evaluate_minor_by_minor(w3, E))
+
+
+def test_evaluate_form_stacks_the_minors_of_many_keys_in_few_determinant_calls(monkeypatch):
+    # from 4x4 up, the minors of up to _TARGET_CHUNK (key, target) pairs go to one np.linalg.det
+    calls = []
+    dets = forms._dets
+    monkeypatch.setattr(forms, "_dets", lambda A: calls.append(A.shape) or dets(A))
+    w = rform(6, 4, 12, 400)
+    E = np.random.default_rng(172).standard_normal((12, 4))
+    assert _hex(evaluate_form(w, E)) == _hex(_evaluate_minor_by_minor(w, E))
+    assert calls == [(400, 1, 4, 4)]
+    calls.clear()
+    monkeypatch.setattr(forms, "_TARGET_CHUNK", 7)
+    M = np.random.default_rng(173).standard_normal((6, 6))
+    w = rform(7, 4, 6, 5)
+    assert list(pullback(w, M).terms.items()) == _pullback_minor_by_minor(w, M)
+    # C(6, 4) = 15 targets in chunks of 7, 7 and 1; one key per call, then five
+    assert calls == [(1, 7, 4, 4)] * 10 + [(5, 1, 4, 4)]

@@ -18,13 +18,8 @@ from extcalc import checks, derivatives, forms, stokes
 
 
 def _merge_sign_always_plus(monkeypatch):
-    merge = forms._merge_signed
-
-    def unsigned(a, b):
-        merged = merge(a, b)
-        return None if merged is None else (merged[0], 1)
-
-    monkeypatch.setattr(forms, "_merge_signed", unsigned)
+    # wedge's sign is the parity of the left mask's bits in _above: with none, always +
+    monkeypatch.setattr(forms, "_above", lambda bits: 0)
 
 
 def _contract_negated_above_arity_1(monkeypatch):

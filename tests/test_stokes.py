@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -477,3 +478,35 @@ def test_volume_node_count_stays_modest():
     # smaller rule still reproduces the closed form to quadrature accuracy
     rep = verify_stokes(4, 1.0, m=4)
     assert rep["err_vc"] < 1e-10
+
+
+def test_records_construct_compare_hash_and_show_like_frozen_dataclasses():
+    from extcalc import ScalarField
+
+    assert CubeDomain(3) == CubeDomain(n=3, a=1.0) == CubeDomain(3.0, 1)
+    assert CubeDomain(3) != CubeDomain(3, 0.5) and CubeDomain(3) != (3, 1.0)
+    assert hash(CubeDomain(3)) == hash(CubeDomain(3, 1.0)) and len({CubeDomain(3), CubeDomain(3, 1)}) == 1
+    assert repr(CubeDomain(4, 0.5)) == "CubeDomain(n=4, a=0.5)"
+    rule = QuadratureRule(2, 1.0, (0.25, 0.75), (0.5, 0.5))
+    assert rule == QuadratureRule(m=2, a=1.0, points=(0.25, 0.75), weights=(0.5, 0.5))
+    assert repr(rule) == "QuadratureRule(m=2, a=1.0, points=(0.25, 0.75), weights=(0.5, 0.5))"
+    assert QuadratureRule.gauss_legendre(3, 2.0).m == 3
+    field = ScalarField(abs, grad=None)
+    assert field == ScalarField(fn=abs) and hash(field) == hash(ScalarField(abs, None, None))
+    assert repr(field) == "ScalarField(fn=<built-in function abs>, grad=None, hessian=None)"
+    form = FieldForm([(abs, (1, 2))])
+    assert form == FieldForm(terms=[(field, (1, 2))]) and hash(form) == hash(FieldForm([(field, (1, 2))]))
+    assert repr(form) == f"FieldForm(terms=(({field!r}, (1, 2)),))"
+    for record, name in ((CubeDomain(3), "n"), (rule, "points"), (field, "grad"), (form, "terms"),
+                         (CubeDomain(3), "other")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert CubeDomain(3).n == 3 and field.grad is None
+    for record in (CubeDomain(4, 0.5), rule, field, form):
+        assert copy.copy(record) == record == copy.deepcopy(record)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        CubeDomain(1)
+    with pytest.raises(ValueError, match="need edge length a > 0"):
+        CubeDomain(3, a=0.0)
