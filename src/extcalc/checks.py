@@ -228,7 +228,7 @@ def check_det_proportionality(cases: int = DEFAULT_CASES, seed: int = 107) -> di
         while not w.terms:
             parts = [
                 KForm(1, {(i,): float(c) for i, c in
-                          enumerate(rng.integers(-3, 4, size=n), start=1) if c})
+                          enumerate(rng.integers(-3, 4, size=n), start=1)})
                 for _ in range(n)
             ]
             w = parts[0]

@@ -67,11 +67,7 @@ def cmd_eval(args):
 
 
 def cmd_wedge(args):
-    a = parse_form_text(_read(args.a))
-    b = parse_form_text(_read(args.b))
-    if not isinstance(a, KForm) or not isinstance(b, KForm):
-        raise ValueError("wedge needs two kform inputs")
-    return wedge(a, b)
+    return wedge(_kform(args.a, "wedge"), _kform(args.b, "wedge"))
 
 
 def cmd_add(args):

@@ -7,15 +7,15 @@ isolated singularity at the origin, and the d(d(.)) = 0 check through
 per-field Hessians.
 
 The module imports without numpy: a coefficient function gets one point
-as a sequence of n Python floats, and only the finite differences, the
-array gate, the analytic derivatives and the demo fields load numpy.
+as a sequence of n Python floats.  Only the finite differences,
+omega_gradient, the analytic branch of gradient_at and hessian_at (its
+gate) and the demo fields f2 and f3 load numpy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Optional
 
 from .sparse import DimensionError, _check_enumeration, _check_integral, _check_key
 from .forms import KForm, _canonical_rows, wedge
@@ -42,11 +42,11 @@ GRAD_STEP = _EPS ** (1.0 / 3.0)
 HESS_STEP = _EPS ** 0.25
 
 
-def _gated(A, ndim: int, what: str, min_rows: int = 0) -> np.ndarray:
+def _gated(A, ndim: int, what: str) -> np.ndarray:
     # the array gate's checked values as a float array of its shape
     import numpy as np
 
-    values, shape = _finite_array(A, ndim, what, min_rows)
+    values, shape = _finite_array(A, ndim, what)
     return np.array(values, dtype=float).reshape(shape)
 
 
@@ -178,14 +178,14 @@ class ScalarField(_Record):
         return _value(self.fn, _finite_array(x, 1, "point")[0])
 
     def gradient_at(self, x, analytic: bool = True) -> np.ndarray:
-        x = _gated(x, 1, "point")
         if analytic and self.grad is not None:
+            x = _gated(x, 1, "point")
             return _analytic(self.grad(x), (x.size,), "gradient")
         return fd_gradient(self.fn, x)
 
     def hessian_at(self, x, analytic: bool = True) -> np.ndarray:
-        x = _gated(x, 1, "point")
         if analytic and self.hessian is not None:
+            x = _gated(x, 1, "point")
             return _analytic(self.hessian(x), (x.size, x.size), "Hessian")
         return fd_hessian(self.fn, x)
 
@@ -330,18 +330,14 @@ def _f1(p):
 
 
 def _f1_grad(p):
-    import numpy as np
-
     w, x, y, z = _wxyz(p)
-    return np.array([x * y * z, 1.0 + y * w * z, 3.0 * y**2 + x * w * z, x * y * w])
+    return [x * y * z, 1.0 + y * w * z, 3.0 * y**2 + x * w * z, x * y * w]
 
 
 def _f1_hess(p):
-    import numpy as np
-
     w, x, y, z = _wxyz(p)
-    return np.array([[0.0, y * z, x * z, x * y], [y * z, 0.0, w * z, y * w],
-                     [x * z, w * z, 6.0 * y, x * w], [x * y, y * w, x * w, 0.0]])
+    return [[0.0, y * z, x * z, x * y], [y * z, 0.0, w * z, y * w],
+            [x * z, w * z, 6.0 * y, x * w], [x * y, y * w, x * w, 0.0]]
 
 
 def _f2(p):

@@ -289,7 +289,7 @@ def contract(w: KForm, v) -> KForm:
     return KForm._trusted(
         w.arity - 1,
         ((key[:j] + key[j + 1 :], (-vals[i - 1] if j % 2 else vals[i - 1]) * c)
-         for key, c in w.terms.items() for j, i in enumerate(key) if vals[i - 1] != 0.0))
+         for key, c in w.terms.items() for j, i in enumerate(key)))
 
 
 def contract_matrix(w: KForm, V, lose: bool = True):
@@ -353,17 +353,15 @@ def symbolic(x: SparseMap, style: str = "letters", symbols=None) -> str:
     if not x.terms:
         return "0"
 
+    prefix = "" if style == "letters" else "d"
+    names = symbols if symbols is not None else _LETTERS if style == "letters" else None
+
     def factor(i: int) -> str:
-        if style == "letters":
-            sym = symbols if symbols is not None else _LETTERS
-            if i > len(sym):
-                raise ValueError(f"index {i} exceeds the {len(sym)} symbols supplied")
-            return sym[i - 1]
-        if symbols is not None:
-            if i > len(symbols):
-                raise ValueError(f"index {i} exceeds the {len(symbols)} symbols supplied")
-            return "d" + symbols[i - 1]
-        return f"dx{i}"
+        if names is None:
+            return f"dx{i}"
+        if i > len(names):
+            raise ValueError(f"index {i} exceeds the {len(names)} symbols supplied")
+        return prefix + names[i - 1]
 
     joiner = "^" if isinstance(x, KForm) else "*"
     parts = []
@@ -447,14 +445,11 @@ def rform(seed: int = 1, k: int = 3, n: int = 7, terms: int = 8) -> KForm:
     if terms > total:
         raise ValueError(f"cannot place {terms} distinct keys among C({n},{k})={total}")
     g = SplitMix64(seed)
-    acc: dict[tuple, float] = {}
-    seen: set[int] = set()
+    acc: dict[int, float] = {}
     while len(acc) < terms:
         r = g.next() % total
-        if r in seen:
+        if r in acc:
             continue
-        seen.add(r)
         v = g.next() % 24
-        c = float(v - 12 if v < 12 else v - 11)
-        acc[_unrank_subset(r, n, k)] = c
-    return KForm._trusted(k, acc.items())
+        acc[r] = float(v - 12 if v < 12 else v - 11)
+    return KForm._trusted(k, ((_unrank_subset(r, n, k), c) for r, c in acc.items()))

@@ -5,7 +5,7 @@ multilinear object; a SparseMap is a finite map from such keys to float
 coefficients, every key sharing one arity k.  Four hygiene rules hold
 everywhere:
 
-* a coefficient that becomes exactly 0.0 is deleted, never stored;
+* a coefficient whose sum is exactly 0.0 is dropped, never stored;
 * iteration, comparison, and printing follow lexicographic key order, so
   any construction order of the same object yields identical storage;
 * the implied dimension is the largest index used (0 for the empty map);
@@ -17,8 +17,8 @@ value >= 1 and key lengths must match the arity.  Results computed
 inside the package have canonical keys by construction, so they go
 through the trusted path (SparseMap._trusted), which skips that
 validation.  Both paths store their terms through one accumulation
-kernel, which enforces the zero, order and finiteness rules; to_text
-writes every term line from one `%d ... %d : %s` template.
+kernel, which settles each key once by the zero, order and finiteness
+rules; to_text writes every term line from one `%d ... %d : %s` template.
 
 Instances are immutable by convention: every operation returns a new map
 and never touches its operands, so values can be shared freely between
@@ -116,8 +116,6 @@ def _check_rows(rows, coeffs):
     if not rows:
         raise ValueError("need at least one row to infer arity")
     k = len(rows[0])
-    if any(len(r) != k for r in rows):
-        raise ArityError("ragged rows: all index rows must share one arity")
     rows = [_check_key(r, k) for r in rows]
     if coeffs is None:
         coeffs = [1.0] * len(rows)
@@ -130,24 +128,24 @@ def _check_rows(rows, coeffs):
 def _accumulate(items) -> dict:
     """The storage kernel: sum (key, coeff) pairs into canonical terms.
 
-    Coefficients are added per key in iteration order as Python floats,
-    a sum that is exactly 0.0 is deleted, and the result is returned in
-    lexicographic key order, sorting the keys alone, not the items.  A
-    NaN or infinite sum raises ValueError: once a sum is non-finite it
-    stays so and is never 0.0, so checking the final sums catches every
-    non-finite item.
+    Coefficients are added per key in iteration order as Python floats;
+    then each key is settled once, in lexicographic key order (sorting
+    the keys alone): a NaN or infinite sum raises ValueError, as does
+    every non-finite item, and a sum of exactly 0.0 is dropped.  A
+    running sum is never -0.0 and 0.0 + x is x, so cancelling midway
+    leaves no trace in a key's final sum.
     """
     acc: dict[tuple, float] = {}
     for key, c in items:
-        c = acc.get(key, 0.0) + float(c)
-        if c == 0.0:
-            acc.pop(key, None)
-        else:
-            acc[key] = c
-    for c in acc.values():
+        acc[key] = acc.get(key, 0.0) + float(c)
+    terms = {}
+    for key in sorted(acc):
+        c = acc[key]
         if not math.isfinite(c):
             raise ValueError(f"cannot store the non-finite coefficient {c}")
-    return {key: acc[key] for key in sorted(acc)}
+        if c != 0.0:
+            terms[key] = c
+    return terms
 
 
 class SparseMap:

@@ -24,7 +24,7 @@ import math
 from .sparse import DimensionError, _check_enumeration, _check_finite, _check_integral
 from .tensors import _finite_array
 from .forms import KForm
-from .derivatives import FieldForm, _Record, _gated, hat
+from .derivatives import FieldForm, _Record, hat
 
 __all__ = [
     "CubeDomain",
@@ -286,10 +286,10 @@ def verify_det_proportionality(w: KForm, E) -> dict:
     a report that would hold NaN or infinity raises ValueError naming n."""
     import numpy as np
 
-    E = _gated(E, 2, "frame")
-    if E.shape[0] != E.shape[1]:
-        raise ValueError(f"need a square frame, got shape {E.shape}")
-    n = E.shape[0]
+    E, shape = _finite_array(E, 2, "frame")
+    if shape[0] != shape[1]:
+        raise ValueError(f"need a square frame, got shape {shape}")
+    n = shape[0]
     if w.arity != n or w.dimension > n:
         raise DimensionError(f"need a top form: degree {w.arity}, indices reaching "
                              f"{w.dimension}, on an {n}x{n} frame")

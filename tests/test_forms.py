@@ -609,3 +609,65 @@ def test_evaluate_form_stacks_the_minors_of_many_keys_in_few_determinant_calls(m
     assert list(pullback(w, M).terms.items()) == _pullback_minor_by_minor(w, M)
     # C(6, 4) = 15 targets in chunks of 7, 7 and 1; one key per call, then five
     assert calls == [(1, 7, 4, 4)] * 10 + [(5, 1, 4, 4)]
+
+
+def _contract_skipping_zeros(w, v):
+    # (dx_I)_v term by term, with no term at all for an exactly zero entry v[i]: each
+    # remaining key's products summed in key order, then exact-zero sums dropped
+    acc = {}
+    for key, c in w.terms.items():
+        for j, i in enumerate(key):
+            if v[i - 1] != 0.0:
+                rest = key[:j] + key[j + 1:]
+                acc[rest] = acc.get(rest, 0.0) + (-v[i - 1] if j % 2 else v[i - 1]) * c
+    return [(key, acc[key].hex()) for key in sorted(acc) if acc[key] != 0.0]
+
+
+def test_contract_adds_zero_products_bitwise_as_a_loop_skipping_them():
+    # a key that receives only zero products ends at 0.0 and is dropped
+    assert contract(KForm(2, {(1, 2): 3.0}), [0.0, 5.0]).terms == {(1,): -15.0}
+    assert not contract(KForm(2, {(1, 2): 3.0, (1, 3): -2.0}), [-0.0, 0.0, 0.0]).terms
+    rng = np.random.default_rng(142)
+    pool = np.array([0.0, -0.0, 0.0, 1.5, -2.0, 0.1, 0.2, -0.3, 7.0])
+    only_zeros = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(1, n + 1))
+        w = rform(int(rng.integers(0, 2**63)), k, n, int(rng.integers(1, math.comb(n, k) + 1)))
+        v = rng.choice(pool, size=n).tolist()
+        got = _hex(contract(w, v))
+        assert got == _contract_skipping_zeros(w, v)
+        touched = {key[:j] + key[j + 1:] for key in w.terms for j in range(k)}
+        only_zeros += len(touched) - len(got)
+    assert only_zeros > 50
+
+
+def _rform_by_rank_set(seed, k, n, terms):
+    # the rform draw with a set of the ranks taken, each rank read off the lexicographic list
+    # of k-subsets
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    g, seen, out = forms.SplitMix64(seed), set(), {}
+    while len(out) < terms:
+        r = g.next() % len(subsets)
+        if r in seen:
+            continue
+        seen.add(r)
+        v = g.next() % 24
+        out[subsets[r]] = float(v - 12 if v < 12 else v - 11)
+    return sorted(out.items())
+
+
+def test_rform_matches_a_rank_set_reference_under_many_repeated_draws():
+    for k, n, terms in ((2, 5, 10), (3, 5, 10), (1, 6, 6), (2, 6, 12), (4, 7, 35)):
+        for seed in range(200):
+            assert list(rform(seed, k, n, terms).terms.items()) == _rform_by_rank_set(
+                seed, k, n, terms)
+
+
+def test_symbolic_d_style_refuses_too_few_symbols():
+    w = KForm(2, {(1, 3): 2.0})
+    assert symbolic(w, style="d", symbols="abc") == "+2 da^dc"
+    with pytest.raises(ValueError, match="index 3 exceeds the 2 symbols supplied"):
+        symbolic(w, style="d", symbols="ab")
+    with pytest.raises(ValueError, match="index 3 exceeds the 2 symbols supplied"):
+        symbolic(w, style="letters", symbols="ab")

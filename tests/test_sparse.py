@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -346,3 +349,87 @@ def test_text_lines_for_arity_zero_empty_maps_and_repeated_indices():
     T = KTensor(3, {(2, 2, 1): 1e17, (1, 1, 1): -0.1, (3, 1, 3): 7.0, (10**20, 1, 1): 1.0})
     assert T.to_text() == ("ktensor k=3\n1 1 1 : -0.1\n2 2 1 : 1e+17\n3 1 3 : 7\n"
                            "100000000000000000000 1 1 : 1\n")
+
+
+def _accumulate_per_contribution(items):
+    # the kernel as it once was: each running sum tested for zero as it forms and dropped
+    # at once, the finiteness check over the final sums, then key order
+    acc = {}
+    for key, c in items:
+        c = acc.get(key, 0.0) + float(c)
+        if c == 0.0:
+            acc.pop(key, None)
+        else:
+            acc[key] = c
+    if not all(map(math.isfinite, acc.values())):
+        raise ValueError("non-finite")
+    return {key: acc[key] for key in sorted(acc)}
+
+
+def _outcome(accumulate, items):
+    # the stored (key, float.hex(c)) pairs in order, or "ValueError"
+    try:
+        return [(key, c.hex()) for key, c in accumulate(items).items()]
+    except ValueError:
+        return "ValueError"
+
+
+def test_storage_kernel_matches_a_per_contribution_reference_bitwise():
+    from extcalc.sparse import _accumulate
+
+    pool = [1.0, -1.0, 0.5, -0.5, 0.1, 0.2, -0.3, 3.0, -3.0, 0.0, -0.0, 1e-300, -1e-300]
+    cases = [
+        [((1,), 1.5), ((1,), -1.5), ((1,), 0.25)],  # cancels, then is added to again
+        [((1,), 1.5), ((2,), 1.0), ((1,), -1.5), ((2,), -1.0), ((1,), -0.0)],
+        [((2,), -0.0)], [((2,), 0.0), ((2,), -0.0)], [((2,), -0.0), ((2,), 3.0)],
+        [((2,), 3.0), ((2,), -0.0)], [((1, 2), 0.1), ((1, 2), 0.2), ((1, 2), -0.3)],
+    ]
+    for seed in range(100):
+        rng = random.Random(seed)
+        cases.append([((rng.randint(1, 3), rng.randint(1, 3)), rng.choice(pool))
+                      for _ in range(rng.randint(0, 40))])
+    cancelled_then_refilled = 0
+    for items in cases:
+        got = _outcome(_accumulate, items)
+        assert got == _outcome(_accumulate_per_contribution, items), items
+        assert got != "ValueError"
+        running = {}
+        for key, c in items:
+            if running.get(key) == 0.0 and c != 0.0:
+                cancelled_then_refilled += 1
+            running[key] = running.get(key, 0.0) + c
+    assert cancelled_then_refilled > 10
+
+
+@pytest.mark.parametrize("items", [
+    [((1,), math.inf)],
+    [((1,), -math.inf), ((2,), 1.0)],
+    [((1,), math.nan), ((1,), 1.0)],
+    [((1,), math.inf), ((1,), -math.inf)],  # inf - inf is NaN, never 0.0
+    [((1,), 1e308), ((1,), 1e308), ((1,), -1e308)],  # overflows to inf midway and stays
+    [((2,), 1.0), ((1,), math.inf), ((2,), -1.0), ((3,), math.nan)],  # two bad keys
+    [((1,), math.inf), ((1,), -1.0), ((1,), 0.0)],
+])
+def test_storage_kernel_refuses_every_non_finite_sum(items):
+    from extcalc.sparse import _accumulate
+
+    with pytest.raises(ValueError, match="cannot store the non-finite coefficient"):
+        _accumulate(items)
+    assert _outcome(_accumulate_per_contribution, items) == "ValueError"
+
+
+def test_items_are_in_key_order_and_a_negative_arity_is_refused():
+    m = SparseMap(2, [((2, 1), 1.0), ((1, 2), 2.0), ((1, 1), -0.0)])
+    assert list(m.items()) == [((1, 2), 2.0), ((2, 1), 1.0)]
+    with pytest.raises(ArityError, match="arity must be nonnegative, got -1"):
+        SparseMap(-1)
+
+
+def test_ragged_rows_are_refused_by_the_key_check():
+    from extcalc import kform_from_rows, ktensor_from_rows
+
+    for build in (kform_from_rows, ktensor_from_rows):
+        with pytest.raises(ArityError, match=r"key \(3,\) has arity 1, expected 2"):
+            build([(1, 2), (3,)])
+        with pytest.raises(ArityError, match=r"key \(1, 2, 3\) has arity 3, expected 2"):
+            build([(1, 2), (1, 2, 3)], [1.0, 2.0])

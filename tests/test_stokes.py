@@ -510,3 +510,16 @@ def test_records_construct_compare_hash_and_show_like_frozen_dataclasses():
         CubeDomain(1)
     with pytest.raises(ValueError, match="need edge length a > 0"):
         CubeDomain(3, a=0.0)
+
+
+def test_det_proportionality_reads_a_list_frame_as_its_array():
+    rng = np.random.default_rng(143)
+    for n in (1, 2, 3, 4, 5, 6):
+        w = dphi_example(np.arange(1.0, n + 1.0)) if n > 1 else KForm(1, {(1,): 2.5})
+        E = rng.standard_normal((n, n))
+        assert verify_det_proportionality(w, E.tolist()) == verify_det_proportionality(w, E)
+    w = KForm(1, {(1,): 2.0})
+    assert verify_det_proportionality(w, [3.0]) == verify_det_proportionality(w, np.array([3.0]))
+    for bad in ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], np.ones((2, 3))):
+        with pytest.raises(ValueError, match=r"need a square frame, got shape \(2, 3\)"):
+            verify_det_proportionality(w, bad)

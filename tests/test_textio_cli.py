@@ -164,7 +164,7 @@ def test_cli_add_rejects_mixed_types(tmp_path, capsys):
     assert main(["add", a, b]) == 2
     assert "error:" in capsys.readouterr().err
     v = _write(tmp_path, "v.txt", "1\n0\n0\n")
-    for argv, want in ((["wedge", a, b], "wedge needs two kform inputs"),
+    for argv, want in ((["wedge", a, b], "wedge needs a kform input"),
                        (["contract", b, v], "contract needs a kform input"),
                        (["pullback", b, v], "pullback needs a kform input")):
         assert main(argv) == 2
