@@ -189,8 +189,16 @@ def _add_zap(p: argparse.ArgumentParser):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose refusals are the one `error: ...` line, with no usage lines, and
+    SystemExit(2); subparsers inherit it through parser_class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extcalc", description="sparse exterior calculus on serialized k-forms and k-tensors")
     sub = parser.add_subparsers(dest="command", required=True)
 

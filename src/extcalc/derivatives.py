@@ -18,7 +18,7 @@ import math
 import sys
 
 from .sparse import DimensionError, _check_enumeration, _check_integral, _check_key
-from .forms import KForm, _canonical_rows, wedge
+from .forms import KForm, _canonical_rows, _check_increasing, wedge
 from .tensors import _finite_array
 
 __all__ = [
@@ -225,10 +225,7 @@ class FieldForm(_Record):
         if not pairs:
             raise ValueError("need at least one (field, key) term")
         k = len(pairs[0][1])
-        pairs = [(f, _check_key(key, k)) for f, key in pairs]
-        for _, key in pairs:
-            if any(a >= b for a, b in zip(key, key[1:])):
-                raise ValueError(f"wedge keys must be strictly increasing, got {key}")
+        pairs = [(f, _check_increasing(_check_key(key, k))) for f, key in pairs]
         self._set(terms=tuple(pairs))
 
     @property

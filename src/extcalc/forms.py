@@ -61,10 +61,7 @@ class KForm(SparseMap):
         super().__init__(arity, items)
         # every given key, also one whose coefficient is zero or cancels; super() checked them
         for key, _ in items:
-            key = tuple(key)
-            if any(a >= b for a, b in zip(key, key[1:])):
-                raise ValueError(f"form keys must be strictly increasing, got {key}; "
-                                 "use kform_from_rows to canonicalize raw rows")
+            _check_increasing(tuple(key))
 
     def __call__(self, frame):
         return evaluate_form(self, frame)
@@ -73,6 +70,14 @@ class KForm(SparseMap):
         if isinstance(other, KForm):
             return wedge(self, other)
         return NotImplemented
+
+
+def _check_increasing(key: tuple) -> tuple:
+    # the form key rule, with one message for KForm and FieldForm
+    if any(a >= b for a, b in zip(key, key[1:])):
+        raise ValueError(f"form keys must be strictly increasing, got {key}; "
+                         "use kform_from_rows to canonicalize raw rows")
+    return key
 
 
 def kform_from_rows(rows, coeffs=None) -> KForm:

@@ -281,7 +281,9 @@ class SparseMap:
         if not self.terms:
             lines.append(f"zero k={self.arity}")
         line = " ".join(["%d"] * self.arity) + " : %s"
-        lines += [line % (*key, format_coefficient(c)) for key, c in self.terms.items()]
+        # each distinct coefficient is formatted, and its finiteness checked, once
+        text = {c: format_coefficient(c) for c in set(self.terms.values())}
+        lines += [line % (*key, text[c]) for key, c in self.terms.items()]
         return "\n".join(lines) + "\n"
 
     def __repr__(self):

@@ -14,12 +14,24 @@ number; no form is built per node.  The rule, the nodes and the sums
 are Python floats throughout, so `verify stokes` never imports numpy,
 and its digits follow libm's pow (through Python's float **), not the
 SIMD loops numpy picks for the CPU.
+
+Each face is one pass through C-level iterators: itertools.product
+yields its nodes, map calls the key's coefficient and multiplies by
+orient * w, and functools.reduce adds each product to the running total
+in node order, so the sums are bitwise those of a node-by-node loop.
+The signed node weights orient * w are prefix products from [orient],
+bitwise orient * math.prod(per-axis weights) for orient = +-1.  The
+example pair's coefficients are straight-line functions compiled from
+integers (`0.0 + x[0]**1.0 - x[1]**2.0 + ...`), which call the same
+libm pow as a loop over x_i**i and add in the same order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 from .sparse import DimensionError, _check_enumeration, _check_finite, _check_integral
 from .tensors import _finite_array
@@ -124,26 +136,31 @@ def _legendre_rule(m: int) -> tuple[list, list]:
     return t, w
 
 
-def _phi_coefficient(x) -> float:
-    # sum_i (-1)^(i-1) x_i^i, left to right
-    total = 0.0
-    for i, xi in enumerate(x, 1):
-        total += xi**i if i % 2 else -(xi**i)
-    return total
+# terms per statement of a compiled coefficient: the compiler recurses once per nested
+# operator, and hat admits n up to 1024; 128 per statement stays far below its limit
+_CHUNK = 128
 
 
-def _dphi_coefficient(x) -> float:
-    # sum_j j x_j^(j-1), written by hand rather than derived from phi
-    total = 0.0
-    for j, xj in enumerate(x, 1):
-        total += xj ** (j - 1) * j
-    return total
+def _compiled(name: str, terms: list) -> Callable:
+    # the function of a point x that adds the term sources to 0.0 left to right; the source
+    # holds only integers, and a chunk per statement keeps the same order of additions
+    chunks = ["".join(terms[i : i + _CHUNK]) for i in range(0, len(terms), _CHUNK)]
+    body = "".join(f"    t = t{chunk}\n" for chunk in chunks[1:])
+    namespace = {}
+    exec(compile(f"def {name}(x):\n    t = 0.0{chunks[0]}\n{body}    return t\n",
+                 f"<{name} n={len(terms)}>", "exec"), namespace)
+    return namespace[name]
 
 
 def _example_pair(n: int) -> tuple[FieldForm, FieldForm]:
-    # phi = coefficient * hat(n) and dphi = coefficient * dx_1^...^dx_n; hat(n) holds the bound
-    phi = FieldForm((_phi_coefficient, key) for key in hat(n).terms)
-    return phi, FieldForm([(_dphi_coefficient, tuple(range(1, n + 1)))])
+    # phi = (sum_i (-1)^(i-1) x_i^i) * hat(n) and dphi = (sum_j j x_j^(j-1)) dx_1^...^dx_n,
+    # dphi written by hand rather than derived from phi; hat(n) holds the bound before either
+    # coefficient is built.  A float exponent calls the libm pow that x**i calls
+    keys = hat(n).terms
+    phi = _compiled("phi", [f" {'+' if i % 2 else '-'} x[{i - 1}]**{i}.0"
+                            for i in range(1, n + 1)])
+    dphi = _compiled("dphi", [f" + x[{j - 1}]**{j - 1}.0*{j}.0" for j in range(1, n + 1)])
+    return FieldForm((phi, key) for key in keys), FieldForm([(dphi, tuple(range(1, n + 1)))])
 
 
 def _point(x) -> list:
@@ -193,9 +210,15 @@ def _integrate(field: FieldForm, cube: CubeDomain, rule: QuadratureRule, faces) 
     if field.arity != degree or field.dimension > n:
         raise DimensionError(f"integrand must be a {degree}-form on R^{n}, got degree "
                              f"{field.arity} with indices reaching {field.dimension}")
-    # every face's free axes are its key's, so one list of node weights serves all faces;
-    # each is the left-to-right product of its per-axis weights
-    weights = [math.prod(w) for w in itertools.product(rule.weights, repeat=degree)]
+    # every face's free axes are its key's, so each orientation has one list of orient * w
+    # per node, w the left-to-right product of its per-axis weights; the prefix products
+    # from [orient] are bitwise orient * math.prod(...), as orient is +-1.0 and negation exact
+    signed = {}
+    for orient in {face[2] for face in faces}:
+        weights = [orient]
+        for _ in range(degree):
+            weights = [p * w for p in weights for w in rule.weights]
+        signed[orient] = weights
     total = 0.0
     try:
         for fixed, side, orient, key in faces:
@@ -203,14 +226,31 @@ def _integrate(field: FieldForm, cube: CubeDomain, rule: QuadratureRule, faces) 
             if fixed is not None:
                 axes.insert(fixed, (side,))
             fns = [f.fn for f, k in field.terms if k == key]
-            for w, x in zip(weights, itertools.product(*axes)):
-                c = 0.0
-                for fn in fns:
-                    c += fn(x)
-                total += orient * w * c
+            # a face without a function still adds orient * w * 0.0 per node: 0.0 where w is
+            # finite, NaN where the product of weights overflowed
+            nodes = itertools.product(*axes)
+            values = map(_summed(fns), nodes) if fns else itertools.repeat(0.0)
+            total = functools.reduce(operator.add, map(operator.mul, signed[orient], values),
+                                     total)
     except OverflowError:  # a coefficient's float ** passed the float range: infinite
         return math.inf
     return total
+
+
+def _summed(fns: list) -> Callable:
+    # the one function itself, or the left-to-right sum from 0.0 of several at one point; one
+    # function's 0.0 + fn(x) would differ from fn(x) only at -0.0, and the running total,
+    # which starts at 0.0, is never -0.0, so adding either zero leaves it as it is
+    if len(fns) == 1:
+        return fns[0]
+
+    def coefficient(x):
+        c = 0.0
+        for fn in fns:
+            c += fn(x)
+        return c
+
+    return coefficient
 
 
 def integrate_volume(field: FieldForm, cube: CubeDomain, rule: QuadratureRule) -> float:

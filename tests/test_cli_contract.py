@@ -142,12 +142,11 @@ def _check(argv, code, out, err):
     if code != 2:
         assert err == "", (argv, err)
         return
-    # one error line, last; only argparse's own refusals put their usage lines before it
+    # one error line and nothing else, argparse's own refusals included
     lines = err.splitlines()
     assert out == "" and lines, argv
     assert sum("error:" in line for line in lines) == 1, (argv, err)
-    assert lines == [lines[-1]] and lines[-1].startswith("error: ") or (
-        lines[0].startswith("usage: ") and ": error: " in lines[-1]), (argv, err)
+    assert lines == [lines[-1]] and lines[-1].startswith("error: "), (argv, err)
 
 
 OBJECTS = [name for name, (_, meaning) in FILES.items() if meaning and meaning[0] != "rows"]

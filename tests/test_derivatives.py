@@ -7,6 +7,7 @@ from extcalc import (
     ArityError,
     DimensionError,
     FieldForm,
+    KForm,
     ScalarField,
     dd_check,
     demo_two_form,
@@ -146,6 +147,14 @@ def test_field_form_validation():
         FieldForm([(f1, (1, 2)), (f2, (1,))])
     form = demo_two_form()
     assert form.arity == 2 and form.dimension == 4
+
+
+def test_field_form_and_kform_refuse_a_decreasing_key_with_one_message():
+    with pytest.raises(ValueError) as field:
+        FieldForm([(f1, (2, 1))])
+    with pytest.raises(ValueError) as form:
+        KForm(2, {(2, 1): 1.0})
+    assert str(field.value) == str(form.value)
 
 
 def test_coefficients_at_demo_point():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from extcalc import ArityError, KForm, KTensor, SparseMap
+from extcalc import sparse
 from extcalc.sparse import format_coefficient
 
 
@@ -349,6 +350,34 @@ def test_text_lines_for_arity_zero_empty_maps_and_repeated_indices():
     T = KTensor(3, {(2, 2, 1): 1e17, (1, 1, 1): -0.1, (3, 1, 3): 7.0, (10**20, 1, 1): 1.0})
     assert T.to_text() == ("ktensor k=3\n1 1 1 : -0.1\n2 2 1 : 1e+17\n3 1 3 : 7\n"
                            "100000000000000000000 1 1 : 1\n")
+
+
+def test_text_formats_each_distinct_coefficient_once(monkeypatch):
+    # byte for byte the per-term join, with one format_coefficient call per distinct value
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return format_coefficient(c)
+
+    rng = random.Random(19)
+    pool = (0.5, -0.1, 1 / 3, 3.0, -7.0, 1e300, -1e300, 5e-324, 1e16, -1e16,
+            9999999999999998.0, 1e16 + 2.0, 1.7976931348623157e308)
+    for trial in range(40):
+        k = trial % 4
+        items = {tuple(rng.randint(1, 6) for _ in range(k)):
+                 rng.choice(pool) if rng.random() < 0.7 else rng.uniform(-1e17, 1e17)
+                 for _ in range(rng.randint(0, 30))}
+        for m in (SparseMap(k, items), KTensor(k, items)):
+            lines = [] if m._header is None else [f"{m._header} k={k}"]
+            lines += [f"zero k={k}"] if not m.terms else [
+                " ".join(map(str, key)) + " : " + format_coefficient(c)
+                for key, c in m.terms.items()]
+            monkeypatch.setattr(sparse, "format_coefficient", counted)
+            calls.clear()
+            assert m.to_text() == "\n".join(lines) + "\n"
+            assert sorted(calls) == sorted(set(m.terms.values()))
+            monkeypatch.undo()
 
 
 def _accumulate_per_contribution(items):

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from extcalc import (
 )
 
 from extcalc import sparse, stokes
+from extcalc.derivatives import _value
 from oracles import monomial_integral
 
 
@@ -30,6 +32,22 @@ def _dphi_field(n):
     # the example pair's top form, written out here: sum_j j x_j^(j-1)
     return FieldForm([(lambda x: sum(j * x[j - 1] ** (j - 1) for j in range(1, n + 1)),
                        tuple(range(1, n + 1)))])
+
+
+def _phi_reference(x) -> float:
+    # the loop form of phi's coefficient, sum_i (-1)^(i-1) x_i^i, left to right
+    total = 0.0
+    for i, xi in enumerate(x, 1):
+        total += xi**i if i % 2 else -(xi**i)
+    return total
+
+
+def _dphi_reference(x) -> float:
+    # the loop form of dphi's coefficient, sum_j j x_j^(j-1), left to right
+    total = 0.0
+    for j, xj in enumerate(x, 1):
+        total += xj ** (j - 1) * j
+    return total
 
 
 def _phi_field(n):
@@ -304,33 +322,90 @@ def test_example_pair_is_what_verify_stokes_integrates(monkeypatch):
     ]
 
 
+def _node_by_node(terms, n, rule, volume=False) -> float:
+    # an integrator's sum visiting one node at a time: faces x_i = a then x_i = 0 for
+    # i = 1..n (or the one volume face), nodes in lexicographic order, each weight the
+    # left-to-right product of its per-axis weights, each coefficient the left-to-right sum
+    # from 0.0 of the (function, key) terms on the face's key
+    full = tuple(range(1, n + 1))
+    faces = [(None, 0.0, 1.0, full)] if volume else [
+        (i - 1, side, orient, full[: i - 1] + full[i:])
+        for i in full for side, orient in ((rule.a, (-1.0) ** (i - 1)), (0.0, (-1.0) ** i))
+    ]
+    total = 0.0
+    for fixed, side, orient, key in faces:
+        for combo in itertools.product(range(rule.m), repeat=len(key)):
+            x = [rule.points[c] for c in combo]
+            if fixed is not None:
+                x.insert(fixed, side)
+            w = 1.0
+            for c in combo:
+                w *= rule.weights[c]
+            c = 0.0
+            for fn, k in terms:
+                if k == key:
+                    c += fn(tuple(x))
+            total += orient * w * c
+    return total
+
+
 def test_verify_stokes_sums_node_by_node_left_to_right():
-    # the integrators give bitwise the sums of visiting one node at a time
-    # through the example forms: faces in order, nodes in lexicographic
-    # order, each weight the left-to-right product of its per-axis weights
-    for n, a, m in ((2, 1.0, 5), (3, 0.5, 4), (4, 1.3, 3)):
+    # the integrators give bitwise the sums of visiting one node at a time through the
+    # example pair's loop-form coefficients, on small cases and the five benchmark cubes
+    for n, a, m in ((2, 1.0, 5), (3, 0.5, 4), (4, 1.3, 3),
+                    (3, 1.0, 8), (4, 1.0, 8), (4, 0.5, 8), (5, 1.0, 6), (6, 1.0, 4)):
         rule = QuadratureRule.gauss_legendre(m, a)
         full = tuple(range(1, n + 1))
-
-        def node_sum(example, fixed, side, orient, key, total):
-            for combo in itertools.product(range(m), repeat=len(key)):
-                x = [rule.points[c] for c in combo]
-                if fixed is not None:
-                    x.insert(fixed, side)
-                w = 1.0
-                for c in combo:
-                    w *= rule.weights[c]
-                total += orient * w * example(x).terms.get(key, 0.0)
-            return total
-
-        volume = node_sum(dphi_example, None, 0.0, 1.0, full, 0.0)
-        boundary = 0.0
-        for i in full:
-            for side, orient in ((a, (-1.0) ** (i - 1)), (0.0, (-1.0) ** i)):
-                key = full[: i - 1] + full[i:]
-                boundary = node_sum(phi_example, i - 1, side, orient, key, boundary)
+        phi = [(_phi_reference, full[:j] + full[j + 1 :]) for j in range(n)]
+        volume = _node_by_node([(_dphi_reference, full)], n, rule, volume=True)
+        boundary = _node_by_node(phi, n, rule)
         rep = verify_stokes(n, a, m)
         assert (rep["boundary"], rep["volume"]) == (boundary, volume)
+
+
+def test_integrators_sum_shared_keys_and_empty_faces_node_by_node():
+    # two functions on one key add left to right from 0.0 at each node; a face whose key
+    # has no function adds orient * w * 0.0, which is NaN where a weight overflowed
+    def f(x):
+        return x[0] * 3.1 - x[2]
+
+    def g(x):
+        return x[1] ** 2 - 0.7
+
+    def h(x):
+        return x[0] - 1.0
+
+    for a, m, boundary_terms, volume_terms in (
+        (1.7, 4, [(f, (2, 3)), (g, (1, 3)), (h, (2, 3))], [(f, (1, 2, 3)), (g, (1, 2, 3))]),
+        (1e200, 3, [(h, (2, 3))], [(h, (1, 2, 3))]),
+    ):
+        cube, rule = CubeDomain(3, a), QuadratureRule.gauss_legendre(m, a)
+        got = integrate_boundary(FieldForm(boundary_terms), cube, rule)
+        assert got.hex() == _node_by_node(boundary_terms, 3, rule).hex()
+        got = integrate_volume(FieldForm(volume_terms), cube, rule)
+        assert got.hex() == _node_by_node(volume_terms, 3, rule, volume=True).hex()
+    # on [0, 1e200]^3 the two faces of h's key add +inf each; the NaN is the empty faces'
+    cube, rule = CubeDomain(3, 1e200), QuadratureRule.gauss_legendre(3, 1e200)
+    assert math.isnan(integrate_boundary(FieldForm([(h, (2, 3))]), cube, rule))
+
+
+def test_compiled_example_coefficients_match_the_loop_reference():
+    # bitwise by float.hex at seeded points with negative coordinates, +-0.0 and 1e200,
+    # whose OverflowError reads as inf in both, as the evaluations read it
+    rng = random.Random(19)
+    for n in [*range(2, 13), 1024]:
+        phi, dphi = stokes._example_pair(n)
+        (phi_fn,) = {f.fn for f, _ in phi.terms}
+        pairs = ((phi_fn, _phi_reference), (dphi.terms[0][0].fn, _dphi_reference))
+        scale = 3.0 if n <= 12 else 1.02
+        for point in range(100 if n <= 12 else 8):
+            x = [rng.uniform(-scale, scale) for _ in range(n)]
+            for i in rng.sample(range(n), 2):
+                x[i] = rng.choice((0.0, -0.0, -1.0))
+            if point % 4 == 3:
+                x[rng.randrange(n)] = rng.choice((1e200, -1e200))
+            for compiled, reference in pairs:
+                assert _value(compiled, tuple(x)).hex() == _value(reference, tuple(x)).hex()
 
 
 def test_verify_stokes_reports():
