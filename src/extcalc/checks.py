@@ -10,7 +10,9 @@ to slip through.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .derivatives import (
     f2,
     f3,
     fd_gradient,
+    grad,
     hat,
     omega_gradient,
 )
@@ -82,10 +85,9 @@ def _random_form(rng, k: int, n: int, max_terms: int = 4) -> KForm:
 
 def _termwise_err(a: SparseMap, b: SparseMap) -> float:
     keys = set(a.terms) | set(b.terms)
-    return max(
-        (abs(a.terms.get(k, 0.0) - b.terms.get(k, 0.0)) for k in keys),
-        default=0.0,
-    )
+    zeros = itertools.repeat(0.0)
+    diffs = map(operator.sub, map(a.terms.get, keys, zeros), map(b.terms.get, keys, zeros))
+    return max(map(abs, diffs), default=0.0)
 
 
 def check_multilinearity(cases: int = DEFAULT_CASES, seed: int = 101) -> dict:
@@ -178,9 +180,10 @@ def check_wedge_algebra(cases: int = DEFAULT_CASES, seed: int = 104) -> dict:
         c = _random_form(rng, min(m, n - 2), n)
         errors.append(_termwise_err(wedge(wedge(a, b), c), wedge(a, wedge(b, c))))
         a2 = _random_form(rng, a.arity, n)
-        errors.append(_termwise_err(wedge(a + a2, b), wedge(a, b) + wedge(a2, b)))
+        ab = wedge(a, b)
+        errors.append(_termwise_err(wedge(a + a2, b), ab + wedge(a2, b)))
         sign = -1.0 if (a.arity * b.arity) % 2 else 1.0
-        errors.append(_termwise_err(wedge(a, b), wedge(b, a).scale(sign)))
+        errors.append(_termwise_err(ab, wedge(b, a).scale(sign)))
     return _report("wedge-algebra", cases, errors, 1e-12)
 
 
@@ -226,11 +229,7 @@ def check_det_proportionality(cases: int = DEFAULT_CASES, seed: int = 107) -> di
         n = int(rng.integers(2, 9))
         w = KForm(n)
         while not w.terms:
-            parts = [
-                KForm(1, {(i,): float(c) for i, c in
-                          enumerate(rng.integers(-3, 4, size=n), start=1)})
-                for _ in range(n)
-            ]
+            parts = [grad(rng.integers(-3, 4, size=n)) for _ in range(n)]
             w = parts[0]
             for p in parts[1:]:
                 w = wedge(w, p)
@@ -265,13 +264,15 @@ def check_omega_closedness(cases_per_n: int = DEFAULT_CASES, seed: int = 109) ->
     rng = np.random.default_rng(seed)
     errors = []
     for n in range(3, 10):
+        hat_n = hat(n)
         for _ in range(cases_per_n):
             x = rng.standard_normal(n)
-            while np.dot(x, x) == 0.0:
+            while (sq := float(np.dot(x, x))) == 0.0:
                 x = rng.standard_normal(n)
-            top = wedge(omega_gradient(x), hat(n))
-            tol_x = 1e-12 * (1.0 + float(np.linalg.norm(x)) ** (-2 * n))
-            err = max((abs(c) for c in top.terms.values()), default=0.0)
+            top = wedge(omega_gradient(x), hat_n)
+            # |x| as np.linalg.norm computes it: the square root of x.dot(x)
+            tol_x = 1e-12 * (1.0 + math.sqrt(sq) ** (-2 * n))
+            err = max(map(abs, top.terms.values()), default=0.0)
             # normalize against the case tolerance so one bound covers all x
             errors.append(err / tol_x)
     return _report("omega-closedness", len(errors), errors, 1.0)
@@ -296,8 +297,8 @@ def check_dd_zero(x=(1.0, 2.0, 3.0, 4.0)) -> dict:
     phi = demo_two_form()
     fd = dd_check(phi, x, analytic=False)
     an = dd_check(phi, x, analytic=True)
-    fd_max = max((abs(c) for c in fd.terms.values()), default=0.0)
-    an_max = max((abs(c) for c in an.terms.values()), default=0.0)
+    fd_max = max(map(abs, fd.terms.values()), default=0.0)
+    an_max = max(map(abs, an.terms.values()), default=0.0)
     out = _report("dd-zero", 2, [fd_max], 1e-4, fd_max=fd_max, analytic_max=an_max)
     out["passed"] = bool(fd_max <= 1e-4 and an_max <= 1e-12)
     return out

@@ -10,7 +10,10 @@ Each subcommand returns its result: a form or tensor, a scalar, a line
 of text, or a verification's (report, passed) pair.  main alone writes
 it, applying --zap, and exits 1 on a failed verdict.  It runs both steps
 with RuntimeWarning as an error, so a numpy floating-point error raises
-where it happens, and restores the caller's warning filters.  print,
+where it happens, and restores the caller's warning filters.  With the
+global --stats option it then writes one JSON line to stderr: the
+subcommand, its elapsed seconds, whether numpy was loaded, and for
+`verify suite` each check's name, cases and elapsed seconds.  print,
 add, wedge, alt, eval, contract, pullback of degree 3 or less and verify
 stokes compute on Python floats and never import numpy (the coefficient
 store and the evaluations refuse an overflow); the rest import what they
@@ -23,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+import time
 import warnings
 
 from .sparse import DEFAULT_TOL, SparseMap, _check_tol, format_coefficient
@@ -154,9 +158,15 @@ def cmd_verify_det46(args):
 
 
 def cmd_verify_suite(args):
-    from .checks import suite
+    from .checks import SUITE_CHECKS
 
-    reports = suite()
+    reports, timings = [], []
+    for check in SUITE_CHECKS:
+        start = time.perf_counter()
+        reports.append(report := check())
+        timings.append({"name": report["name"], "cases": report["cases"],
+                        "elapsed_s": time.perf_counter() - start})
+    args.work["checks"] = timings
     ok = all(r["passed"] for r in reports)
     return {"checks": reports, "passed": ok}, ok
 
@@ -200,6 +210,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="extcalc", description="sparse exterior calculus on serialized k-forms and k-tensors")
+    parser.add_argument("--stats", action="store_true",
+                        help="after the result, write one JSON line of run statistics to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a form or tensor on a frame")
@@ -276,12 +288,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stats(args, elapsed: float) -> str:
+    # the --stats line: what ran, how long it took, whether numpy was loaded, and the work
+    stats = {"subcommand": " ".join(filter(None, (args.command, getattr(args, "check", None)))),
+             "elapsed_s": elapsed, "numpy_loaded": "numpy" in sys.modules, **args.work}
+    return json.dumps(stats, allow_nan=False)
+
+
 def main(argv=None) -> int:
+    start = time.perf_counter()
     try:
         args = _build_parser().parse_args(argv)
+        # what a subcommand reports of its work for --stats (verify suite: its checks)
+        args.work = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            return _write(args.func(args), args)
+            code = _write(args.func(args), args)
+        if args.stats:
+            print(_stats(args, time.perf_counter() - start), file=sys.stderr)
+        return code
     except BrokenPipeError:
         # writer side of a closed pipe: silence the shutdown flush too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .sparse import DimensionError, _check_enumeration, _check_integral, _check_key
-from .forms import KForm, _canonical_rows, _check_increasing, wedge
+from .sparse import DimensionError, _check_enumeration, _check_integral
+from .forms import KForm, _canonical_rows, wedge
 from .tensors import _finite_array
 
 __all__ = [
@@ -225,7 +225,7 @@ class FieldForm(_Record):
         if not pairs:
             raise ValueError("need at least one (field, key) term")
         k = len(pairs[0][1])
-        pairs = [(f, _check_increasing(_check_key(key, k))) for f, key in pairs]
+        pairs = [(f, KForm._key_rule(key, k)) for f, key in pairs]
         self._set(terms=tuple(pairs))
 
     @property
@@ -269,7 +269,7 @@ def hat(n: int) -> KForm:
     n = _check_integral(n, "n")
     if n < 2:
         raise ValueError("hat needs n >= 2")
-    _check_enumeration(f"hat({n}): {n} keys x {n - 1} indices", n * (n - 1))
+    _check_enumeration(n * (n - 1), "hat({0}): {0} keys x {1} indices", n, n - 1)
     full = tuple(range(1, n + 1))
     return KForm._trusted(n - 1, ((full[:i] + full[i + 1 :], 1.0) for i in range(n)))
 
@@ -290,8 +290,8 @@ def omega_gradient(x) -> KForm:
     if S == 0.0:
         raise ValueError("the form is singular at the origin")
     num = S ** (n / 2.0) - n * x**2 * S ** (n / 2.0 - 1.0)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    return grad(signs * num / S**n)
+    # (-1)^(i-1) * num_i / S^n, the sign flipped by negation, which is exact either side of /
+    return grad([-q if i % 2 else q for i, q in enumerate((num / S**n).tolist())])
 
 
 def dd_check(form: FieldForm, x, analytic: bool = False) -> KForm:

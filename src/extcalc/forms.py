@@ -24,7 +24,7 @@ import operator
 from .sparse import (ArityError, SparseMap, _check_enumeration, _check_integral,
                      _check_key, _check_rows, format_coefficient)
 from .tensors import (KTensor, _count_permutations, _finite_array, _finite_sum, _parity,
-                      _signed_permutations, alt, as_frame, tensor_product)
+                      _permutations, alt, as_frame, tensor_product)
 
 __all__ = [
     "KForm",
@@ -57,11 +57,13 @@ class KForm(SparseMap):
     _header = "kform"
 
     def __init__(self, arity, terms=()):
-        items = list(terms.items() if isinstance(terms, dict) else terms)
-        super().__init__(arity, items)
-        # every given key, also one whose coefficient is zero or cancels; super() checked them
-        for key, _ in items:
-            _check_increasing(tuple(key))
+        """Terms as SparseMap takes them; every given key, also one whose coefficient is zero
+        or cancels, must be strictly increasing, else ValueError."""
+        super().__init__(arity, terms)
+
+    @staticmethod
+    def _key_rule(key, arity: int) -> tuple:
+        return _check_increasing(_check_key(key, arity))
 
     def __call__(self, frame):
         return evaluate_form(self, frame)
@@ -73,8 +75,8 @@ class KForm(SparseMap):
 
 
 def _check_increasing(key: tuple) -> tuple:
-    # the form key rule, with one message for KForm and FieldForm
-    if any(a >= b for a, b in zip(key, key[1:])):
+    # the form key rule on a checked key, with one message for KForm and FieldForm
+    if not all(map(operator.lt, key, key[1:])):
         raise ValueError(f"form keys must be strictly increasing, got {key}; "
                          "use kform_from_rows to canonicalize raw rows")
     return key
@@ -121,7 +123,7 @@ def kform_general(indices, k: int, coeffs=None) -> KForm:
     idx = sorted(_check_key(idx, len(idx)))
     if len(set(idx)) != len(idx):
         raise ValueError("index set must be distinct")
-    _check_enumeration(f"kform_general: C({len(idx)}, {k}) subsets", math.comb(len(idx), k))
+    _check_enumeration(math.comb(len(idx), k), "kform_general: C({}, {}) subsets", len(idx), k)
     subsets = sorted(itertools.combinations(idx, k), key=lambda t: t[::-1])
     if coeffs is None:
         coeffs = [1.0] * len(subsets)
@@ -149,13 +151,13 @@ def _cofactors(row, below, cols) -> list:
     return [row[a] * below for a, in cols] if m else [1.0] * len(cols)
 
 
-def _minor_table(rows, n: int):
+def _minor_table(rows, n: int, pairs: list):
     # the minors of 0-2 rows on the increasing column tuples among range(n), by their
-    # columns in turn: 1.0 for no row, the row itself for one, [b][c] (b < c) for two
+    # columns in turn: 1.0 for no row, the row itself for one, [b][c] (b < c) for two, over
+    # pairs, the increasing column pairs of range(n)
     if len(rows) < 2:
         return rows[0] if rows else 1.0
     table = [[None] * n for _ in range(n)]
-    pairs = list(itertools.combinations(range(n), 2))
     for (b, c), m in zip(pairs, _cofactors(rows[0], rows[1], pairs)):
         table[b][c] = m
     return table
@@ -178,8 +180,8 @@ def _pulled(w: KForm, M, width: int, targets):
     if k > 3:
         import numpy as np
 
-        A = np.reshape(M, (-1, width))
-        rows = np.reshape(np.array(list(w.terms), dtype=np.intp), (-1, 1, k, 1)) - 1
+        A = np.array(M, dtype=float).reshape(-1, width)
+        rows = np.array(list(w.terms), dtype=np.intp).reshape(-1, 1, k, 1) - 1
 
         def minors(chunk):
             cols = np.array(chunk, dtype=np.intp)[None, :, None, :] - 1
@@ -187,13 +189,18 @@ def _pulled(w: KForm, M, width: int, targets):
             for g in range(0, len(rows), step):
                 yield from _dets(A[rows[g:g + step], cols]).tolist()
     else:
-        tables = {rest: _minor_table([M[i - 1] for i in rest], width)
-                  for rest in {key[1:] for key in w.terms}}
-        firsts = [M[key[0] - 1] if key else None for key in w.terms]
-        belows = [tables[key[1:]] for key in w.terms]
+        pairs = list(itertools.combinations(range(width), 2)) if k == 3 else None
+        tables, firsts, belows = {}, [], []
+        for key in w.terms:
+            rest = key[1:]
+            if rest not in tables:
+                tables[rest] = _minor_table([M[i - 1] for i in rest], width, pairs)
+            firsts.append(M[key[0] - 1] if key else None)
+            belows.append(tables[rest])
+        ones = (1,) * k
 
         def minors(chunk):
-            cols = [tuple(j - 1 for j in J) for J in chunk]
+            cols = [tuple(map(operator.sub, J, ones)) for J in chunk]  # 0-based
             return map(_cofactors, firsts, belows, itertools.repeat(cols))
     # chunks outside, keys inside, one running sum per target: a zero minor adds +-0.0, which
     # leaves a sum (never -0.0) as it is, so each is bitwise that of a loop skipping exact zeros
@@ -239,7 +246,10 @@ def wedge(w: KForm, e: KForm) -> KForm:
     indices = sorted({*itertools.chain(*w.terms, *e.terms)})
     bit = {i: 1 << r for r, i in enumerate(indices)}.__getitem__
     left = [(ka, ca, sum(map(bit, ka))) for ka, ca in w.terms.items()]
-    right = [(kb, cb, sum(map(bit, kb)), _above(map(bit, kb))) for kb, cb in e.terms.items()]
+    right = []
+    for kb, cb in e.terms.items():
+        bits = list(map(bit, kb))
+        right.append((kb, cb, sum(bits), _above(bits)))
     return KForm._trusted(w.arity + e.arity, (
         (tuple(sorted(ka + kb)), (-ca if (ma & above).bit_count() & 1 else ca) * cb)
         for ka, ca, ma in left for kb, cb, mb, above in right if not ma & mb))
@@ -253,13 +263,15 @@ def form_to_tensor(w: KForm) -> KTensor:
     MAX_ENUMERATION permutations (len(w) * k!) are refused up front,
     without a factorial past 20!; an empty form expands to nothing.
     """
-    return KTensor._trusted(w.arity, _signed_permutations(w, "form_to_tensor"))
+    perms = _permutations(w, "form_to_tensor")
+    return KTensor._trusted(w.arity, ((image(key), sign * c)
+                                      for key, c in w.terms.items() for image, sign in perms))
 
 
 def alternating_tensor_to_form(T: KTensor) -> KForm:
     """Read a k-form off an alternating tensor's increasing keys."""
     return KForm._trusted(T.arity, ((key, c) for key, c in T.terms.items()
-                                    if all(a < b for a, b in zip(key, key[1:]))))
+                                    if all(map(operator.lt, key, key[1:]))))
 
 
 def wedge_definitional(w: KForm, e: KForm) -> KForm:
@@ -336,7 +348,8 @@ def pullback(w: KForm, M) -> KForm:
     if shape[0] != shape[1]:
         raise ValueError(f"transformation matrix must be square, got {shape}")
     n, k = shape[0], w.arity
-    _check_enumeration(f"pullback: {len(w)} keys x C({n}, {k}) minors", len(w) * math.comb(n, k))
+    _check_enumeration(len(w) * math.comb(n, k), "pullback: {} keys x C({}, {}) minors",
+                       len(w), n, k)
     return KForm._trusted(k, _pulled(w, M, n, itertools.combinations(range(1, n + 1), k)))
 
 
@@ -412,8 +425,8 @@ def _unrank_subset(r: int, n: int, k: int) -> tuple:
     out = []
     x = 1
     for slots in range(k, 0, -1):
-        while math.comb(n - x, slots - 1) <= r:
-            r -= math.comb(n - x, slots - 1)
+        while (below := math.comb(n - x, slots - 1)) <= r:
+            r -= below
             x += 1
         out.append(x)
         x += 1
@@ -441,20 +454,20 @@ def rform(seed: int = 1, k: int = 3, n: int = 7, terms: int = 8) -> KForm:
     n, terms = _check_integral(n, "n"), _check_integral(terms, "terms")
     if k < 1 or n < 1 or terms < 0:
         raise ValueError(f"need k >= 1, n >= 1 and terms >= 0, got k={k}, n={n}, terms={terms}")
-    _check_enumeration(f"rform: {terms} keys x {n} unranking steps", terms * n)
+    _check_enumeration(terms * n, "rform: {} keys x {} unranking steps", terms, n)
     if terms == 0:
         return KForm._trusted(k, ())
     bits = max(0, min(k, n - k)) * n.bit_length()
-    _check_enumeration(f"rform: C({n},{k}) of up to {bits} bits", bits)
+    _check_enumeration(bits, "rform: C({},{}) of up to {} bits", n, k, bits)
     total = math.comb(n, k)
     if terms > total:
         raise ValueError(f"cannot place {terms} distinct keys among C({n},{k})={total}")
-    g = SplitMix64(seed)
+    draw = SplitMix64(seed).next
     acc: dict[int, float] = {}
     while len(acc) < terms:
-        r = g.next() % total
+        r = draw() % total
         if r in acc:
             continue
-        v = g.next() % 24
+        v = draw() % 24
         acc[r] = float(v - 12 if v < 12 else v - 11)
     return KForm._trusted(k, ((_unrank_subset(r, n, k), c) for r, c in acc.items()))

@@ -69,9 +69,11 @@ def format_coefficient(c: float) -> str:
 MAX_ENUMERATION = 2**20
 
 
-def _check_enumeration(what: str, count: int) -> None:
+def _check_enumeration(count: int, what: str, *args) -> None:
+    # `what` is a str.format template of args, formatted only for the refusal
     if count > MAX_ENUMERATION:
-        raise ValueError(f"{what} = {count} exceeds the bound {MAX_ENUMERATION}; refusing")
+        raise ValueError(f"{what.format(*args)} = {count} exceeds the bound {MAX_ENUMERATION}; "
+                         "refusing")
 
 
 def _check_integral(x, what: str = "indices") -> int:
@@ -90,7 +92,7 @@ def _check_key(key, arity: int) -> tuple:
     key = tuple(map(_check_integral, key))
     if len(key) != arity:
         raise ArityError(f"key {key} has arity {len(key)}, expected {arity}")
-    if any(i < 1 for i in key):
+    if min(key, default=1) < 1:
         raise ValueError(f"indices are 1-based positive integers, got {key}")
     return key
 
@@ -162,7 +164,12 @@ class SparseMap:
             raise ArityError(f"arity must be nonnegative, got {arity}")
         items = terms.items() if isinstance(terms, dict) else terms
         self.arity = arity
-        self.terms = _accumulate((_check_key(key, arity), c) for key, c in items)
+        rule = self._key_rule
+        self.terms = _accumulate((rule(key, arity), c) for key, c in items)
+
+    # the key rule of the public constructor: the checked key, or ValueError; a subclass
+    # whose keys obey a further rule checks it here, on every given key
+    _key_rule = staticmethod(_check_key)
 
     @classmethod
     def _trusted(cls, arity: int, items) -> "SparseMap":
@@ -178,7 +185,7 @@ class SparseMap:
     @property
     def dimension(self) -> int:
         """Largest index appearing in any key; 0 for the empty map."""
-        return max((max(k) for k in self.terms if k), default=0)
+        return max(map(max, filter(None, self.terms)), default=0)
 
     def coefficient(self, key) -> float:
         return self.terms.get(_check_key(key, self.arity), 0.0)

@@ -87,7 +87,7 @@ class QuadratureRule(_Record):
         if not a > 0:
             raise ValueError("need a > 0")
         a = _check_finite(a)
-        _check_enumeration(f"gauss_legendre: m^2 = {m}^2 recurrence steps", m * m)
+        _check_enumeration(m * m, "gauss_legendre: m^2 = {}^2 recurrence steps", m)
         t, w = _legendre_rule(m)
         half = a / 2.0
         return cls(m=m, a=a, points=tuple((x + 1.0) * half for x in t),
@@ -152,10 +152,12 @@ def _compiled(name: str, terms: list) -> Callable:
     return namespace[name]
 
 
+@functools.lru_cache(maxsize=8)
 def _example_pair(n: int) -> tuple[FieldForm, FieldForm]:
     # phi = (sum_i (-1)^(i-1) x_i^i) * hat(n) and dphi = (sum_j j x_j^(j-1)) dx_1^...^dx_n,
     # dphi written by hand rather than derived from phi; hat(n) holds the bound before either
-    # coefficient is built.  A float exponent calls the libm pow that x**i calls
+    # coefficient is built.  A float exponent calls the libm pow that x**i calls.  The pair
+    # is immutable, so each n's is built once and kept for the last 8 n asked for
     keys = hat(n).terms
     phi = _compiled("phi", [f" {'+' if i % 2 else '-'} x[{i - 1}]**{i}.0"
                             for i in range(1, n + 1)])
@@ -299,7 +301,7 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
     if not 2 <= n <= 6:
         raise ValueError("n must be between 2 and 6 (m^n volume nodes)")
     if m > 1:  # the rule itself refuses m < 2
-        _check_enumeration(f"verify_stokes: m^n = {m}^{n} volume nodes", m**n)
+        _check_enumeration(m**n, "verify_stokes: m^n = {}^{} volume nodes", m, n)
     cube = CubeDomain(n=n, a=float(a))
     rule = QuadratureRule.gauss_legendre(m, cube.a)
     closed = closed_form_value(n, cube.a)

@@ -12,8 +12,10 @@ itself, so this module imports numpy only to read any other input.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 from .sparse import (ArityError, DimensionError, SparseMap, _check_enumeration, _check_finite,
                      _check_key, _check_rows)
@@ -80,7 +82,7 @@ def _nested(A, what: str):
         return None
     if set(map(type, A)) <= _NUMBERS:
         return (len(A),), list(map(float, A))
-    if not (all(isinstance(row, (list, tuple)) for row in A)
+    if not (all(map(isinstance, A, itertools.repeat((list, tuple))))
             and set(map(type, itertools.chain.from_iterable(A))) <= _NUMBERS):
         return None
     if len(widths := set(map(len, A))) > 1:
@@ -111,8 +113,10 @@ def _finite_array(A, ndim: int, what: str, min_rows: int = 0):
     if shape[0] < min_rows:
         have = f"length {shape[0]}" if ndim == 1 else f"{shape[0]} rows"
         raise DimensionError(f"{what} has {have} but indices reach {min_rows}")
-    for v in values if ndim == 1 else itertools.chain.from_iterable(values):
-        _check_finite(v)
+    rows = [values] if ndim == 1 else values
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        for v in itertools.chain.from_iterable(rows):  # again, to name the first bad value
+            _check_finite(v)
     return values, shape
 
 
@@ -148,8 +152,9 @@ def evaluate_tensor(S: KTensor, E) -> float:
     _refuse_kforms("evaluate_tensor", S)
     if S.arity == 0:
         return S.terms.get((), 0.0)
-    E = as_frame(E, S.arity, S.dimension)
-    return _finite_sum((math.prod((E[i - 1][j] for j, i in enumerate(key)), start=c)
+    # the frame's columns, each led by a placeholder so that a 1-based index reads its entry
+    columns = [(None, *column) for column in zip(*as_frame(E, S.arity, S.dimension))]
+    return _finite_sum((math.prod(map(operator.getitem, columns, key), start=c)
                         for key, c in S.terms.items()), "evaluate_tensor")
 
 
@@ -169,21 +174,28 @@ def _count_permutations(call: str, k: int, terms: int, *expanded: int) -> None:
     if k > 20:
         raise ValueError(f"{call} on arity {k}: {k}! permutations exceed the bound; refusing")
     terms *= math.prod(map(math.factorial, expanded))
-    _check_enumeration(f"{call} on arity {k}: {terms} terms x {k}! permutations",
-                       terms * math.factorial(k))
+    _check_enumeration(terms * math.factorial(k), "{} on arity {}: {} terms x {}! permutations",
+                       call, k, terms, k)
 
 
-def _signed_permutations(S: SparseMap, call: str):
-    # counted first, then lazily (sigma(key), sign(sigma) * c): terms outside, sigma inside;
-    # the k! signs are computed once per call, in itertools.permutations order
-    _count_permutations(call, S.arity, len(S))
-    perms = lambda: itertools.permutations(range(S.arity))
-    signs = [_parity(perm) for perm in perms()] if S.terms else []
-    return (
-        (tuple(map(key.__getitem__, perm)), sign * c)
-        for key, c in S.terms.items()
-        for perm, sign in zip(perms(), signs)
-    )
+@functools.cache
+def _signs(k: int) -> tuple:
+    # sign(sigma) per permutation sigma of range(k), in itertools.permutations order, once per
+    # arity: a counted call has k! <= MAX_ENUMERATION, so k <= 9 and at most 9! signs are kept
+    return tuple(map(_parity, itertools.permutations(range(k))))
+
+
+def _permutations(S: SparseMap, call: str) -> list:
+    # counted first, then (image, sign) per permutation sigma of range(k), in
+    # itertools.permutations order: image(key) is sigma(key) through one itemgetter, built
+    # once per call (a key of arity <= 1 is its own image); none for an empty S
+    k = S.arity
+    _count_permutations(call, k, len(S))
+    if not S.terms:
+        return []
+    images = (operator.itemgetter(*perm) if k > 1 else tuple
+              for perm in itertools.permutations(range(k)))
+    return list(zip(images, _signs(k)))
 
 
 def alt(T: SparseMap) -> KTensor:
@@ -198,6 +210,7 @@ def alt(T: SparseMap) -> KTensor:
     k = T.arity
     if k < 1:
         raise ArityError("alt needs arity >= 1")
-    signed = _signed_permutations(T, "alt")
-    fact = float(math.factorial(k)) if T.terms else 1.0
-    return KTensor._trusted(k, ((key, c / fact) for key, c in signed))
+    perms = _permutations(T, "alt")
+    fact = float(math.factorial(k)) if perms else 1.0
+    return KTensor._trusted(k, ((image(key), (sign * c) / fact)
+                                for key, c in T.terms.items() for image, sign in perms))

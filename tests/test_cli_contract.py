@@ -17,10 +17,15 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import extcalc
 from extcalc.cli import main
 from oracles import dense_tensor_value, form_value_by_expansion, perm_parity
 
@@ -230,3 +235,53 @@ def test_the_refusals_whose_messages_are_declared(paths):
     for command in ("eval", "contract", "pullback"):
         assert _run([command, paths["w2"], paths["ragged"]]) == (
             2, "", "error: line 2: row has 1 entries, expected 2\n")
+
+
+# --stats rows: file names stand for their paths; the last three are refusals
+STATS_ROWS = [
+    ["print", "w2"], ["wedge", "w1", "w2"], ["pullback", "w3", "m4"], ["eval", "w2", "m32"],
+    ["contract", "w3", "col4", "--keep-form"], ["d", "--omega", "--at", "1", "2", "3"],
+    ["verify", "stokes", "--n", "2", "--m", "2"], ["verify", "ddzero"], ["verify", "suite"],
+    ["wedge", "t1", "w1"], ["eval", "w2", "missing"], ["verify", "stokes", "--n", "9"],
+]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("row", STATS_ROWS, ids=["-".join(row) for row in STATS_ROWS])
+def test_stats_line(row, paths):
+    argv = [paths.get(arg, arg) for arg in row]
+    plain = _run(argv)
+    _check(argv, *plain)
+    code, out, err = _run(["--stats", *argv])
+    # the exit code and stdout of the plain run; a refusal writes its one error line alone
+    assert (code, out) == plain[:2]
+    if code == 2:
+        assert err == plain[2]
+        return
+    assert err.endswith("\n") and err.count("\n") == 1
+    stats = json.loads(err, parse_constant=_no_constant)
+    subcommand = " ".join(row[:2]) if row[0] == "verify" else row[0]
+    suite = subcommand == "verify suite"
+    assert set(stats) == {"subcommand", "elapsed_s", "numpy_loaded"} | ({"checks"} if suite else set())
+    assert stats["subcommand"] == subcommand and stats["numpy_loaded"] is True
+    assert type(stats["elapsed_s"]) is float and stats["elapsed_s"] > 0.0
+    if suite:
+        reports = json.loads(out)["checks"]
+        assert [(c["name"], c["cases"]) for c in stats["checks"]] == [
+            (r["name"], r["cases"]) for r in reports]
+        assert len(reports) == 14 and all(set(c) == {"name", "cases", "elapsed_s"} for c in stats["checks"])
+        assert 0.0 < sum(c["elapsed_s"] for c in stats["checks"]) <= stats["elapsed_s"]
+
+
+def test_stats_line_reports_a_run_without_numpy(paths):
+    # in a process of its own, print never loads numpy
+    src = str(Path(extcalc.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "extcalc.cli", "--stats", "print", paths["w2"]],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout == _run(["print", paths["w2"]])[1]
+    stats = json.loads(run.stderr, parse_constant=_no_constant)
+    assert stats["subcommand"] == "print" and stats["numpy_loaded"] is False

@@ -157,6 +157,19 @@ def test_field_form_and_kform_refuse_a_decreasing_key_with_one_message():
     assert str(field.value) == str(form.value)
 
 
+def test_field_form_and_kform_show_the_checked_key():
+    # integral floats and numpy integers are read as the ints they equal, in both messages
+    for key in ((2.0, 1.0), (np.int64(3), np.int64(3))):
+        with pytest.raises(ValueError) as field:
+            FieldForm([(f1, key)])
+        with pytest.raises(ValueError) as form:
+            KForm(2, {key: 1.0})
+        shown = tuple(map(int, key))
+        assert str(field.value) == str(form.value) == (
+            f"form keys must be strictly increasing, got {shown}; "
+            "use kform_from_rows to canonicalize raw rows")
+
+
 def test_coefficients_at_demo_point():
     w = demo_two_form().coefficients_at(P)
     assert w.terms[(1, 2)] == 53.0

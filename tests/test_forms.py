@@ -26,6 +26,7 @@ from extcalc import (
     wedge_definitional,
 )
 
+from extcalc import QuadratureRule, hat, verify_stokes
 from extcalc import forms, sparse
 from oracles import form_value_by_expansion
 
@@ -308,6 +309,35 @@ def test_enumeration_bound_is_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(forms, "form_to_tensor", None)
     with pytest.raises(ValueError, match="bound"):
         wedge_definitional(a + KForm(1, {(7,): 1.0}), b)
+
+
+# each count's message is formatted only when it refuses, to the same text as before
+ENUMERATION_REFUSALS = {
+    "pullback": (lambda: pullback(KForm(10, {tuple(range(1, 11)): 1.0}), np.eye(40)),
+                 "pullback: 1 keys x C(40, 10) minors = 847660528"),
+    "kform_general": (lambda: kform_general(40, 10), "kform_general: C(40, 10) subsets = 847660528"),
+    "rform-steps": (lambda: rform(1, 1, 2**21, 1),
+                    "rform: 1 keys x 2097152 unranking steps = 2097152"),
+    "rform-bits": (lambda: rform(1, 150000, 300000, 1),
+                   "rform: C(300000,150000) of up to 2850000 bits = 2850000"),
+    "hat": (lambda: hat(1025), "hat(1025): 1025 keys x 1024 indices = 1049600"),
+    "gauss_legendre": (lambda: QuadratureRule.gauss_legendre(1025, 1.0),
+                       "gauss_legendre: m^2 = 1025^2 recurrence steps = 1050625"),
+    "verify_stokes": (lambda: verify_stokes(6, 1.0, 11),
+                      "verify_stokes: m^n = 11^6 volume nodes = 1771561"),
+    "form_to_tensor": (lambda: form_to_tensor(kform_general(10, 8)),
+                       "form_to_tensor on arity 8: 45 terms x 8! permutations = 1814400"),
+    "wedge_definitional": (lambda: wedge_definitional(kform_general(8, 3), kform_general(6, 2)),
+                           "wedge_definitional on arity 5: 10080 terms x 5! permutations"
+                           " = 1209600"),
+}
+
+
+@pytest.mark.parametrize("call, what", ENUMERATION_REFUSALS.values(), ids=ENUMERATION_REFUSALS)
+def test_enumeration_refusals_keep_their_text(call, what):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == f"{what} exceeds the bound 1048576; refusing"
 
 
 def test_pullback_round_trip():
@@ -671,3 +701,42 @@ def test_symbolic_d_style_refuses_too_few_symbols():
         symbolic(w, style="d", symbols="ab")
     with pytest.raises(ValueError, match="index 3 exceeds the 2 symbols supplied"):
         symbolic(w, style="letters", symbols="ab")
+
+
+def _unrank_by_double_comb(r, n, k):
+    # the r-th k-subset of 1..n as it was unranked before: math.comb evaluated twice a step
+    out = []
+    x = 1
+    for slots in range(k, 0, -1):
+        while math.comb(n - x, slots - 1) <= r:
+            r -= math.comb(n - x, slots - 1)
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+def _rform_step_by_step(seed, k, n, terms):
+    # the rform draw as it was written before: g.next() looked up at each draw
+    g, total, acc = forms.SplitMix64(seed), math.comb(n, k), {}
+    while len(acc) < terms:
+        r = g.next() % total
+        if r in acc:
+            continue
+        v = g.next() % 24
+        acc[r] = float(v - 12 if v < 12 else v - 11)
+    return sorted((_unrank_by_double_comb(r, n, k), c) for r, c in acc.items())
+
+
+def test_unranking_matches_the_double_comb_loop_on_every_rank():
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            for r in range(math.comb(n, k)):
+                assert forms._unrank_subset(r, n, k) == _unrank_by_double_comb(r, n, k)
+
+
+def test_rform_matches_the_step_by_step_draw_over_many_seeds():
+    for k, n, terms in ((1, 3, 2), (2, 7, 5), (3, 9, 30), (4, 12, 60), (6, 13, 100)):
+        for seed in range(0, 2**64, 2**64 // 150 + 12345):
+            assert list(rform(seed, k, n, terms).terms.items()) == _rform_step_by_step(
+                seed, k, n, terms)

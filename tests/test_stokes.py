@@ -16,6 +16,7 @@ from extcalc import (
     dphi_example,
     evaluate_form,
     exterior_d,
+    hat,
     integrate_boundary,
     integrate_volume,
     phi_example,
@@ -539,6 +540,30 @@ def test_an_overflowing_coefficient_reads_as_infinite():
     assert field.terms[0][0]([1e200]) == float("inf")
     rule = QuadratureRule.gauss_legendre(2, 1e200)
     assert integrate_boundary(field, CubeDomain(2, 1e200), rule) == float("inf")
+
+
+def test_example_forms_compile_each_n_once(monkeypatch):
+    # phi_example and dphi_example build their n's pair once, not per call; the values stay
+    # bitwise those of the loop references
+    compiled, real = [], stokes._compiled
+    monkeypatch.setattr(stokes, "_compiled",
+                        lambda name, terms: compiled.append(name) or real(name, terms))
+    stokes._example_pair.cache_clear()
+    try:
+        rng = random.Random(23)
+        for n in (2, 3, 5, 3, 2, 5, 5):
+            for _ in range(3):
+                x = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+                phi, dphi = phi_example(x), dphi_example(x)
+                want = _value(_phi_reference, tuple(x)).hex()
+                assert [(key, c.hex()) for key, c in phi.terms.items()] == [
+                    (key, want) for key in hat(n).terms]
+                want = _value(_dphi_reference, tuple(x)).hex()
+                assert [(key, c.hex()) for key, c in dphi.terms.items()] == [
+                    (tuple(range(1, n + 1)), want)]
+        assert compiled == ["phi", "dphi"] * 3
+    finally:
+        stokes._example_pair.cache_clear()
 
 
 def test_example_pair_is_bounded_before_it_builds():

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import time
 
 import numpy as np
@@ -282,3 +284,64 @@ def test_list_gate_refuses_rows_of_unequal_length():
         _finite_array([[1.0, 2.0], [3.0]], 2, "frame")
     with pytest.raises(DimensionError, match="rows of unequal lengths"):
         evaluate_form(KForm(1, {(1,): 1.0}), [[1.0], [2.0, 3.0]])
+
+
+def _expanded_term_by_term(S, fact=None):
+    # the expansion as it was written before each permutation got one itemgetter: per term,
+    # per permutation in itertools.permutations order, tuple(map(key.__getitem__, perm)) with
+    # sign * c, then divided by fact where alt averages
+    items = []
+    for key, c in S.terms.items():
+        for perm in itertools.permutations(range(S.arity)):
+            signed = perm_sign([i + 1 for i in perm]) * c
+            items.append((tuple(map(key.__getitem__, perm)),
+                          signed if fact is None else signed / fact))
+    return items
+
+
+def _hexed(terms):
+    return [(key, c.hex()) for key, c in terms]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+def test_expansions_match_the_term_by_term_loop_bitwise(k):
+    rng = random.Random(40 + k)
+    for _ in range(30):
+        n = rng.randint(max(k, 1), k + 3)
+        keys = {tuple(sorted(rng.sample(range(1, n + 1), k))) for _ in range(rng.randint(1, 4))}
+        w = KForm(k, {key: rng.uniform(-9.0, 9.0) for key in keys})
+        want = KTensor._trusted(k, _expanded_term_by_term(w)).terms
+        assert _hexed(form_to_tensor(w).terms.items()) == _hexed(want.items())
+        if k == 0:
+            continue
+        # repeated indices too, and coefficients whose quotient by k! rounds
+        T = KTensor(k, [(tuple(rng.randint(1, n) for _ in range(k)), rng.uniform(-9.0, 9.0))
+                        for _ in range(rng.randint(1, 4))])
+        want = KTensor._trusted(k, _expanded_term_by_term(T, float(math.factorial(k)))).terms
+        assert _hexed(alt(T).terms.items()) == _hexed(want.items())
+
+
+def _first_non_finite(values):
+    # the refusal of the gate's old loop: _check_finite on each value in row-major order
+    for v in itertools.chain.from_iterable(values if isinstance(values[0], list) else [values]):
+        if not math.isfinite(v):
+            return f"need a finite number, got {v}"
+    return None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_gate_names_the_first_non_finite_value(bad, where):
+    place = {"first": 0, "middle": 5, "last": 11}[where]
+    flat = [float(i) + 0.5 for i in range(12)]
+    flat[place] = bad
+    # a second bad value after the first must not be the one named
+    if place < 11:
+        flat[11] = -bad if not math.isnan(bad) else math.inf
+    for ndim, values in ((1, flat), (2, [flat[i:i + 3] for i in range(0, 12, 3)])):
+        want = _first_non_finite(values)
+        assert want == f"need a finite number, got {bad}"
+        for given in (values, np.array(values)):
+            with pytest.raises(ValueError) as refused:
+                _finite_array(given, ndim, "frame")
+            assert str(refused.value) == want
