@@ -19,13 +19,13 @@ __version__ = "0.1.0"
 
 # each submodule and the public names it defines, in __all__ order
 _EXPORTS = {
-    "sparse": ["ArityError", "DimensionError", "SparseMap", "DEFAULT_TOL"],
+    "sparse": ["ArityError", "DimensionError", "SparseMap", "KForm", "DEFAULT_TOL"],
     "tensors": [
         "KTensor", "alt", "evaluate_tensor", "ktensor_from_rows", "perm_sign",
         "tensor_product",
     ],
     "forms": [
-        "KForm", "alternating_tensor_to_form", "contract", "contract_matrix",
+        "alternating_tensor_to_form", "contract", "contract_matrix",
         "elementary", "evaluate_form", "form_to_tensor", "kform_from_rows",
         "kform_general", "pullback", "rform", "symbolic", "wedge", "wedge_definitional",
     ],

@@ -12,12 +12,13 @@ it, applying --zap, and exits 1 on a failed verdict.  It runs both steps
 with RuntimeWarning as an error, so a numpy floating-point error raises
 where it happens, and restores the caller's warning filters.  With the
 global --stats option it then writes one JSON line to stderr: the
-subcommand, its elapsed seconds, whether numpy was loaded, and for
-`verify suite` each check's name, cases and elapsed seconds.  print,
-add, wedge, alt, eval, contract, pullback of degree 3 or less and verify
-stokes compute on Python floats and never import numpy (the coefficient
-store and the evaluations refuse an overflow); the rest import what they
-call.
+subcommand, its elapsed seconds, whether numpy was loaded, for `verify
+stokes` its quadrature nodes, and for `verify suite` each check's name,
+cases and elapsed seconds.  print, add, wedge, alt, eval, contract,
+pullback of degree 3 or less and verify stokes compute on Python floats
+and never import numpy (the coefficient store and the evaluations refuse
+an overflow).  Each subcommand imports the modules it calls when it
+runs, so `verify stokes` loads only cli, sparse, derivatives and stokes.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ import sys
 import time
 import warnings
 
-from .sparse import DEFAULT_TOL, SparseMap, _check_tol, format_coefficient
-from .tensors import _count_permutations, alt
-from .forms import KForm, contract_matrix, form_to_tensor, pullback, symbolic, wedge
-from .textio import _parse_rows, parse_form_text
+from .sparse import DEFAULT_TOL, KForm, SparseMap, _check_tol, format_coefficient
 
 __all__ = ["main"]
 
@@ -51,49 +49,59 @@ def _default_tol() -> float:
         raise ValueError(f"EXTERIOR_TOL must be a number, got {raw!r}") from None
 
 
-def _read(path: str) -> str:
+def _read(path: str, rows: bool = False):
+    # the form or tensor in a file ("-" for stdin), or with rows its rows of numbers
+    from .textio import _parse_rows, parse_form_text
+
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    return _parse_rows(text) if rows else parse_form_text(text)
 
 
 def _kform(path: str, command: str) -> KForm:
-    w = parse_form_text(_read(path))
+    w = _read(path)
     if not isinstance(w, KForm):
         raise ValueError(f"{command} needs a kform input")
     return w
 
 
 def cmd_eval(args):
-    obj = parse_form_text(_read(args.object))
-    return obj(_parse_rows(_read(args.frame)))
+    return _read(args.object)(_read(args.frame, rows=True))
 
 
 def cmd_wedge(args):
-    return wedge(_kform(args.a, "wedge"), _kform(args.b, "wedge"))
+    return _kform(args.a, "wedge") ^ _kform(args.b, "wedge")
 
 
 def cmd_add(args):
-    a = parse_form_text(_read(args.a))
-    b = parse_form_text(_read(args.b))
+    a, b = _read(args.a), _read(args.b)
     if type(a) is not type(b):
         raise ValueError("add needs two objects of the same type")
     return a + b
 
 
 def cmd_contract(args):
+    from .forms import contract_matrix
+
     w = _kform(args.form, "contract")
-    return contract_matrix(w, _parse_rows(_read(args.vectors)), lose=not args.keep_form)
+    return contract_matrix(w, _read(args.vectors, rows=True), lose=not args.keep_form)
 
 
 def cmd_pullback(args):
+    from .forms import pullback
+
     w = _kform(args.form, "pullback")
-    return pullback(w, _parse_rows(_read(args.matrix)))
+    return pullback(w, _read(args.matrix, rows=True))
 
 
 def cmd_alt(args):
-    obj = parse_form_text(_read(args.tensor))
+    from .forms import form_to_tensor
+    from .tensors import _count_permutations, alt
+
+    obj = _read(args.tensor)
     if isinstance(obj, KForm):
         # alt's own bound, counted on the k! terms per key of the expansion before it is built
         _count_permutations("alt", obj.arity, len(obj), obj.arity)
@@ -114,7 +122,9 @@ def cmd_d(args):
 
 
 def cmd_print(args):
-    obj = parse_form_text(_read(args.object))
+    from .forms import symbolic
+
+    obj = _read(args.object)
     style = args.style
     if style is None:
         style = "d" if isinstance(obj, KForm) else "letters"
@@ -126,6 +136,7 @@ def cmd_verify_stokes(args):
 
     tol = _check_tol(args.tol)
     rep = verify_stokes(args.n, args.a, args.m)
+    args.work["nodes"] = rep["m"] ** rep["n"] + 2 * rep["n"] * rep["m"] ** (rep["n"] - 1)
     scale = max(1.0, abs(rep["volume"]))
     return rep, rep["err_bv"] / scale <= tol and rep["err_vc"] / scale <= tol
 
@@ -299,7 +310,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         args = _build_parser().parse_args(argv)
-        # what a subcommand reports of its work for --stats (verify suite: its checks)
+        # what a subcommand reports of its work for --stats (its nodes, or its checks)
         args.work = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

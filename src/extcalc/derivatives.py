@@ -9,7 +9,8 @@ per-field Hessians.
 The module imports without numpy: a coefficient function gets one point
 as a sequence of n Python floats.  Only the finite differences,
 omega_gradient, the analytic branch of gradient_at and hessian_at (its
-gate) and the demo fields f2 and f3 load numpy.
+gate) and the demo fields f2 and f3 load numpy.  hat and FieldForm need
+only extcalc.sparse; what uses forms or tensors imports them itself.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .sparse import DimensionError, _check_enumeration, _check_integral
-from .forms import KForm, _canonical_rows, wedge
-from .tensors import _finite_array
+from .sparse import DimensionError, KForm, _check_enumeration, _check_integral
 
 __all__ = [
     "fd_gradient",
@@ -40,6 +39,13 @@ __all__ = [
 _EPS = sys.float_info.epsilon
 GRAD_STEP = _EPS ** (1.0 / 3.0)
 HESS_STEP = _EPS ** 0.25
+
+
+def _finite_array(A, ndim: int, what: str, min_rows: int = 0):
+    # the array gate of extcalc.tensors, imported on first use: hat and FieldForm need none
+    from .tensors import _finite_array
+
+    return _finite_array(A, ndim, what, min_rows)
 
 
 def _gated(A, ndim: int, what: str) -> np.ndarray:
@@ -251,7 +257,7 @@ class FieldForm(_Record):
         items = []
         for field, key in self.terms:
             c = coefficient(field, x)
-            items.extend(wedge(c, KForm._trusted(len(key), [(key, 1.0)])).terms.items())
+            items.extend((c ^ KForm._trusted(len(key), [(key, 1.0)])).terms.items())
         return KForm._trusted(c.arity + self.arity, items)
 
 
@@ -302,6 +308,8 @@ def dd_check(form: FieldForm, x, analytic: bool = False) -> KForm:
     and accumulated.  Symmetric Hessians cancel exactly; finite
     difference Hessians cancel to stencil noise.
     """
+
+    from .forms import _canonical_rows
 
     def raw_two_form(field, x):
         H = field.hessian_at(x, analytic=analytic)

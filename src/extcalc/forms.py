@@ -2,9 +2,10 @@
 
 A KForm stores one coefficient per strictly increasing multi-index, so
 the alternating structure lives in the keys instead of in k!-fold
-redundant tensor storage.  Construction from arbitrary rows sorts each
-row, picks up the permutation sign, and drops rows with repeated
-indices; after that every operation preserves the canonical key order.
+redundant tensor storage (the class is extcalc.sparse's, re-exported
+here).  Construction from arbitrary rows sorts each row, picks up the
+permutation sign, and drops rows with repeated indices; after that every
+operation preserves the canonical key order.
 
 Everything runs on Python floats, frames and matrices included: the
 wedge works on integer index masks, and minors through 3x3 are expanded
@@ -21,7 +22,7 @@ import itertools
 import math
 import operator
 
-from .sparse import (ArityError, SparseMap, _check_enumeration, _check_integral,
+from .sparse import (ArityError, KForm, SparseMap, _check_enumeration, _check_integral,
                      _check_key, _check_rows, format_coefficient)
 from .tensors import (KTensor, _count_permutations, _finite_array, _finite_sum, _parity,
                       _permutations, alt, as_frame, tensor_product)
@@ -43,43 +44,6 @@ __all__ = [
     "rform",
     "SplitMix64",
 ]
-
-
-class KForm(SparseMap):
-    """Sparse alternating k-form; every key is strictly increasing.
-
-    The constructor validates canonical keys; to build a form from
-    unsorted or repeated index rows use kform_from_rows, which applies
-    the sign bookkeeping.  `a ^ b` is the wedge product (note Python's
-    `^` binds looser than `+`: parenthesize mixed expressions).
-    """
-
-    _header = "kform"
-
-    def __init__(self, arity, terms=()):
-        """Terms as SparseMap takes them; every given key, also one whose coefficient is zero
-        or cancels, must be strictly increasing, else ValueError."""
-        super().__init__(arity, terms)
-
-    @staticmethod
-    def _key_rule(key, arity: int) -> tuple:
-        return _check_increasing(_check_key(key, arity))
-
-    def __call__(self, frame):
-        return evaluate_form(self, frame)
-
-    def __xor__(self, other):
-        if isinstance(other, KForm):
-            return wedge(self, other)
-        return NotImplemented
-
-
-def _check_increasing(key: tuple) -> tuple:
-    # the form key rule on a checked key, with one message for KForm and FieldForm
-    if not all(map(operator.lt, key, key[1:])):
-        raise ValueError(f"form keys must be strictly increasing, got {key}; "
-                         "use kform_from_rows to canonicalize raw rows")
-    return key
 
 
 def kform_from_rows(rows, coeffs=None) -> KForm:
@@ -278,7 +242,8 @@ def wedge_definitional(w: KForm, e: KForm) -> KForm:
     """Wedge by the definition: C(k+l, k) * alt(w x e).
 
     Exponentially slower than `wedge`: the independent second route for
-    verification.  Its largest stage, alt over (k+l)! permutations of
+    verification; only the increasing keys of alt(w x e) are scaled.
+    Its largest stage, alt over (k+l)! permutations of
     len(w) k! x len(e) l! terms, must fit MAX_ENUMERATION (counted with
     no factorial past 20!); with nothing to permute, w x e is the form.
     """
@@ -289,8 +254,7 @@ def wedge_definitional(w: KForm, e: KForm) -> KForm:
     prod = tensor_product(form_to_tensor(w), form_to_tensor(e))
     if k + l == 0:
         return KForm._trusted(0, prod.terms.items())
-    scaled = alt(prod).scale(float(math.comb(k + l, k)))
-    return alternating_tensor_to_form(scaled)
+    return alternating_tensor_to_form(alt(prod)).scale(float(math.comb(k + l, k)))
 
 
 def contract(w: KForm, v) -> KForm:

@@ -20,6 +20,9 @@ validation.  Both paths store their terms through one accumulation
 kernel, which settles each key once by the zero, order and finiteness
 rules; to_text writes every term line from one `%d ... %d : %s` template.
 
+KForm lives here too, so that hat and FieldForm build forms without
+loading extcalc.forms, which re-exports it and does its algebra.
+
 Instances are immutable by convention: every operation returns a new map
 and never touches its operands, so values can be shared freely between
 threads.
@@ -29,11 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 __all__ = [
     "ArityError",
     "DimensionError",
     "SparseMap",
+    "KForm",
     "DEFAULT_TOL",
     "format_coefficient",
 ]
@@ -296,3 +301,39 @@ class SparseMap:
     def __repr__(self):
         body = ", ".join(f"{key}: {format_coefficient(c)}" for key, c in self.terms.items())
         return f"{type(self).__name__}(k={self.arity}, {{{body}}})"
+
+
+class KForm(SparseMap):
+    """Sparse alternating k-form; every key is strictly increasing.
+
+    The constructor validates canonical keys; to build a form from
+    unsorted or repeated index rows use forms.kform_from_rows, which
+    applies the sign bookkeeping.  `a ^ b` is the wedge product (note
+    Python's `^` binds looser than `+`: parenthesize mixed expressions).
+    """
+
+    _header = "kform"
+
+    def __init__(self, arity, terms=()):
+        """Terms as SparseMap takes them; every given key, also one whose coefficient is zero
+        or cancels, must be strictly increasing, else ValueError."""
+        super().__init__(arity, terms)
+
+    @staticmethod
+    def _key_rule(key, arity: int) -> tuple:
+        # the form key rule, with one message for KForm and FieldForm
+        key = _check_key(key, arity)
+        if not all(map(operator.lt, key, key[1:])):
+            raise ValueError(f"form keys must be strictly increasing, got {key}; "
+                             "use kform_from_rows to canonicalize raw rows")
+        return key
+
+    def __call__(self, frame):
+        from .forms import evaluate_form
+
+        return evaluate_form(self, frame)
+
+    def __xor__(self, other):
+        from .forms import wedge
+
+        return wedge(self, other) if isinstance(other, KForm) else NotImplemented

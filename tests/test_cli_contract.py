@@ -264,8 +264,9 @@ def test_stats_line(row, paths):
     assert err.endswith("\n") and err.count("\n") == 1
     stats = json.loads(err, parse_constant=_no_constant)
     subcommand = " ".join(row[:2]) if row[0] == "verify" else row[0]
-    suite = subcommand == "verify suite"
-    assert set(stats) == {"subcommand", "elapsed_s", "numpy_loaded"} | ({"checks"} if suite else set())
+    suite, stokes = subcommand == "verify suite", subcommand == "verify stokes"
+    assert set(stats) == ({"subcommand", "elapsed_s", "numpy_loaded"}
+                          | ({"checks"} if suite else set()) | ({"nodes"} if stokes else set()))
     assert stats["subcommand"] == subcommand and stats["numpy_loaded"] is True
     assert type(stats["elapsed_s"]) is float and stats["elapsed_s"] > 0.0
     if suite:
@@ -274,6 +275,17 @@ def test_stats_line(row, paths):
             (r["name"], r["cases"]) for r in reports]
         assert len(reports) == 14 and all(set(c) == {"name", "cases", "elapsed_s"} for c in stats["checks"])
         assert 0.0 < sum(c["elapsed_s"] for c in stats["checks"]) <= stats["elapsed_s"]
+    if stokes:  # m^n volume nodes and 2n faces of m^(n-1), at n = m = 2
+        assert stats["nodes"] == 2**2 + 2 * 2 * 2**1
+
+
+def test_stats_line_counts_the_nodes_of_verify_stokes():
+    # m^n + 2n m^(n-1) nodes: 512 in the volume and 6 faces of 64 at n = 3, m = 8; stdout is
+    # byte-identical with and without --stats
+    argv = ["verify", "stokes", "--n", "3", "--m", "8"]
+    code, out, err = _run(["--stats", *argv])
+    assert (code, out) == _run(argv)[:2] == (0, out) and out
+    assert json.loads(err)["nodes"] == 896
 
 
 def test_stats_line_reports_a_run_without_numpy(paths):

@@ -22,6 +22,7 @@ from extcalc import (
     pullback,
     rform,
     symbolic,
+    tensor_product,
     wedge,
     wedge_definitional,
 )
@@ -182,6 +183,21 @@ def test_wedge_definitional_agreement_small():
         a = rform(int(rng.integers(0, 2**63)), k, n, min(2, math.comb(n, k)))
         b = rform(int(rng.integers(0, 2**63)), l, n, min(2, math.comb(n, l)))
         assert wedge(a, b).equals(wedge_definitional(a, b), 1e-10)
+
+
+def test_wedge_definitional_reads_off_then_scales_bitwise():
+    # only the increasing keys of alt(w x e) are scaled by C(k+l, k), and each comes out
+    # bitwise as when every key was scaled before the read-off; two 6-term 2-forms on R^7
+    # keep 12 of 288 keys
+    for seed, (k, l, n) in enumerate(((1, 1, 4), (2, 2, 7), (2, 3, 7), (1, 3, 6), (3, 2, 7))):
+        w = rform(seed, k, n, min(6, math.comb(n, k))).scale(0.3)
+        e = rform(seed + 50, l, n, min(6, math.comb(n, l))).scale(1 / 7)
+        product = tensor_product(form_to_tensor(w), form_to_tensor(e))
+        old = alternating_tensor_to_form(alt(product).scale(float(math.comb(k + l, k))))
+        got = wedge_definitional(w, e)
+        assert got.arity == k + l and len(got) > 0
+        assert [(key, c.hex()) for key, c in got.items()] == [
+            (key, c.hex()) for key, c in old.items()]
 
 
 def test_form_tensor_round_trip():

@@ -21,11 +21,11 @@ import extcalc
 HEAVY = ["numpy", "extcalc.derivatives", "extcalc.stokes", "extcalc.checks"]
 
 
-def _loaded_after(script: str) -> list:
-    # run script in a fresh interpreter; -> the HEAVY modules it loaded
+def _loaded_after(script: str, modules=HEAVY) -> list:
+    # run script in a fresh interpreter; -> those of `modules` it loaded, in their order
     src = str(Path(extcalc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    script += f"\nimport sys, json\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n"
+    script += f"\nimport sys, json\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -88,6 +88,16 @@ def test_verify_stokes_runs_without_numpy():
     # the rule, the nodes and the sums are Python floats
     commands = [["verify", "stokes", "--n", str(n), "--m", "3"] for n in range(2, 7)]
     assert _loaded_after(_run_quietly(commands)) == ["extcalc.derivatives", "extcalc.stokes"]
+
+
+def test_verify_stokes_loads_four_extcalc_modules():
+    # the example pair needs only KForm's key rule, from sparse: forms, tensors, textio and
+    # checks stay unloaded
+    package = Path(extcalc.__file__).parent
+    every = ["extcalc"] + [f"extcalc.{p.stem}" for p in sorted(package.glob("[!_]*.py"))]
+    commands = [["verify", "stokes", "--n", str(n), "--m", "3"] for n in range(2, 7)]
+    assert _loaded_after(_run_quietly(commands), every) == [
+        "extcalc", "extcalc.cli", "extcalc.derivatives", "extcalc.sparse", "extcalc.stokes"]
 
 
 def test_numeric_subcommand_loads_numpy_but_not_unused_layers(tmp_path):

@@ -63,9 +63,9 @@ def _canonical_rows_unsigned(monkeypatch):
             if len(set(row)) == len(row):
                 yield tuple(sorted(row)), c
 
-    # kform_from_rows reads forms._canonical_rows; dd_check calls its own import
+    # kform_from_rows reads forms._canonical_rows, and dd_check imports it from forms when it
+    # runs
     monkeypatch.setattr(forms, "_canonical_rows", unsigned)
-    monkeypatch.setattr(derivatives, "_canonical_rows", unsigned)
 
 
 def _pullback_first_chunk_only(monkeypatch):
@@ -117,6 +117,31 @@ def _fd_hessian_symmetrized(monkeypatch):
     monkeypatch.setattr(derivatives, "fd_hessian", symmetrized)
 
 
+def _axis_table_sign_flipped(monkeypatch):
+    # the per-axis tables of the node values with the first term's sign flipped
+    at_nodes = stokes._AxisSum.at_nodes
+
+    def flipped(self, axes):
+        (p, c), *rest = self
+        return at_nodes(stokes._AxisSum([(p, -c), *rest]), axes)
+
+    monkeypatch.setattr(stokes._AxisSum, "at_nodes", flipped)
+
+
+def _axis_tables_reordered(monkeypatch):
+    # each axis's table built from the term of the mirrored axis, n + 1 - j for axis j
+    at_nodes = stokes._AxisSum.at_nodes
+    monkeypatch.setattr(stokes._AxisSum, "at_nodes",
+                        lambda self, axes: at_nodes(stokes._AxisSum(self[::-1]), axes))
+
+
+def _signed_weights_drop_orient(monkeypatch):
+    # the prefix products from [1.0] instead of [orient]: every face counted as positive
+    signed_weights = stokes._signed_weights
+    monkeypatch.setattr(stokes, "_signed_weights",
+                        lambda orient, weights, degree: signed_weights(1.0, weights, degree))
+
+
 MUTANTS = {
     "merge-sign-always-plus": (
         _merge_sign_always_plus, {"wedge-algebra", "wedge-definitional", "omega-closedness"}),
@@ -134,6 +159,9 @@ MUTANTS = {
     # at dd-zero's one point the raw cross stencils already come out exactly
     # symmetric (fd_max is 0.0), so symmetrizing changes nothing it reads
     "fd-hessian-symmetrized": (_fd_hessian_symmetrized, set()),
+    "axis-table-sign-flipped": (_axis_table_sign_flipped, {"stokes-cubes"}),
+    "axis-tables-reordered": (_axis_tables_reordered, {"stokes-cubes"}),
+    "signed-weights-drop-orient": (_signed_weights_drop_orient, {"stokes-cubes"}),
 }
 
 

@@ -390,7 +390,7 @@ def test_integrators_sum_shared_keys_and_empty_faces_node_by_node():
     assert math.isnan(integrate_boundary(FieldForm([(h, (2, 3))]), cube, rule))
 
 
-def test_compiled_example_coefficients_match_the_loop_reference():
+def test_example_coefficients_match_the_loop_reference():
     # bitwise by float.hex at seeded points with negative coordinates, +-0.0 and 1e200,
     # whose OverflowError reads as inf in both, as the evaluations read it
     rng = random.Random(19)
@@ -405,8 +405,22 @@ def test_compiled_example_coefficients_match_the_loop_reference():
                 x[i] = rng.choice((0.0, -0.0, -1.0))
             if point % 4 == 3:
                 x[rng.randrange(n)] = rng.choice((1e200, -1e200))
-            for compiled, reference in pairs:
-                assert _value(compiled, tuple(x)).hex() == _value(reference, tuple(x)).hex()
+            for declared, reference in pairs:
+                assert _value(declared, tuple(x)).hex() == _value(reference, tuple(x)).hex()
+
+
+def test_example_node_values_are_the_loop_reference_at_each_node():
+    # the per-axis prefix sums give bitwise the loop reference at every node of a face, in
+    # itertools.product order: the faces x_i = a and x_i = 0 and the volume, at a non-dyadic
+    # edge, the side 0.0 making phi's even terms -0.0
+    for n in range(2, 7):
+        rule = QuadratureRule.gauss_legendre(4, 0.3)
+        phi, dphi = (pair.terms[0][0].fn for pair in stokes._example_pair(n))
+        faces = [(phi, _phi_reference, [rule.points] * i + [(side,)] + [rule.points] * (n - 1 - i))
+                 for i in range(n) for side in (0.3, 0.0)]
+        for fn, reference, axes in [*faces, (dphi, _dphi_reference, [rule.points] * n)]:
+            assert [v.hex() for v in fn.at_nodes(axes)] == [
+                _value(reference, node).hex() for node in itertools.product(*axes)]
 
 
 def test_verify_stokes_reports():
@@ -463,6 +477,17 @@ def test_closed_form_value():
     assert closed_form_value(2, 1.0) == 2.0
     assert closed_form_value(3, 1.0) == 3.0
     assert closed_form_value(2, 0.5) == 0.5 * (0.5 + 0.25)
+
+
+@pytest.mark.parametrize("n, a", [(3, 0.3), (5, 0.3), (4, 0.1), (6, 1.7)])
+def test_closed_form_adds_the_powers_left_to_right(n, a):
+    # a compensated sum, such as sum() of floats from Python 3.12 on, gives other digits here
+    total = 0.0
+    for j in range(1, n + 1):
+        total += a**j
+    want = a ** (n - 1) * total
+    assert want != a ** (n - 1) * math.fsum(a**j for j in range(1, n + 1))
+    assert closed_form_value(n, a).hex() == want.hex()
 
 
 @pytest.mark.parametrize("n, a", [(6, 1e60), (2, 1e308), (3, 1e200)])
@@ -542,12 +567,11 @@ def test_an_overflowing_coefficient_reads_as_infinite():
     assert integrate_boundary(field, CubeDomain(2, 1e200), rule) == float("inf")
 
 
-def test_example_forms_compile_each_n_once(monkeypatch):
+def test_example_forms_build_each_n_once(monkeypatch):
     # phi_example and dphi_example build their n's pair once, not per call; the values stay
     # bitwise those of the loop references
-    compiled, real = [], stokes._compiled
-    monkeypatch.setattr(stokes, "_compiled",
-                        lambda name, terms: compiled.append(name) or real(name, terms))
+    built, real = [], stokes.hat
+    monkeypatch.setattr(stokes, "hat", lambda n: built.append(n) or real(n))
     stokes._example_pair.cache_clear()
     try:
         rng = random.Random(23)
@@ -561,7 +585,7 @@ def test_example_forms_compile_each_n_once(monkeypatch):
                 want = _value(_dphi_reference, tuple(x)).hex()
                 assert [(key, c.hex()) for key, c in dphi.terms.items()] == [
                     (tuple(range(1, n + 1)), want)]
-        assert compiled == ["phi", "dphi"] * 3
+        assert built == [2, 3, 5]
     finally:
         stokes._example_pair.cache_clear()
 

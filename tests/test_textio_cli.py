@@ -25,7 +25,6 @@ from extcalc import (
     rform,
 )
 import extcalc
-from extcalc import cli
 from extcalc.cli import main
 
 
@@ -256,7 +255,8 @@ def test_cli_alt_counts_a_form_before_expanding_it(tmp_path, capsys, monkeypatch
     def expand(w):
         raise AssertionError("the form was expanded before alt's bound was checked")
 
-    monkeypatch.setattr(cli, "form_to_tensor", expand)
+    # cmd_alt imports form_to_tensor from extcalc.forms when it runs
+    monkeypatch.setattr(extcalc.forms, "form_to_tensor", expand)
     f = _write(tmp_path, "f.txt", "kform k=9\n" + " ".join(map(str, range(1, 10))) + " : 1\n")
     assert main(["alt", f]) == 2
     out, err = capsys.readouterr()
