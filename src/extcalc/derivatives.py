@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .sparse import DimensionError, KForm, _check_enumeration, _check_integral
+from .sparse import DimensionError, KForm, _accumulate, _check_enumeration, _check_integral
 
 __all__ = [
     "fd_gradient",
@@ -48,7 +48,7 @@ def _finite_array(A, ndim: int, what: str, min_rows: int = 0):
     return _finite_array(A, ndim, what, min_rows)
 
 
-def _gated(A, ndim: int, what: str) -> np.ndarray:
+def _gated(A, ndim: int, what: str):
     # the array gate's checked values as a float array of its shape
     import numpy as np
 
@@ -56,7 +56,7 @@ def _gated(A, ndim: int, what: str) -> np.ndarray:
     return np.array(values, dtype=float).reshape(shape)
 
 
-def _value(fn: Callable, x) -> float:
+def _value(fn, x) -> float:
     # fn at the point x as a float; Python's float ** raises OverflowError past the float
     # range (numpy gave inf), which reads as inf here, for the coefficient store to refuse
     try:
@@ -65,7 +65,7 @@ def _value(fn: Callable, x) -> float:
         return math.inf
 
 
-def _shifted(f: Callable, x, hs, *moves):
+def _shifted(f, x, hs, *moves):
     # f at a copy of x moved by sign * hs[i] along each (i, sign); x + (-h) is x - h in IEEE
     y = x.copy()
     for i, sign in moves:
@@ -73,8 +73,9 @@ def _shifted(f: Callable, x, hs, *moves):
     return f(y)
 
 
-def fd_gradient(f: Callable, x) -> np.ndarray:
-    """Central-difference gradient with per-coordinate steps.
+def fd_gradient(f, x):
+    """Central-difference gradient with per-coordinate steps, as a numpy
+    array of shape (n,).
 
     The step is cbrt(machine eps) * max(1, |x_i|).  x must be a finite
     1-D point.
@@ -91,8 +92,9 @@ def fd_gradient(f: Callable, x) -> np.ndarray:
     return g
 
 
-def fd_hessian(f: Callable, x) -> np.ndarray:
-    """Finite-difference Hessian, entries computed independently.
+def fd_hessian(f, x):
+    """Finite-difference Hessian as a numpy array of shape (n, n), entries
+    computed independently.
 
     The step is eps**0.25 * max(1, |x_i|).  Off-diagonal entries use
     the 4-point cross stencil; H[r, s] and H[s, r] are each computed
@@ -176,31 +178,30 @@ class ScalarField(_Record):
 
     __slots__ = ("fn", "grad", "hessian")
 
-    def __init__(self, fn: Callable, grad: Optional[Callable] = None,
-                 hessian: Optional[Callable] = None):
+    def __init__(self, fn, grad=None, hessian=None):
         self._set(fn=fn, grad=grad, hessian=hessian)
 
     def __call__(self, x) -> float:
         return _value(self.fn, _finite_array(x, 1, "point")[0])
 
-    def gradient_at(self, x, analytic: bool = True) -> np.ndarray:
+    def gradient_at(self, x, analytic: bool = True):
         if analytic and self.grad is not None:
-            x = _gated(x, 1, "point")
-            return _analytic(self.grad(x), (x.size,), "gradient")
+            return _analytic(self.grad, x, 1, "gradient")
         return fd_gradient(self.fn, x)
 
-    def hessian_at(self, x, analytic: bool = True) -> np.ndarray:
+    def hessian_at(self, x, analytic: bool = True):
         if analytic and self.hessian is not None:
-            x = _gated(x, 1, "point")
-            return _analytic(self.hessian(x), (x.size, x.size), "Hessian")
+            return _analytic(self.hessian, x, 2, "Hessian")
         return fd_hessian(self.fn, x)
 
 
-def _analytic(values, shape: tuple, what: str) -> np.ndarray:
-    # a supplied derivative, through the array gate and then held to the point's exact shape
-    A = _gated(values, len(shape), f"analytic {what}")
-    if A.shape != shape:
-        raise DimensionError(f"analytic {what} has shape {A.shape} at a point of R^{shape[0]}")
+def _analytic(derivative, x, ndim: int, what: str):
+    # a supplied derivative at the gated point x, through the array gate and then held to the
+    # point's exact shape, (n,) for ndim 1 and (n, n) for 2
+    x = _gated(x, 1, "point")
+    A = _gated(derivative(x), ndim, f"analytic {what}")
+    if A.shape != (x.size,) * ndim:
+        raise DimensionError(f"analytic {what} has shape {A.shape} at a point of R^{x.size}")
     return A
 
 
@@ -244,26 +245,27 @@ class FieldForm(_Record):
 
     def coefficients_at(self, x) -> KForm:
         """The plain KForm with each field evaluated at x."""
-        return self._at(x, lambda field, x: KForm._trusted(0, [((), _value(field.fn, x))]))
+        return self._at(x, 0, lambda field, x: [((), _value(field.fn, x))])
 
-    def _at(self, x, coefficient: Callable) -> KForm:
-        # sum_j coefficient(f_j, x) ^ dx_{I_j}, x gated once, to a list of floats, before any
-        # field runs; each field's wedge has distinct keys, so one accumulation sums each key
-        # in field order
-        x = _finite_array(x, 1, "point")[0]
-        if len(x) < self.dimension:
-            raise DimensionError(f"point has dimension {len(x)} but wedge indices reach "
-                                 f"{self.dimension}")
+    def _at(self, x, degree: int, rows) -> KForm:
+        # sum_j sum_R c_R dx_R ^ dx_{I_j} over the (R, c_R) index rows of degree `degree` that
+        # rows(f_j, x) gives, x gated once, reach included, to a list of floats before any
+        # field runs.  _canonical_rows signs each row R + I_j, and the storage kernel sums each
+        # field's rows before the fields are summed in field order: a running sum S + a - b is
+        # not S + (a - b), so a raw Hessian's (r, s) and (s, r) rows must meet first
+        from .forms import _canonical_rows
+
+        x = _finite_array(x, 1, "point", self.dimension)[0]
         items = []
         for field, key in self.terms:
-            c = coefficient(field, x)
-            items.extend((c ^ KForm._trusted(len(key), [(key, 1.0)])).terms.items())
-        return KForm._trusted(c.arity + self.arity, items)
+            items += _accumulate(_canonical_rows((R + key, c) for R, c in rows(field, x))).items()
+        return KForm._trusted(degree + self.arity, items)
 
 
 def exterior_d(form: FieldForm, x, analytic: bool = True) -> KForm:
     """d(sum_j f_j dx_{I_j})(x) = sum_j (grad f_j)(x) ^ dx_{I_j}."""
-    return form._at(x, lambda field, x: grad(field.gradient_at(x, analytic=analytic)))
+    return form._at(x, 1, lambda field, x: (((i,), g) for i, g in enumerate(
+        field.gradient_at(x, analytic=analytic).tolist(), 1)))
 
 
 def hat(n: int) -> KForm:
@@ -303,20 +305,14 @@ def omega_gradient(x) -> KForm:
 def dd_check(form: FieldForm, x, analytic: bool = False) -> KForm:
     """Assemble dd(sum_j f_j dx_{I_j})(x) from per-field Hessians.
 
-    For each field the full Hessian (all n^2 entries, raw) feeds
-    sum_{r,s} H[r,s] dx_r ^ dx_s, which is wedged with the field's key
-    and accumulated.  Symmetric Hessians cancel exactly; finite
-    difference Hessians cancel to stencil noise.
+    For each field every entry of the full Hessian (all n^2, raw) is
+    the index row (r, s, *I) with coefficient H[r,s], so the field adds
+    sum_{r,s} H[r,s] dx_r ^ dx_s ^ dx_I.  Symmetric Hessians cancel
+    exactly; finite difference Hessians cancel to stencil noise.
     """
-
-    from .forms import _canonical_rows
-
-    def raw_two_form(field, x):
-        H = field.hessian_at(x, analytic=analytic)
-        pairs = [(r, s) for r in range(1, len(x) + 1) for s in range(1, len(x) + 1)]
-        return KForm._trusted(2, _canonical_rows(pairs, [H[r - 1, s - 1] for r, s in pairs]))
-
-    return form._at(x, raw_two_form)
+    return form._at(x, 2, lambda field, x: (
+        ((r, s), h) for r, row in enumerate(field.hessian_at(x, analytic=analytic).tolist(), 1)
+        for s, h in enumerate(row, 1)))
 
 
 # Built-in demo fields on R^4, arguments ordered (w, x, y, z).

@@ -54,12 +54,13 @@ def kform_from_rows(rows, coeffs=None) -> KForm:
     index are dropped; identical canonical keys accumulate.
     """
     k, rows, coeffs = _check_rows(rows, coeffs)
-    return KForm._trusted(k, _canonical_rows(rows, coeffs))
+    return KForm._trusted(k, _canonical_rows(zip(rows, coeffs)))
 
 
-def _canonical_rows(rows, coeffs):
-    # (sorted row, parity sign * coeff) per checked row; rows with a repeated index drop
-    for row, c in zip(rows, coeffs):
+def _canonical_rows(rows):
+    # (sorted row, parity sign * coeff) per (row, coeff) pair of checked rows; rows with a
+    # repeated index drop
+    for row, c in rows:
         if len(set(row)) == len(row):
             yield tuple(sorted(row)), _parity(row) * c
 

@@ -202,9 +202,6 @@ class SparseMap:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     # -- construction of modified copies --------------------------------
 
     def insert_accumulate(self, key, c: float) -> "SparseMap":

@@ -86,18 +86,13 @@ def parse_form_text(text: str) -> SparseMap:
         if len(fields) != 2 or fields[1] != f"k={arity}":
             raise ParseError(zlineno, f"expected 'zero k={arity}', got {zline!r}")
         return (KForm if kind == "kform" else KTensor)._trusted(arity, ())
-    rows = []
-    coeffs = []
-    for lineno, line in body:
-        key, coeff = _parse_term(lineno, line, arity)
-        rows.append(key)
-        coeffs.append(coeff)
-    if not rows:
+    terms = [_parse_term(lineno, line, arity) for lineno, line in body]
+    if not terms:
         raise ParseError(lines[0][0], "header with no term lines")
     # _parse_term has checked every key and coefficient on its line
     if kind == "kform":
-        return KForm._trusted(arity, _canonical_rows(rows, coeffs))
-    return KTensor._trusted(arity, zip(rows, coeffs))
+        return KForm._trusted(arity, _canonical_rows(terms))
+    return KTensor._trusted(arity, terms)
 
 
 def _parse_rows(text: str) -> list:

@@ -1,4 +1,8 @@
+import functools
+import itertools
 import math
+import operator
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from extcalc import (
     ScalarField,
     dd_check,
     demo_two_form,
+    elementary,
     exterior_d,
     f1,
     f2,
@@ -20,6 +25,7 @@ from extcalc import (
     grad,
     hat,
     omega_gradient,
+    wedge,
 )
 from extcalc.derivatives import HESS_STEP
 
@@ -39,7 +45,7 @@ def test_demo_fields_refuse_points_outside_r4(point):
             with pytest.raises(DimensionError, match=r"R\^4, got a point in R\^%d" % len(point)):
                 evaluate(point)
     # the point gate refuses R^2 and R^3 before any field runs; R^5 reaches the fields
-    want = r"R\^4" if len(point) > 4 else r"point has dimension %d but wedge indices reach 4$" % len(point)
+    want = r"R\^4" if len(point) > 4 else r"point has length %d but indices reach 4$" % len(point)
     with pytest.raises(DimensionError, match=want):
         dd_check(demo_two_form(), point)
 
@@ -219,6 +225,77 @@ def test_exterior_d_accepts_plain_callables():
     assert out.terms[(2, 3)] == pytest.approx(2.0, abs=1e-8)
 
 
+def test_exterior_d_at_a_point_of_r0_is_the_zero_one_form():
+    out = exterior_d(FieldForm([(lambda p: 2.5, ())]), [])
+    assert out.arity == 1 and not out.terms
+
+
+def _quadratic(rng, n: int) -> ScalarField:
+    # sum_i a_i x_i + sum_{i<j} b_ij x_i x_j with its analytic derivatives, some a_i and b_ij
+    # +0.0 or -0.0; the Hessian's (j, i) entry is b_ij * (1 + 2^-52), so that its (i, j) and
+    # (j, i) entries round apart as raw cross stencils do
+    def pick():
+        return rng.choice([0.0, -0.0, rng.uniform(-3.0, 3.0)])
+
+    a = [pick() for _ in range(n)]
+    b = {(i, j): pick() for i, j in itertools.combinations(range(n), 2)}
+
+    def fn(p):
+        return sum(map(operator.mul, a, p)) + sum(c * p[i] * p[j] for (i, j), c in b.items())
+
+    def gradient(p):
+        return [a[i] + sum(c * p[j + k - i] for (j, k), c in b.items() if i in (j, k))
+                for i in range(n)]
+
+    def hessian(p):
+        H = [[0.0] * n for _ in range(n)]
+        for (i, j), c in b.items():
+            H[i][j], H[j][i] = c, c * (1.0 + 2.0**-52)
+        return H
+
+    return ScalarField(fn, grad=gradient, hessian=hessian)
+
+
+def _seeded_field_forms(seed: int):
+    # (form, point) pairs on R^2..R^6 with keys of every length, odd ones included, 2 to 4
+    # fields of which the first two share a key; every other field is a plain callable, which
+    # finite differences differentiate; some point entries are 0.0
+    rng = random.Random(seed)
+    for t in range(40):
+        n = 2 + t % 5
+        keys = list(itertools.combinations(range(1, n + 1), t % (n + 1)))
+        chosen = [keys[0], keys[0]] + rng.choices(keys, k=rng.randint(0, 2))
+        fields = [_quadratic(rng, n) for _ in chosen]
+        fields = [f if j % 2 else f.fn for j, f in enumerate(fields)]
+        yield FieldForm(zip(fields, chosen)), [rng.choice([0.0, rng.uniform(-2.0, 2.0)])
+                                               for _ in range(n)]
+
+
+def _wedged(form: FieldForm, coefficient) -> KForm:
+    # sum_j c_j ^ dx_{I_j} in field order, each c_j = coefficient(f_j) wedged with dx_{I_j}
+    return functools.reduce(operator.add, (wedge(coefficient(field), KForm(len(key), {key: 1.0}))
+                                           for field, key in form.terms))
+
+
+def _hexed(w: KForm):
+    return w.arity, [(key, c.hex()) for key, c in w.terms.items()]
+
+
+def test_field_evaluations_equal_the_wedged_sum_bitwise():
+    for form, x in _seeded_field_forms(7):
+        n = len(x)
+        assert _hexed(form.coefficients_at(x)) == _hexed(
+            _wedged(form, lambda f: KForm(0, {(): f(x)})))
+        for analytic in (True, False):
+            assert _hexed(exterior_d(form, x, analytic)) == _hexed(_wedged(form, lambda f: KForm(
+                1, {(i,): g for i, g in enumerate(f.gradient_at(x, analytic), 1)})))
+            # the raw 2-form sum_{r,s} H[r,s] dx_r ^ dx_s, H[r,s] and H[s,r] each its own term
+            assert _hexed(dd_check(form, x, analytic)) == _hexed(_wedged(form, lambda f: sum(
+                (wedge(elementary(r + 1), elementary(s + 1)).scale(h)
+                 for r, row in enumerate(f.hessian_at(x, analytic).tolist())
+                 for s, h in enumerate(row)), KForm(2))))
+
+
 def test_exterior_d_dimension_guard():
     with pytest.raises(DimensionError):
         exterior_d(demo_two_form(), np.array([1.0, 2.0]))
@@ -226,7 +303,7 @@ def test_exterior_d_dimension_guard():
     calls = []
     form = FieldForm([(lambda p: calls.append(p) or p[0] * p[1] ** 2, (3,))])
     for at in (exterior_d, dd_check, FieldForm.coefficients_at):
-        with pytest.raises(DimensionError, match="^point has dimension 2 but wedge indices reach 3$"):
+        with pytest.raises(DimensionError, match="^point has length 2 but indices reach 3$"):
             at(form, [1.0, 2.0])
     assert not calls
 

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -137,3 +138,51 @@ def test_stokes_and_derivatives_import_without_dataclasses():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False, False]"
+
+
+def _defined(obj, module) -> bool:
+    # a function or class the module defines, a cached function (functools.cache) included
+    return (isinstance(obj, (type, types.FunctionType)) or hasattr(obj, "__wrapped__")) and (
+        getattr(obj, "__module__", None) == module.__name__)
+
+
+def _defined_callables(module):
+    # (qualified name, object) of each function and class the module defines, and of each
+    # method, static or class method and property getter those classes define
+    for name, obj in vars(module).items():
+        if not _defined(obj, module):
+            continue
+        yield name, obj
+        for attr, member in vars(obj).items() if isinstance(obj, type) else ():
+            member = getattr(member, "__func__", getattr(member, "fget", member))
+            if _defined(member, module):
+                yield f"{name}.{attr}", member
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates each annotation string in its module's namespace, as
+    # documentation tools and type checkers do: a name the module never binds raises NameError
+    import typing
+
+    package = Path(extcalc.__file__).parent
+    unresolved = []
+    for path in sorted(package.glob("*.py")):
+        name = "extcalc" if path.stem == "__init__" else f"extcalc.{path.stem}"
+        for qualname, obj in _defined_callables(importlib.import_module(name)):
+            try:
+                typing.get_type_hints(obj)
+            except NameError as exc:
+                unresolved.append(f"{name}.{qualname}: {exc}")
+    assert unresolved == []
+
+
+def test_d_loads_the_field_layer_and_the_algebra_it_calls():
+    # the field layer signs its index rows through forms._canonical_rows and reads its point
+    # through the tensors gate; the Stokes quadrature, the parser and the suite stay unloaded
+    package = Path(extcalc.__file__).parent
+    every = ["extcalc"] + [f"extcalc.{p.stem}" for p in sorted(package.glob("[!_]*.py"))]
+    commands = [["d"], ["d", "--fd"], ["d", "--field", "f1"],
+                ["d", "--omega", "--at", "1", "2", "3"]]
+    assert _loaded_after(_run_quietly(commands), every) == [
+        "extcalc", "extcalc.cli", "extcalc.derivatives", "extcalc.forms", "extcalc.sparse",
+        "extcalc.tensors"]

@@ -6,15 +6,20 @@ tests pass on working code by design, and fail when a check loses its
 teeth.  The references the checks compare against (alt,
 wedge_definitional, form_to_tensor and tests/oracles.py) are never
 mutated: a check whose reference breaks along with its subject shows
-nothing.
+nothing.  The permutation helpers behind alt and form_to_tensor
+(tensors._signs and _permutations) are fast paths too; their mutants
+must fail the checks of alt's own properties.  An expected set() marks
+a suite blind spot; its comment says why, or names the tier-1 tests
+that catch it.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from extcalc import checks, derivatives, forms, stokes
+from extcalc import checks, derivatives, forms, sparse, stokes, tensors
 
 
 def _merge_sign_always_plus(monkeypatch):
@@ -57,14 +62,14 @@ def _boundary_orientations_swapped(monkeypatch):
 
 
 def _canonical_rows_unsigned(monkeypatch):
-    def unsigned(rows, coeffs):
+    def unsigned(rows):
         # _canonical_rows with every sort permutation taken as even
-        for row, c in zip(rows, coeffs):
+        for row, c in rows:
             if len(set(row)) == len(row):
                 yield tuple(sorted(row)), c
 
-    # kform_from_rows reads forms._canonical_rows, and dd_check imports it from forms when it
-    # runs
+    # kform_from_rows reads forms._canonical_rows, and FieldForm._at imports it from forms when
+    # it runs
     monkeypatch.setattr(forms, "_canonical_rows", unsigned)
 
 
@@ -142,6 +147,85 @@ def _signed_weights_drop_orient(monkeypatch):
                         lambda orient, weights, degree: signed_weights(1.0, weights, degree))
 
 
+def _signs_one_flipped(monkeypatch):
+    # the cached signs of each arity k >= 2 with the second permutation's sign negated
+    signs = tensors._signs
+    monkeypatch.setattr(tensors, "_signs",
+                        lambda k: signs(k)[:1] + tuple(-s for s in signs(k)[1:2]) + signs(k)[2:])
+
+
+def _permutation_images_reversed(monkeypatch):
+    # each sign paired with the image of the permutation listed opposite it
+    permutations = tensors._permutations
+
+    def reversed_images(S, call):
+        pairs = permutations(S, call)
+        return list(zip([image for image, _ in reversed(pairs)], [sign for _, sign in pairs]))
+
+    # alt reads tensors._permutations; form_to_tensor its own import
+    monkeypatch.setattr(tensors, "_permutations", reversed_images)
+    monkeypatch.setattr(forms, "_permutations", reversed_images)
+
+
+def _omega_sign_dropped(monkeypatch):
+    # omega_gradient without its (-1)^(i-1): the negated coefficients of dx_2, dx_4, ...
+    # negated back, which is exact
+    omega_gradient = derivatives.omega_gradient
+
+    def unsigned(x):
+        return forms.KForm._trusted(1, ((key, c if key[0] % 2 else -c)
+                                        for key, c in omega_gradient(x).terms.items()))
+
+    monkeypatch.setattr(derivatives, "omega_gradient", unsigned)
+    monkeypatch.setattr(checks, "omega_gradient", unsigned)
+
+
+def _wedge_above_first_bit_only(monkeypatch):
+    # wedge's sign from the bits above the right key's first index only
+    above = forms._above
+    monkeypatch.setattr(forms, "_above", lambda bits: above(bits[:1]))
+
+
+def _legendre_polish_skipped(monkeypatch):
+    # the Newton roots in floats, without the last step on integers
+    monkeypatch.setattr(stokes, "_polished", lambda m, x: x)
+
+
+def _unrank_next_rank(monkeypatch):
+    # rform's keys unranked from r + 1 mod C(n, k) instead of r
+    unrank = forms._unrank_subset
+    monkeypatch.setattr(forms, "_unrank_subset",
+                        lambda r, n, k: unrank((r + 1) % math.comb(n, k), n, k))
+
+
+def _field_rows_after_key(monkeypatch):
+    def at(self, x, degree, rows):
+        # FieldForm._at with each field's key put before its rows, I_j + R for R + I_j
+        x = derivatives._finite_array(x, 1, "point", self.dimension)[0]
+        items = []
+        for field, key in self.terms:
+            items += sparse._accumulate(
+                forms._canonical_rows((key + R, c) for R, c in rows(field, x))).items()
+        return forms.KForm._trusted(degree + self.arity, items)
+
+    monkeypatch.setattr(derivatives.FieldForm, "_at", at)
+
+
+def _gate_finiteness_skipped(monkeypatch):
+    # the array gate without its isfinite pass: every other rule is checked on a finite
+    # stand-in of the same shape, and the given values are returned unchecked
+    gate = tensors._finite_array
+
+    def unchecked(A, ndim, what, min_rows=0):
+        A = np.asarray(A, dtype=float)
+        shape = gate(np.zeros(A.shape), ndim, what, min_rows)[1]
+        return A.reshape(shape).tolist(), shape
+
+    # forms binds the gate at import; derivatives and stokes import it from tensors per call
+    monkeypatch.setattr(tensors, "_finite_array", unchecked)
+    monkeypatch.setattr(forms, "_finite_array", unchecked)
+
+
 MUTANTS = {
     "merge-sign-always-plus": (
         _merge_sign_always_plus, {"wedge-algebra", "wedge-definitional", "omega-closedness"}),
@@ -162,6 +246,21 @@ MUTANTS = {
     "axis-table-sign-flipped": (_axis_table_sign_flipped, {"stokes-cubes"}),
     "axis-tables-reordered": (_axis_tables_reordered, {"stokes-cubes"}),
     "signed-weights-drop-orient": (_signed_weights_drop_orient, {"stokes-cubes"}),
+    "signs-one-flipped": (_signs_one_flipped, {"alt-operator", "wedge-definitional"}),
+    "permutation-images-reversed": (
+        _permutation_images_reversed, {"alt-operator", "wedge-definitional"}),
+    "omega-sign-dropped": (_omega_sign_dropped, {"omega-closedness"}),
+    "wedge-above-first-bit-only": (
+        _wedge_above_first_bit_only, {"wedge-algebra", "wedge-definitional", "omega-closedness"}),
+    # test_newton_rule_matches_numpy_leggauss:
+    "legendre-polish-skipped": (_legendre_polish_skipped, set()),
+    # test_rform_matches_the_step_by_step_draw_over_many_seeds:
+    "unrank-next-rank": (_unrank_next_rank, set()),
+    # test_exterior_d_accepts_plain_callables:
+    "field-rows-after-key": (_field_rows_after_key, set()),
+    # test_gate_names_the_first_non_finite_value and
+    # test_non_finite_frames_matrices_and_points_are_rejected:
+    "gate-finiteness-skipped": (_gate_finiteness_skipped, set()),
 }
 
 

@@ -71,6 +71,13 @@ def test_key_validation():
         SparseMap(1, {(-2,): 1.0})
 
 
+def test_truthiness_is_having_terms():
+    for cls in (KForm, KTensor):
+        assert not cls(2) and not cls(0)
+        assert cls(2, {(1, 2): -0.5}) and cls(0, {(): 3.0})
+        assert not cls(1, {(1,): 2.0}).scale(0.0)
+
+
 def test_lexicographic_iteration_any_insertion_order():
     pairs = [((2, 1), 5.0), ((1, 10), 1.0), ((1, 2), 2.0), ((2, 3), 3.0)]
     forward = SparseMap(2, pairs)
@@ -255,6 +262,7 @@ def test_non_finite_frames_matrices_and_points_are_rejected(bad):
         ktensor_from_rows,
         omega_gradient,
         pullback,
+        verify_det_proportionality,
     )
 
     w = kform_from_rows([(1, 2)], [1.0])
@@ -282,6 +290,17 @@ def test_non_finite_frames_matrices_and_points_are_rejected(bad):
         contract(w, [1.0, 2.0, bad])
     with pytest.raises(ValueError, match="need a finite number"):
         contract_matrix(w, [[1.0, 0.0], [0.0, 1.0], [bad, 0.0]])
+    unread = [[1.0, 2.0], [3.0, 4.0], [bad, 6.0]]
+    named = f"^need a finite number, got {bad}$"
+    with pytest.raises(ValueError, match=named):
+        evaluate_form(w, unread)
+    with pytest.raises(ValueError, match=named):
+        evaluate_tensor(ktensor_from_rows([(2, 1)], [1.0]), unread)
+    with pytest.raises(ValueError, match=named):
+        pullback(w, unread)
+    # the empty top form reads no entry; the refusal names the value, not an overflowed det
+    with pytest.raises(ValueError, match=named):
+        verify_det_proportionality(KForm(2), [[1.0, 0.0], [0.0, bad]])
     with pytest.raises(ValueError, match="need a finite number"):
         fd_gradient(f1.fn, [1.0, bad, 3.0, 4.0])
     with pytest.raises(ValueError, match="need a finite number"):

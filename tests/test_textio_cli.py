@@ -428,12 +428,12 @@ def test_cli_closed_form_overflow_is_one_error_line(capsys):
 
 @pytest.mark.parametrize(
     "argv, message",
-    [(["d", "--at", "1", "2"], "point has dimension 2 but wedge indices reach 4"),
+    [(["d", "--at", "1", "2"], "point has length 2 but indices reach 4"),
      (["d", "--field", "f1", "--at", "1", "2"], "R^4, got a point in R^2"),
      (["d", "--at", "1", "2", "3", "4", "5"], "R^4, got a point in R^5"),
      (["d", "--fd", "--field", "f2", "--at", "1", "2", "3"], "R^4, got a point in R^3"),
      (["verify", "ddzero", "--at", "1", "2", "3", "4", "5"], "R^4, got a point in R^5"),
-     (["verify", "ddzero", "--at", "1", "2"], "point has dimension 2 but wedge indices reach 4")],
+     (["verify", "ddzero", "--at", "1", "2"], "point has length 2 but indices reach 4")],
 )
 def test_cli_demo_fields_outside_r4_exit_2(argv, message, capsys):
     assert main(argv) == 2
