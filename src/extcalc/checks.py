@@ -18,29 +18,10 @@ import numpy as np
 
 from .sparse import SparseMap
 from .tensors import KTensor, alt, evaluate_tensor
-from .forms import (
-    KForm,
-    contract,
-    contract_matrix,
-    evaluate_form,
-    pullback,
-    rform,
-    wedge,
-    wedge_definitional,
-    form_to_tensor,
-)
-from .derivatives import (
-    dd_check,
-    demo_two_form,
-    exterior_d,
-    f1,
-    f2,
-    f3,
-    fd_gradient,
-    grad,
-    hat,
-    omega_gradient,
-)
+from .forms import (KForm, contract, contract_matrix, evaluate_form, form_to_tensor, pullback,
+                    rform, wedge, wedge_definitional)
+from .derivatives import (dd_check, demo_two_form, exterior_d, f1, f2, f3, fd_gradient, grad, hat,
+                          omega_gradient)
 from .stokes import verify_stokes, verify_det_proportionality
 
 __all__ = ["suite", "SUITE_CHECKS"]

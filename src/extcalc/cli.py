@@ -12,19 +12,24 @@ it, applying --zap, and exits 1 on a failed verdict.  It runs both steps
 with RuntimeWarning as an error, so a numpy floating-point error raises
 where it happens, and restores the caller's warning filters.  With the
 global --stats option it then writes one JSON line to stderr: the
-subcommand, its elapsed seconds, whether numpy was loaded, for `verify
-stokes` its quadrature nodes, and for `verify suite` each check's name,
-cases and elapsed seconds.  print, add, wedge, alt, eval, contract,
-pullback of degree 3 or less and verify stokes compute on Python floats
-and never import numpy (the coefficient store and the evaluations refuse
-an overflow).  Each subcommand imports the modules it calls when it
-runs, so `verify stokes` loads only cli, sparse, derivatives and stokes.
+subcommand, its elapsed seconds, whether numpy was loaded, the sorted
+extcalc modules the run loaded, for `verify stokes` its quadrature
+nodes, and for `verify suite` each check's name, cases and elapsed
+seconds.  print, add, wedge, alt, eval, contract, pullback of degree 3
+or less and verify stokes compute on Python floats and never import
+numpy (the coefficient store and the evaluations refuse an overflow).
+Each subcommand imports the modules it calls when it runs, and json
+only to write a report or the --stats line.  Besides extcalc, cli and
+sparse: add loads textio; print, eval, contract, wedge and pullback
+load textio, forms and arrays (the array gate); a ktensor file loads
+tensors and arrays (add and eval of one need no forms), and alt all
+four; d loads derivatives and arrays; `verify stokes` derivatives and
+stokes; the other checks more.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -185,6 +190,8 @@ def cmd_verify_suite(args):
 def _write(result, args) -> int:
     """Write a subcommand's result to stdout and return the exit code."""
     if isinstance(result, tuple):
+        import json
+
         report, passed = result
         print(json.dumps(report, default=float, allow_nan=False))
         return 0 if passed else 1
@@ -198,16 +205,9 @@ def _write(result, args) -> int:
 
 
 def _add_zap(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--zap",
-        nargs="?",
-        type=float,
-        const=_default_tol(),
-        default=None,
-        metavar="TOL",
-        help="drop |coeff| <= TOL from the result "
-        "(bare --zap uses EXTERIOR_TOL or 1e-11)",
-    )
+    p.add_argument("--zap", nargs="?", type=float, const=_default_tol(), default=None,
+                   metavar="TOL", help="drop |coeff| <= TOL from the result "
+                   "(bare --zap uses EXTERIOR_TOL or 1e-11)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -300,9 +300,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _stats(args, elapsed: float) -> str:
-    # the --stats line: what ran, how long it took, whether numpy was loaded, and the work
+    # the --stats line: what ran, how long it took, whether numpy was loaded, which extcalc
+    # modules were (this one by its own name, also when it runs as __main__), and the work
+    import json
+
+    modules = sorted({__spec__.name, *(m for m in sys.modules if m.split(".")[0] == "extcalc")})
     stats = {"subcommand": " ".join(filter(None, (args.command, getattr(args, "check", None)))),
-             "elapsed_s": elapsed, "numpy_loaded": "numpy" in sys.modules, **args.work}
+             "elapsed_s": elapsed, "numpy_loaded": "numpy" in sys.modules, "modules": modules,
+             **args.work}
     return json.dumps(stats, allow_nan=False)
 
 

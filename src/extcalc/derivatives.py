@@ -10,7 +10,7 @@ The module imports without numpy: a coefficient function gets one point
 as a sequence of n Python floats.  Only the finite differences,
 omega_gradient, the analytic branch of gradient_at and hessian_at (its
 gate) and the demo fields f2 and f3 load numpy.  hat and FieldForm need
-only extcalc.sparse; what uses forms or tensors imports them itself.
+only extcalc.sparse; the array gate of extcalc.arrays loads on first use.
 """
 
 from __future__ import annotations
@@ -18,23 +18,11 @@ from __future__ import annotations
 import math
 import sys
 
-from .sparse import DimensionError, KForm, _accumulate, _check_enumeration, _check_integral
+from .sparse import (DimensionError, KForm, _accumulate, _canonical_rows, _check_enumeration,
+                     _check_integral)
 
-__all__ = [
-    "fd_gradient",
-    "fd_hessian",
-    "ScalarField",
-    "FieldForm",
-    "grad",
-    "exterior_d",
-    "hat",
-    "omega_gradient",
-    "dd_check",
-    "f1",
-    "f2",
-    "f3",
-    "demo_two_form",
-]
+__all__ = ["fd_gradient", "fd_hessian", "ScalarField", "FieldForm", "grad", "exterior_d", "hat",
+           "omega_gradient", "dd_check", "f1", "f2", "f3", "demo_two_form"]
 
 _EPS = sys.float_info.epsilon
 GRAD_STEP = _EPS ** (1.0 / 3.0)
@@ -42,8 +30,8 @@ HESS_STEP = _EPS ** 0.25
 
 
 def _finite_array(A, ndim: int, what: str, min_rows: int = 0):
-    # the array gate of extcalc.tensors, imported on first use: hat and FieldForm need none
-    from .tensors import _finite_array
+    # the array gate of extcalc.arrays, imported on first use: hat and FieldForm need none
+    from .arrays import _finite_array
 
     return _finite_array(A, ndim, what, min_rows)
 
@@ -253,8 +241,6 @@ class FieldForm(_Record):
         # field runs.  _canonical_rows signs each row R + I_j, and the storage kernel sums each
         # field's rows before the fields are summed in field order: a running sum S + a - b is
         # not S + (a - b), so a raw Hessian's (r, s) and (s, r) rows must meet first
-        from .forms import _canonical_rows
-
         x = _finite_array(x, 1, "point", self.dimension)[0]
         items = []
         for field, key in self.terms:

@@ -12,7 +12,9 @@ wedge works on integer index masks, and minors through 3x3 are expanded
 by cofactors.  One loop computes every minor and sums each target's
 terms: pullback runs it on all increasing targets, and evaluate_form on
 the single target (1, ..., k).  Only degree 4 or more imports numpy,
-for stacks of up to _TARGET_CHUNK minors per np.linalg.det call.
+for stacks of up to _TARGET_CHUNK minors per np.linalg.det call.  Only
+the definitional routes, form_to_tensor and wedge_definitional, import
+extcalc.tensors.
 """
 
 from __future__ import annotations
@@ -22,28 +24,13 @@ import itertools
 import math
 import operator
 
-from .sparse import (ArityError, KForm, SparseMap, _check_enumeration, _check_integral,
-                     _check_key, _check_rows, format_coefficient)
-from .tensors import (KTensor, _count_permutations, _finite_array, _finite_sum, _parity,
-                      _permutations, alt, as_frame, tensor_product)
+from .sparse import (ArityError, KForm, SparseMap, _canonical_rows, _check_enumeration,
+                     _check_integral, _check_key, _check_rows, format_coefficient)
+from .arrays import _finite_array, _finite_sum, as_frame
 
-__all__ = [
-    "KForm",
-    "kform_from_rows",
-    "elementary",
-    "kform_general",
-    "evaluate_form",
-    "wedge",
-    "wedge_definitional",
-    "form_to_tensor",
-    "alternating_tensor_to_form",
-    "contract",
-    "contract_matrix",
-    "pullback",
-    "symbolic",
-    "rform",
-    "SplitMix64",
-]
+__all__ = ["KForm", "kform_from_rows", "elementary", "kform_general", "evaluate_form", "wedge",
+           "wedge_definitional", "form_to_tensor", "alternating_tensor_to_form", "contract",
+           "contract_matrix", "pullback", "symbolic", "rform", "SplitMix64"]
 
 
 def kform_from_rows(rows, coeffs=None) -> KForm:
@@ -55,14 +42,6 @@ def kform_from_rows(rows, coeffs=None) -> KForm:
     """
     k, rows, coeffs = _check_rows(rows, coeffs)
     return KForm._trusted(k, _canonical_rows(zip(rows, coeffs)))
-
-
-def _canonical_rows(rows):
-    # (sorted row, parity sign * coeff) per (row, coeff) pair of checked rows; rows with a
-    # repeated index drop
-    for row, c in rows:
-        if len(set(row)) == len(row):
-            yield tuple(sorted(row)), _parity(row) * c
 
 
 def elementary(i: int) -> KForm:
@@ -141,18 +120,28 @@ def _pulled(w: KForm, M, width: int, targets):
     # 1-based target of `targets`, M being rows of `width` floats: through 3x3 by _cofactors over
     # a _minor_table per distinct set of lower rows, from 4x4 by _dets stacks of up to
     # _TARGET_CHUNK (key, target) minors; a sum of 0.0 is the storage kernel's to drop
-    k, targets = w.arity, iter(targets)
+    k, targets, coeffs = w.arity, iter(targets), list(w.terms.values())
     if k > 3:
         import numpy as np
 
-        A = np.array(M, dtype=float).reshape(-1, width)
-        rows = np.array(list(w.terms), dtype=np.intp).reshape(-1, 1, k, 1) - 1
+        # each key's k rows of M, gathered once: X[i, a] is row key_i[a]
+        X = np.array(M, dtype=float).reshape(-1, width)[
+            np.array(list(w.terms), dtype=np.intp).reshape(-1, k) - 1]
 
-        def minors(chunk):
-            cols = np.array(chunk, dtype=np.intp)[None, :, None, :] - 1
+        def sums_of(chunk):
+            # the chunk's columns picked by one index per group of keys, X[g:g+s][:, :, cols] of
+            # shape (s, k, targets, k), as (s, targets, k, k) stacks; the running sums are one
+            # float64 row, each c * d and s + c * d rounded as on Python floats, and an overflow
+            # is left an inf or NaN, for the storage kernel to refuse
+            cols = np.array(chunk, dtype=np.intp) - 1
             step = max(1, _TARGET_CHUNK // len(chunk))
-            for g in range(0, len(rows), step):
-                yield from _dets(A[rows[g:g + step], cols]).tolist()
+            sums = np.zeros(len(chunk))
+            for g in range(0, len(X), step):
+                dets = _dets(X[g:g + step][:, :, cols].transpose(0, 2, 1, 3))
+                with np.errstate(all="ignore"):
+                    for c, d in zip(coeffs[g:g + step], dets):
+                        sums += c * d
+            return sums.tolist()
     else:
         pairs = list(itertools.combinations(range(width), 2)) if k == 3 else None
         tables, firsts, belows = {}, [], []
@@ -164,16 +153,17 @@ def _pulled(w: KForm, M, width: int, targets):
             belows.append(tables[rest])
         ones = (1,) * k
 
-        def minors(chunk):
+        def sums_of(chunk):
             cols = [tuple(map(operator.sub, J, ones)) for J in chunk]  # 0-based
-            return map(_cofactors, firsts, belows, itertools.repeat(cols))
+            sums = [0.0] * len(chunk)
+            for c, key_minors in zip(coeffs, map(_cofactors, firsts, belows,
+                                                 itertools.repeat(cols))):
+                sums = [s + c * d for s, d in zip(sums, key_minors)]
+            return sums
     # chunks outside, keys inside, one running sum per target: a zero minor adds +-0.0, which
     # leaves a sum (never -0.0) as it is, so each is bitwise that of a loop skipping exact zeros
     while w.terms and (chunk := list(itertools.islice(targets, _TARGET_CHUNK))):
-        sums = [0.0] * len(chunk)
-        for c, key_minors in zip(w.terms.values(), minors(chunk)):
-            sums = [s + c * d for s, d in zip(sums, key_minors)]
-        yield from zip(chunk, sums)
+        yield from zip(chunk, sums_of(chunk))
 
 
 def evaluate_form(w: KForm, E) -> float:
@@ -199,42 +189,48 @@ def _above(bits) -> int:
 
 
 def wedge(w: KForm, e: KForm) -> KForm:
-    """Wedge product by index masks, pairs of w's and e's terms in turn.
+    """Wedge product by index masks, pairs of e's and w's terms in turn.
 
     Each index gets the bit of its rank among both operands' indices, so
     a mask costs a bit per distinct index, however large.  A pair whose
     masks meet shares an index and drops; otherwise the merged key is
     the sorted concatenation, and the sign is the parity of the index
     pairs (i in ka, j in kb) with i > j: the bits of ka's mask above
-    kb's indices.  Each coefficient is sign * ca * cb.
+    kb's indices.  Each coefficient is sign * ca * cb.  The pairs run
+    over e's keys last first, and w's keys in order inside: for a merged
+    key K, ka ascending is kb = K - ka descending, so each key's terms
+    are summed in w's key order, and each kb gives one ascending run of
+    merged keys.
     """
     indices = sorted({*itertools.chain(*w.terms, *e.terms)})
     bit = {i: 1 << r for r, i in enumerate(indices)}.__getitem__
     left = [(ka, ca, sum(map(bit, ka))) for ka, ca in w.terms.items()]
     right = []
-    for kb, cb in e.terms.items():
+    for kb, cb in reversed(e.terms.items()):
         bits = list(map(bit, kb))
         right.append((kb, cb, sum(bits), _above(bits)))
     return KForm._trusted(w.arity + e.arity, (
         (tuple(sorted(ka + kb)), (-ca if (ma & above).bit_count() & 1 else ca) * cb)
-        for ka, ca, ma in left for kb, cb, mb, above in right if not ma & mb))
+        for kb, cb, mb, above in right for ka, ca, ma in left if not ma & mb))
 
 
-def form_to_tensor(w: KForm) -> KTensor:
-    """Expand a k-form into its alternating k-tensor.
+def form_to_tensor(w: KForm):
+    """Expand a k-form into its alternating k-tensor, a KTensor.
 
     Each increasing key I with coefficient c becomes the k! signed
     terms sign(sigma) * c on the permuted keys sigma(I).  More than
     MAX_ENUMERATION permutations (len(w) * k!) are refused up front,
     without a factorial past 20!; an empty form expands to nothing.
     """
+    from .tensors import KTensor, _permutations
+
     perms = _permutations(w, "form_to_tensor")
     return KTensor._trusted(w.arity, ((image(key), sign * c)
                                       for key, c in w.terms.items() for image, sign in perms))
 
 
-def alternating_tensor_to_form(T: KTensor) -> KForm:
-    """Read a k-form off an alternating tensor's increasing keys."""
+def alternating_tensor_to_form(T) -> KForm:
+    """Read a k-form off the increasing keys of an alternating KTensor."""
     return KForm._trusted(T.arity, ((key, c) for key, c in T.terms.items()
                                     if all(map(operator.lt, key, key[1:]))))
 
@@ -248,6 +244,8 @@ def wedge_definitional(w: KForm, e: KForm) -> KForm:
     len(w) k! x len(e) l! terms, must fit MAX_ENUMERATION (counted with
     no factorial past 20!); with nothing to permute, w x e is the form.
     """
+    from .tensors import _count_permutations, alt, tensor_product
+
     k, l = w.arity, e.arity
     if not w.terms or not e.terms:
         return KForm._trusted(k + l, ())

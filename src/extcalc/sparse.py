@@ -18,10 +18,13 @@ inside the package have canonical keys by construction, so they go
 through the trusted path (SparseMap._trusted), which skips that
 validation.  Both paths store their terms through one accumulation
 kernel, which settles each key once by the zero, order and finiteness
-rules; to_text writes every term line from one `%d ... %d : %s` template.
+rules; to_text writes every term line as one `%d ... %d` template of its
+key and the ` : c` tail of its coefficient, formatted once per value.
 
-KForm lives here too, so that hat and FieldForm build forms without
-loading extcalc.forms, which re-exports it and does its algebra.
+KForm lives here too, with its key rule and the sign rule that sorts
+raw index rows into its keys (_canonical_rows), so that the parser, hat
+and FieldForm build forms without loading extcalc.forms, which
+re-exports the class and does its algebra.
 
 Instances are immutable by convention: every operation returns a new map
 and never touches its operands, so values can be shared freely between
@@ -289,15 +292,29 @@ class SparseMap:
         lines = [] if self._header is None else [f"{self._header} k={self.arity}"]
         if not self.terms:
             lines.append(f"zero k={self.arity}")
-        line = " ".join(["%d"] * self.arity) + " : %s"
-        # each distinct coefficient is formatted, and its finiteness checked, once
-        text = {c: format_coefficient(c) for c in set(self.terms.values())}
-        lines += [line % (*key, text[c]) for key, c in self.terms.items()]
+        template = " ".join(["%d"] * self.arity)
+        # each distinct coefficient's " : c" tail is formatted, its finiteness checked, once
+        tail = {c: " : " + format_coefficient(c) for c in set(self.terms.values())}
+        lines += [template % key + tail[c] for key, c in self.terms.items()]
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
         body = ", ".join(f"{key}: {format_coefficient(c)}" for key, c in self.terms.items())
         return f"{type(self).__name__}(k={self.arity}, {{{body}}})"
+
+
+def _parity(seq) -> int:
+    # +1/-1 by the parity of the inversion count of seq, its pairs i < j with seq[i] > seq[j]
+    inv = sum(itertools.starmap(operator.gt, itertools.combinations(seq, 2)))
+    return -1 if inv % 2 else 1
+
+
+def _canonical_rows(rows):
+    # (sorted row, parity sign * coeff) per (row, coeff) pair of checked rows; rows with a
+    # repeated index drop
+    for row, c in rows:
+        if len(set(row)) == len(row):
+            yield tuple(sorted(row)), _parity(row) * c
 
 
 class KForm(SparseMap):

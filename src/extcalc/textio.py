@@ -5,14 +5,13 @@ The term format is one `i1 i2 ... ik : coefficient` line per key, lines
 in lexicographic key order, `zero k=<arity>` for the empty map, with a
 `kform k=<arity>` or `ktensor k=<arity>` header naming the type.  Only
 parse_matrix_text imports numpy, for the array it returns; the CLI reads
-frames and matrices as lists of Python floats.
+frames and matrices as lists of Python floats.  The module imports only
+extcalc.sparse, and extcalc.tensors only for a `ktensor` header.
 """
 
 from __future__ import annotations
 
-from .sparse import ArityError, SparseMap, _check_finite
-from .tensors import KTensor
-from .forms import KForm, _canonical_rows
+from .sparse import ArityError, KForm, SparseMap, _canonical_rows, _check_finite
 
 __all__ = ["ParseError", "parse_form_text", "parse_matrix_text"]
 
@@ -79,20 +78,22 @@ def parse_form_text(text: str) -> SparseMap:
         raise ParseError(1, "empty input")
     lineno, header = lines[0]
     kind, arity = _parse_header(lineno, header)
+    if kind == "kform":
+        cls = KForm
+    else:
+        from .tensors import KTensor as cls
     body = lines[1:]
     if len(body) == 1 and body[0][1].split()[0] == "zero":
         zlineno, zline = body[0]
         fields = zline.split()
         if len(fields) != 2 or fields[1] != f"k={arity}":
             raise ParseError(zlineno, f"expected 'zero k={arity}', got {zline!r}")
-        return (KForm if kind == "kform" else KTensor)._trusted(arity, ())
+        return cls._trusted(arity, ())
     terms = [_parse_term(lineno, line, arity) for lineno, line in body]
     if not terms:
         raise ParseError(lines[0][0], "header with no term lines")
     # _parse_term has checked every key and coefficient on its line
-    if kind == "kform":
-        return KForm._trusted(arity, _canonical_rows(terms))
-    return KTensor._trusted(arity, terms)
+    return cls._trusted(arity, _canonical_rows(terms) if cls is KForm else terms)
 
 
 def _parse_rows(text: str) -> list:

@@ -265,9 +265,13 @@ def test_stats_line(row, paths):
     stats = json.loads(err, parse_constant=_no_constant)
     subcommand = " ".join(row[:2]) if row[0] == "verify" else row[0]
     suite, stokes = subcommand == "verify suite", subcommand == "verify stokes"
-    assert set(stats) == ({"subcommand", "elapsed_s", "numpy_loaded"}
+    assert set(stats) == ({"subcommand", "elapsed_s", "numpy_loaded", "modules"}
                           | ({"checks"} if suite else set()) | ({"nodes"} if stokes else set()))
     assert stats["subcommand"] == subcommand and stats["numpy_loaded"] is True
+    # in this process every extcalc module is loaded, each named once, in sorted order
+    assert stats["modules"] == sorted(set(stats["modules"])) and {
+        "extcalc", "extcalc.cli", "extcalc.sparse"} <= set(stats["modules"])
+    assert all(m == "extcalc" or m.startswith("extcalc.") for m in stats["modules"])
     assert type(stats["elapsed_s"]) is float and stats["elapsed_s"] > 0.0
     if suite:
         reports = json.loads(out)["checks"]
@@ -297,3 +301,6 @@ def test_stats_line_reports_a_run_without_numpy(paths):
     assert run.stdout == _run(["print", paths["w2"]])[1]
     stats = json.loads(run.stderr, parse_constant=_no_constant)
     assert stats["subcommand"] == "print" and stats["numpy_loaded"] is False
+    # run as `python -m extcalc.cli`, cli is __main__ and still listed by its own name
+    assert stats["modules"] == ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.forms",
+                                "extcalc.sparse", "extcalc.textio"]

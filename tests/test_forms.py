@@ -616,6 +616,61 @@ def test_wedge_matches_a_pair_by_pair_merge_bitwise():
         wedge(KForm(1, {(2,): 1e200}), KForm(1, {(1,): -1e200}))
 
 
+def test_wedge_sums_each_key_in_the_left_keys_order_bitwise():
+    # wedge runs e's keys outside, last first: each merged key must still sum its terms in w's
+    # key order.  Seeded forms on few indices, so that keys collect 3 or more non-dyadic
+    # terms, where another order rounds differently, as summing in e's key order does here
+    rng = np.random.default_rng(231)
+    most, reordered = 0, 0
+    for _ in range(60):
+        n = int(rng.integers(5, 8))
+        k, l = (int(rng.integers(1, 4)) for _ in range(2))
+        w, e = (KForm(arity, {tuple(sorted(rng.choice(np.arange(1, n + 1), arity,
+                                                      replace=False).tolist())):
+                              float(rng.uniform(-3.0, 3.0)) for _ in range(10)})
+                for arity in (k, l))
+        assert _hex(wedge(w, e)) == [(key, c.hex()) for key, c in _wedge_pair_by_pair(w, e)]
+        counts = {}
+        for ka in w.terms:
+            for kb in e.terms:
+                if not set(ka) & set(kb):
+                    key = tuple(sorted(ka + kb))
+                    counts[key] = counts.get(key, 0) + 1
+        most = max(most, *counts.values(), 0)
+        # the same pairs with e's terms outside, first first: w's keys then run descending
+        flipped = [(key, -c) for key, c in _wedge_pair_by_pair(e, w)] if k * l % 2 else (
+            _wedge_pair_by_pair(e, w))
+        reordered += _hex(wedge(w, e)) != [(key, c.hex()) for key, c in flipped]
+    assert most >= 3 and reordered > 0
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_pullback_from_4x4_up_refuses_an_overflowing_sum(k, tmp_path, capsys):
+    # the minors' running sums are float64 rows: c * det overflowing to inf, or inf - inf
+    # making NaN, must reach the storage kernel's refusal without a numpy warning, as the
+    # Python-float sums of degree 3 and less do
+    from extcalc.cli import main
+
+    n = k + 1
+    M = 10.0 * np.eye(n)
+    upper = tuple(range(1, k + 1))
+    with pytest.raises(ValueError, match="^cannot store the non-finite coefficient inf$"):
+        pullback(KForm(k, {upper: 1e308}), M)
+    M[k, :] = M[k - 1, :]  # rows k and k + 1 (1-based) are equal
+    lower = tuple(range(1, k)) + (k + 1,)
+    with pytest.raises(ValueError, match="^cannot store the non-finite coefficient nan$"):
+        pullback(KForm(k, {upper: 1e308, lower: -1e308}), M)
+    (tmp_path / "w").write_text(KForm(k, {upper: 1e308}).to_text())
+    (tmp_path / "m").write_text("\n".join(" ".join(map(str, row))
+                                          for row in 10 * np.eye(n, dtype=int)))
+    capsys.readouterr()
+    assert main(["pullback", str(tmp_path / "w"), str(tmp_path / "m")]) == 2
+    assert capsys.readouterr() == ("", "error: cannot store the non-finite coefficient inf\n")
+    # degree 3 on the same shapes refuses with the same message
+    with pytest.raises(ValueError, match="^cannot store the non-finite coefficient inf$"):
+        pullback(KForm(3, {(1, 2, 3): 1e308}), 10.0 * np.eye(4))
+
+
 def test_pullback_and_evaluation_drop_a_target_whose_terms_cancel_across_keys():
     # two keys whose minors on a target are equal and whose coefficients are opposite: the
     # target's sum is exactly 0.0 and is dropped, through cofactors (k <= 3) and the stack (k >= 4)

@@ -92,12 +92,10 @@ def test_verify_stokes_runs_without_numpy():
 
 
 def test_verify_stokes_loads_four_extcalc_modules():
-    # the example pair needs only KForm's key rule, from sparse: forms, tensors, textio and
-    # checks stay unloaded
-    package = Path(extcalc.__file__).parent
-    every = ["extcalc"] + [f"extcalc.{p.stem}" for p in sorted(package.glob("[!_]*.py"))]
+    # the example pair needs only KForm's key rule, from sparse: forms, tensors, textio, checks
+    # and the array gate stay unloaded
     commands = [["verify", "stokes", "--n", str(n), "--m", "3"] for n in range(2, 7)]
-    assert _loaded_after(_run_quietly(commands), every) == [
+    assert _loaded_after(_run_quietly(commands), _every_module()) == [
         "extcalc", "extcalc.cli", "extcalc.derivatives", "extcalc.sparse", "extcalc.stokes"]
 
 
@@ -176,13 +174,74 @@ def test_every_annotation_resolves():
     assert unresolved == []
 
 
-def test_d_loads_the_field_layer_and_the_algebra_it_calls():
-    # the field layer signs its index rows through forms._canonical_rows and reads its point
-    # through the tensors gate; the Stokes quadrature, the parser and the suite stay unloaded
+def _every_module() -> list:
     package = Path(extcalc.__file__).parent
-    every = ["extcalc"] + [f"extcalc.{p.stem}" for p in sorted(package.glob("[!_]*.py"))]
+    return ["extcalc"] + [f"extcalc.{p.stem}" for p in sorted(package.glob("[!_]*.py"))]
+
+
+def test_d_loads_the_field_layer_and_the_algebra_it_calls():
+    # the field layer signs its index rows through sparse._canonical_rows and reads its point
+    # through the array gate; forms, tensors, the Stokes quadrature, the parser and the suite
+    # stay unloaded
     commands = [["d"], ["d", "--fd"], ["d", "--field", "f1"],
                 ["d", "--omega", "--at", "1", "2", "3"]]
-    assert _loaded_after(_run_quietly(commands), every) == [
-        "extcalc", "extcalc.cli", "extcalc.derivatives", "extcalc.forms", "extcalc.sparse",
-        "extcalc.tensors"]
+    assert _loaded_after(_run_quietly(commands), _every_module()) == [
+        "extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.derivatives", "extcalc.sparse"]
+
+
+# what every algebra command loads: the parser reads through sparse alone, and the algebra of
+# extcalc.forms reads its frames, vectors and matrices through the array gate
+_ALGEBRA = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.forms", "extcalc.sparse",
+            "extcalc.textio"]
+_ALGEBRA_ROWS = {
+    "print": (["print", "w3"], _ALGEBRA),
+    "add": (["add", "w3", "w3", "--zap"], ["extcalc", "extcalc.cli", "extcalc.sparse",
+                                           "extcalc.textio"]),
+    "eval": (["eval", "w3", "e"], _ALGEBRA),
+    "contract": (["contract", "w3", "e"], _ALGEBRA),
+    "wedge": (["wedge", "w1", "w3"], _ALGEBRA),
+    "pullback-k3": (["pullback", "w3", "m"], _ALGEBRA),
+    "pullback-k4": (["pullback", "w4", "m"], _ALGEBRA),
+    "add-ktensor": (["add", "t", "t"], ["extcalc", "extcalc.arrays", "extcalc.cli",
+                                        "extcalc.sparse", "extcalc.tensors", "extcalc.textio"]),
+    "eval-ktensor": (["eval", "t", "e"], ["extcalc", "extcalc.arrays", "extcalc.cli",
+                                          "extcalc.sparse", "extcalc.tensors", "extcalc.textio"]),
+}
+
+
+def _algebra_files(tmp_path) -> dict:
+    texts = {"w1": "kform k=1\n1 : 2\n4 : -0.5\n", "w3": "kform k=3\n1 2 3 : 2\n2 3 4 : -1\n",
+             "w4": "kform k=4\n1 2 3 4 : 2\n", "t": "ktensor k=3\n1 2 4 : 3\n3 3 1 : 0.25\n",
+             "e": "1 0 2\n0 1 1\n2 1 0\n1 1 1\n",
+             "m": "1 2 0 1\n3 4 1 0\n0 1 2 3\n1 0 0 2\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in texts}
+
+
+@pytest.mark.parametrize("row", _ALGEBRA_ROWS, ids=_ALGEBRA_ROWS)
+def test_each_algebra_command_loads_exactly_its_modules(row, tmp_path):
+    # each command alone in a fresh interpreter: add never loads forms, tensors loads only for
+    # a ktensor file, and no algebra command loads derivatives, stokes or checks
+    argv, modules = _ALGEBRA_ROWS[row]
+    paths = _algebra_files(tmp_path)
+    command = [paths.get(arg, arg) for arg in argv]
+    # no json either, checked before the check's own import of it: cli imports json only to
+    # write a report or a --stats line; numpy only for minors from 4x4 up
+    script = _run_quietly([command]) + "import sys\nassert 'json' not in sys.modules\n"
+    numpy = ["numpy"] if row == "pullback-k4" else []
+    assert _loaded_after(script, _every_module() + ["numpy"]) == modules + numpy
+
+
+def test_a_ktensor_file_still_parses_and_adds(tmp_path):
+    # the parser imports KTensor for a ktensor header only: a kform sum leaves tensors unloaded,
+    # and a ktensor sum then loads it and writes a tensor's text
+    paths = _algebra_files(tmp_path)
+    script = ("import contextlib, io, sys\nfrom extcalc.cli import main\n"
+              "def add(path):\n    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        assert main(['add', path, path]) == 0\n    return out.getvalue()\n"
+              f"assert add({paths['w3']!r}) == 'kform k=3\\n1 2 3 : 4\\n2 3 4 : -2\\n'\n"
+              "assert 'extcalc.tensors' not in sys.modules\n"
+              f"assert add({paths['t']!r}) == 'ktensor k=3\\n1 2 4 : 6\\n3 3 1 : 0.5\\n'\n")
+    assert _loaded_after(script, ["extcalc.tensors"]) == ["extcalc.tensors"]

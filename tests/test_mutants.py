@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from extcalc import checks, derivatives, forms, sparse, stokes, tensors
+from extcalc import arrays, checks, derivatives, forms, sparse, stokes, tensors
 
 
 def _merge_sign_always_plus(monkeypatch):
@@ -68,9 +68,11 @@ def _canonical_rows_unsigned(monkeypatch):
             if len(set(row)) == len(row):
                 yield tuple(sorted(row)), c
 
-    # kform_from_rows reads forms._canonical_rows, and FieldForm._at imports it from forms when
-    # it runs
+    # the sign rule lives in sparse; kform_from_rows and FieldForm._at bind it from there when
+    # forms and derivatives are imported
+    monkeypatch.setattr(sparse, "_canonical_rows", unsigned)
     monkeypatch.setattr(forms, "_canonical_rows", unsigned)
+    monkeypatch.setattr(derivatives, "_canonical_rows", unsigned)
 
 
 def _pullback_first_chunk_only(monkeypatch):
@@ -162,9 +164,8 @@ def _permutation_images_reversed(monkeypatch):
         pairs = permutations(S, call)
         return list(zip([image for image, _ in reversed(pairs)], [sign for _, sign in pairs]))
 
-    # alt reads tensors._permutations; form_to_tensor its own import
+    # alt reads tensors._permutations, and form_to_tensor imports it from tensors when it runs
     monkeypatch.setattr(tensors, "_permutations", reversed_images)
-    monkeypatch.setattr(forms, "_permutations", reversed_images)
 
 
 def _omega_sign_dropped(monkeypatch):
@@ -205,7 +206,7 @@ def _field_rows_after_key(monkeypatch):
         items = []
         for field, key in self.terms:
             items += sparse._accumulate(
-                forms._canonical_rows((key + R, c) for R, c in rows(field, x))).items()
+                sparse._canonical_rows((key + R, c) for R, c in rows(field, x))).items()
         return forms.KForm._trusted(degree + self.arity, items)
 
     monkeypatch.setattr(derivatives.FieldForm, "_at", at)
@@ -214,15 +215,16 @@ def _field_rows_after_key(monkeypatch):
 def _gate_finiteness_skipped(monkeypatch):
     # the array gate without its isfinite pass: every other rule is checked on a finite
     # stand-in of the same shape, and the given values are returned unchecked
-    gate = tensors._finite_array
+    gate = arrays._finite_array
 
     def unchecked(A, ndim, what, min_rows=0):
         A = np.asarray(A, dtype=float)
         shape = gate(np.zeros(A.shape), ndim, what, min_rows)[1]
         return A.reshape(shape).tolist(), shape
 
-    # forms binds the gate at import; derivatives and stokes import it from tensors per call
-    monkeypatch.setattr(tensors, "_finite_array", unchecked)
+    # forms binds the gate at import; as_frame reads arrays._finite_array, and derivatives and
+    # stokes import it from arrays per call
+    monkeypatch.setattr(arrays, "_finite_array", unchecked)
     monkeypatch.setattr(forms, "_finite_array", unchecked)
 
 

@@ -359,13 +359,16 @@ def test_computed_non_finite_coefficients_are_refused():
 
 
 def test_text_lines_for_arity_zero_empty_maps_and_repeated_indices():
-    # one `i1 ... ik : c` template per call: arity 0 writes a bare ` : c`, an empty map only
-    # its `zero k=` line (after the header), and a tensor's repeated indices each in place
+    # each line is its key's `i1 ... ik` and its coefficient's ` : c`: arity 0 writes a bare
+    # ` : c`, arity 1 one index per line, an empty map only its `zero k=` line (after the
+    # header), and a tensor's repeated indices each in place
     assert SparseMap(0, {(): 2.5}).to_text() == " : 2.5\n"
     assert KForm(0, {(): -3.0}).to_text() == "kform k=0\n : -3\n"
     assert KForm(0).to_text() == "kform k=0\nzero k=0\n"
     assert KTensor(4).to_text() == "ktensor k=4\nzero k=4\n"
     assert SparseMap(0).to_text() == "zero k=0\n"
+    assert SparseMap(1, {(12,): -2.0, (3,): 0.1}).to_text() == "3 : 0.1\n12 : -2\n"
+    assert KForm(1).to_text() == "kform k=1\nzero k=1\n"
     T = KTensor(3, {(2, 2, 1): 1e17, (1, 1, 1): -0.1, (3, 1, 3): 7.0, (10**20, 1, 1): 1.0})
     assert T.to_text() == ("ktensor k=3\n1 1 1 : -0.1\n2 2 1 : 1e+17\n3 1 3 : 7\n"
                            "100000000000000000000 1 1 : 1\n")

@@ -21,7 +21,7 @@ from extcalc import (
     tensor_product,
 )
 
-from extcalc.tensors import _finite_array
+from extcalc.arrays import _finite_array
 from oracles import dense_tensor_value
 
 
