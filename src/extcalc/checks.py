@@ -1,11 +1,12 @@
 """Seeded property checks shared by the verify CLI and the test suite.
 
-Every check runs a fixed number of deterministic random cases and
-returns a small report dict: name, cases, max_err, tol, passed.  Checks
-compare two independent routes to the same value wherever one exists
-(definitional wedge vs key merge, contraction vs evaluation, finite
-differences vs closed forms), so a bug has to fool both routes at once
-to slip through.
+Every check is a zero-argument function (check_dd_zero alone takes its
+point) that runs fixed deterministic cases, drawn from default_rng of
+its `seed`, and returns a small report dict: name, cases, max_err, tol,
+passed.  Checks compare two independent routes to the same value
+wherever one exists (definitional wedge vs key merge, contraction vs
+evaluation, finite differences vs closed forms), so a bug has to fool
+both routes at once to slip through.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from .forms import (KForm, contract, contract_matrix, evaluate_form, form_to_ten
                     rform, wedge, wedge_definitional)
 from .derivatives import (dd_check, demo_two_form, exterior_d, f1, f2, f3, fd_gradient, grad, hat,
                           omega_gradient)
-from .stokes import verify_stokes, verify_det_proportionality
+from .stokes import _scaled_errors, verify_stokes, verify_det_proportionality
 
 __all__ = ["suite", "SUITE_CHECKS"]
 
-DEFAULT_CASES = 100
+CASES = 100
+DEMO_POINT = (1.0, 2.0, 3.0, 4.0)
 
 
 def _report(name: str, cases: int, errors, tol: float, **extra) -> dict:
@@ -46,6 +48,24 @@ def _report(name: str, cases: int, errors, tol: float, **extra) -> dict:
     }
     out.update(extra)
     return out
+
+
+def _seeded(seed: int, name: str = "", tol: float = 0.0):
+    # check_<name>(rng) as the zero-argument check_<name>() drawing from default_rng(seed),
+    # which it keeps as `seed` for the --stats line.  Given a name, check_<name>(rng) yields
+    # one case's errors, and the check reports CASES such cases drawn in turn
+    def decorate(body):
+        def check() -> dict:
+            rng = np.random.default_rng(seed)
+            if not name:
+                return body(rng)
+            return _report(name, CASES, (e for _ in range(CASES) for e in body(rng)), tol)
+
+        check.__name__ = check.__qualname__ = body.__name__
+        check.__doc__, check.seed = body.__doc__, seed
+        return check
+
+    return decorate
 
 
 def _rel(lhs: float, rhs: float) -> float:
@@ -71,31 +91,28 @@ def _termwise_err(a: SparseMap, b: SparseMap) -> float:
     return max(map(abs, diffs), default=0.0)
 
 
-def check_multilinearity(cases: int = DEFAULT_CASES, seed: int = 101) -> dict:
+@_seeded(101, "multilinearity", 1e-10)
+def check_multilinearity(rng):
     """Tensor evaluation is linear in each frame column separately."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(cases):
-        k = int(rng.integers(1, 4))
-        n = int(rng.integers(2, 9))
-        S = _random_tensor(rng, k, n)
-        E = rng.standard_normal((n, k))
-        col = int(rng.integers(0, k))
-        u, v = rng.standard_normal((2, n))
-        r1, r2 = rng.standard_normal(2)
-        Eu, Ev, Emix = E.copy(), E.copy(), E.copy()
-        Eu[:, col] = u
-        Ev[:, col] = v
-        Emix[:, col] = r1 * u + r2 * v
-        lhs = evaluate_tensor(S, Emix)
-        rhs = r1 * evaluate_tensor(S, Eu) + r2 * evaluate_tensor(S, Ev)
-        errors.append(_rel(lhs, rhs))
-    return _report("multilinearity", cases, errors, 1e-10)
+    k = int(rng.integers(1, 4))
+    n = int(rng.integers(2, 9))
+    S = _random_tensor(rng, k, n)
+    E = rng.standard_normal((n, k))
+    col = int(rng.integers(0, k))
+    u, v = rng.standard_normal((2, n))
+    r1, r2 = rng.standard_normal(2)
+    Eu, Ev, Emix = E.copy(), E.copy(), E.copy()
+    Eu[:, col] = u
+    Ev[:, col] = v
+    Emix[:, col] = r1 * u + r2 * v
+    lhs = evaluate_tensor(S, Emix)
+    rhs = r1 * evaluate_tensor(S, Eu) + r2 * evaluate_tensor(S, Ev)
+    yield _rel(lhs, rhs)
 
 
-def check_not_linear_in_frame(seed: int = 7) -> dict:
+@_seeded(7)
+def check_not_linear_in_frame(rng) -> dict:
     """Joint scaling of the whole frame is NOT linearity (negative control)."""
-    rng = np.random.default_rng(seed)
     S = _random_tensor(rng, 2, 4)
     E1, E2 = rng.standard_normal((2, 4, 2))
     r1, r2 = 1.7, -0.6
@@ -111,142 +128,116 @@ def check_not_linear_in_frame(seed: int = 7) -> dict:
     }
 
 
-def check_alternation(cases: int = DEFAULT_CASES, seed: int = 102) -> dict:
+@_seeded(102, "alternation-column-swap", 1e-10)
+def check_alternation(rng):
     """Form evaluation flips sign under any frame column swap."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(cases):
-        n = int(rng.integers(3, 9))
-        k = int(rng.integers(2, min(n, 4) + 1))
-        w = _random_form(rng, k, n)
+    n = int(rng.integers(3, 9))
+    k = int(rng.integers(2, min(n, 4) + 1))
+    w = _random_form(rng, k, n)
+    E = rng.standard_normal((n, k))
+    i, j = rng.choice(k, size=2, replace=False)
+    Eswap = E.copy()
+    Eswap[:, [i, j]] = Eswap[:, [j, i]]
+    yield _rel(evaluate_form(w, E), -evaluate_form(w, Eswap))
+
+
+@_seeded(103, "alt-operator", 1e-10)
+def check_alt_operator(rng):
+    """alt is idempotent, fixes alternating tensors, and alternates."""
+    k = int(rng.integers(1, 4))
+    n = int(rng.integers(2, 7))
+    T = _random_tensor(rng, k, n, terms=3)
+    a1 = alt(T)
+    yield _termwise_err(alt(a1), a1)
+    w = _random_form(rng, min(k, n), n, max_terms=3)
+    expanded = form_to_tensor(w)
+    yield _termwise_err(alt(expanded), expanded)
+    if k >= 2:
         E = rng.standard_normal((n, k))
         i, j = rng.choice(k, size=2, replace=False)
         Eswap = E.copy()
         Eswap[:, [i, j]] = Eswap[:, [j, i]]
-        errors.append(_rel(evaluate_form(w, E), -evaluate_form(w, Eswap)))
-    return _report("alternation-column-swap", cases, errors, 1e-10)
+        yield _rel(evaluate_tensor(a1, E), -evaluate_tensor(a1, Eswap))
 
 
-def check_alt_operator(cases: int = DEFAULT_CASES, seed: int = 103) -> dict:
-    """alt is idempotent, fixes alternating tensors, and alternates."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(cases):
-        k = int(rng.integers(1, 4))
-        n = int(rng.integers(2, 7))
-        T = _random_tensor(rng, k, n, terms=3)
-        a1 = alt(T)
-        errors.append(_termwise_err(alt(a1), a1))
-        w = _random_form(rng, min(k, n), n, max_terms=3)
-        expanded = form_to_tensor(w)
-        errors.append(_termwise_err(alt(expanded), expanded))
-        if k >= 2:
-            E = rng.standard_normal((n, k))
-            i, j = rng.choice(k, size=2, replace=False)
-            Eswap = E.copy()
-            Eswap[:, [i, j]] = Eswap[:, [j, i]]
-            errors.append(_rel(evaluate_tensor(a1, E), -evaluate_tensor(a1, Eswap)))
-    return _report("alt-operator", cases, errors, 1e-10)
-
-
-def check_wedge_algebra(cases: int = DEFAULT_CASES, seed: int = 104) -> dict:
+@_seeded(104, "wedge-algebra", 1e-12)
+def check_wedge_algebra(rng):
     """Associativity, distributivity, graded anticommutativity."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(cases):
-        n = int(rng.integers(4, 9))
-        k, l, m = (int(rng.integers(1, 4)) for _ in range(3))
-        a = _random_form(rng, min(k, n - 2), n)
-        b = _random_form(rng, min(l, n - 2), n)
-        c = _random_form(rng, min(m, n - 2), n)
-        errors.append(_termwise_err(wedge(wedge(a, b), c), wedge(a, wedge(b, c))))
-        a2 = _random_form(rng, a.arity, n)
-        ab = wedge(a, b)
-        errors.append(_termwise_err(wedge(a + a2, b), ab + wedge(a2, b)))
-        sign = -1.0 if (a.arity * b.arity) % 2 else 1.0
-        errors.append(_termwise_err(ab, wedge(b, a).scale(sign)))
-    return _report("wedge-algebra", cases, errors, 1e-12)
+    n = int(rng.integers(4, 9))
+    k, l, m = (int(rng.integers(1, 4)) for _ in range(3))
+    a = _random_form(rng, min(k, n - 2), n)
+    b = _random_form(rng, min(l, n - 2), n)
+    c = _random_form(rng, min(m, n - 2), n)
+    yield _termwise_err(wedge(wedge(a, b), c), wedge(a, wedge(b, c)))
+    a2 = _random_form(rng, a.arity, n)
+    ab = wedge(a, b)
+    yield _termwise_err(wedge(a + a2, b), ab + wedge(a2, b))
+    sign = -1.0 if (a.arity * b.arity) % 2 else 1.0
+    yield _termwise_err(ab, wedge(b, a).scale(sign))
 
 
-def check_wedge_definitional(cases: int = DEFAULT_CASES, seed: int = 105) -> dict:
+@_seeded(105, "wedge-definitional", 1e-10)
+def check_wedge_definitional(rng):
     """Key-merge wedge equals C(k+l, k) alt(tensor product)."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(cases):
-        k = int(rng.integers(1, 3))
-        l = int(rng.integers(1, 5 - k))
-        n = int(rng.integers(k + l, 6))
-        a = _random_form(rng, k, n, max_terms=3)
-        b = _random_form(rng, l, n, max_terms=3)
-        errors.append(_termwise_err(wedge(a, b), wedge_definitional(a, b)))
-    return _report("wedge-definitional", cases, errors, 1e-10)
+    k = int(rng.integers(1, 3))
+    l = int(rng.integers(1, 5 - k))
+    n = int(rng.integers(k + l, 6))
+    a = _random_form(rng, k, n, max_terms=3)
+    b = _random_form(rng, l, n, max_terms=3)
+    yield _termwise_err(wedge(a, b), wedge_definitional(a, b))
 
 
-def check_contraction(cases: int = DEFAULT_CASES, seed: int = 106) -> dict:
+@_seeded(106, "contraction-vs-evaluation", 1e-10)
+def check_contraction(rng):
     """Full contraction reproduces evaluation; single steps compose."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(cases):
-        n = int(rng.integers(2, 9))
-        k = int(rng.integers(1, min(n, 3) + 1))
-        w = _random_form(rng, k, n)
-        V = rng.standard_normal((n, k))
-        full = contract_matrix(w, V)
-        errors.append(_rel(full, evaluate_form(w, V)))
-        step = contract(w, V[:, 0])
-        if k > 1:
-            rest = evaluate_form(step, V[:, 1:])
-        else:
-            rest = step.terms.get((), 0.0)
-        errors.append(_rel(full, rest))
-    return _report("contraction-vs-evaluation", cases, errors, 1e-10)
+    n = int(rng.integers(2, 9))
+    k = int(rng.integers(1, min(n, 3) + 1))
+    w = _random_form(rng, k, n)
+    V = rng.standard_normal((n, k))
+    full = contract_matrix(w, V)
+    yield _rel(full, evaluate_form(w, V))
+    yield _rel(full, evaluate_form(contract(w, V[:, 0]), V[:, 1:]))
 
 
-def check_det_proportionality(cases: int = DEFAULT_CASES, seed: int = 107) -> dict:
+@_seeded(107, "det-proportionality", 1e-8)
+def check_det_proportionality(rng):
     """Top forms are proportional to the determinant."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(cases):
-        n = int(rng.integers(2, 9))
-        w = KForm(n)
-        while not w.terms:
-            parts = [grad(rng.integers(-3, 4, size=n)) for _ in range(n)]
-            w = parts[0]
-            for p in parts[1:]:
-                w = wedge(w, p)
-        E = rng.standard_normal((n, n))
-        rep = verify_det_proportionality(w, E)
-        errors.append(_rel(rep["lhs"], rep["rhs"]))
-    return _report("det-proportionality", cases, errors, 1e-8)
+    n = int(rng.integers(2, 9))
+    w = KForm(n)
+    while not w.terms:
+        parts = [grad(rng.integers(-3, 4, size=n)) for _ in range(n)]
+        w = parts[0]
+        for p in parts[1:]:
+            w = wedge(w, p)
+    E = rng.standard_normal((n, n))
+    rep = verify_det_proportionality(w, E)
+    yield _rel(rep["lhs"], rep["rhs"])
 
 
-def check_pullback(cases: int = DEFAULT_CASES, seed: int = 108) -> dict:
+@_seeded(108, "pullback", 1e-8)
+def check_pullback(rng):
     """Identity, inverse round-trip, and functoriality of pullback."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(cases):
-        n = int(rng.integers(3, 6))
-        k = int(rng.integers(1, n))
-        w = _random_form(rng, k, n)
-        errors.append(_termwise_err(pullback(w, np.eye(n)), w))
+    n = int(rng.integers(3, 6))
+    k = int(rng.integers(1, n))
+    w = _random_form(rng, k, n)
+    yield _termwise_err(pullback(w, np.eye(n)), w)
+    M = rng.standard_normal((n, n))
+    while np.linalg.cond(M) > 50.0:
         M = rng.standard_normal((n, n))
-        while np.linalg.cond(M) > 50.0:
-            M = rng.standard_normal((n, n))
-        back = pullback(pullback(w, M), np.linalg.inv(M))
-        errors.append(_termwise_err(back.zap(1e-9), w))
-        A = rng.standard_normal((n, n))
-        B = rng.standard_normal((n, n))
-        errors.append(_termwise_err(pullback(w, A @ B), pullback(pullback(w, A), B)))
-    return _report("pullback", cases, errors, 1e-8)
+    back = pullback(pullback(w, M), np.linalg.inv(M))
+    yield _termwise_err(back.zap(1e-9), w)
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    yield _termwise_err(pullback(w, A @ B), pullback(pullback(w, A), B))
 
 
-def check_omega_closedness(cases_per_n: int = DEFAULT_CASES, seed: int = 109) -> dict:
+@_seeded(109)
+def check_omega_closedness(rng) -> dict:
     """d(omega_n) = 0: the gradient wedge hat(n) vanishes, n = 3..9."""
-    rng = np.random.default_rng(seed)
     errors = []
     for n in range(3, 10):
         hat_n = hat(n)
-        for _ in range(cases_per_n):
+        for _ in range(CASES):
             x = rng.standard_normal(n)
             while (sq := float(np.dot(x, x))) == 0.0:
                 x = rng.standard_normal(n)
@@ -259,21 +250,21 @@ def check_omega_closedness(cases_per_n: int = DEFAULT_CASES, seed: int = 109) ->
     return _report("omega-closedness", len(errors), errors, 1.0)
 
 
-def check_gradient_consistency(cases: int = 30, seed: int = 110) -> dict:
-    """Analytic gradients of the demo fields agree with differences."""
-    rng = np.random.default_rng(seed)
+@_seeded(110)
+def check_gradient_consistency(rng) -> dict:
+    """Analytic gradients of the demo fields agree with differences, at 30 points."""
     errors = []
-    for _ in range(cases):
+    for _ in range(30):
         x = rng.uniform(-2.0, 2.0, size=4)
         for field in (f1, f2, f3):
             g_true = field.gradient_at(x, analytic=True)
             g_fd = fd_gradient(field.fn, x)
             scale = max(1.0, float(np.max(np.abs(g_true))))
             errors.append(float(np.max(np.abs(g_true - g_fd))) / scale)
-    return _report("gradient-consistency", cases * 3, errors, 1e-5)
+    return _report("gradient-consistency", len(errors), errors, 1e-5)
 
 
-def check_dd_zero(x=(1.0, 2.0, 3.0, 4.0)) -> dict:
+def check_dd_zero(x=DEMO_POINT) -> dict:
     """d(d(phi)) = 0 for the demo 2-form, both Hessian routes."""
     phi = demo_two_form()
     fd = dd_check(phi, x, analytic=False)
@@ -285,22 +276,21 @@ def check_dd_zero(x=(1.0, 2.0, 3.0, 4.0)) -> dict:
     return out
 
 
-def check_exterior_d_demo(x=(1.0, 2.0, 3.0, 4.0)) -> dict:
+def check_exterior_d_demo() -> dict:
     """FD and analytic exterior derivatives of the demo form agree."""
     phi = demo_two_form()
-    d_fd = exterior_d(phi, x, analytic=False)
-    d_an = exterior_d(phi, x, analytic=True)
+    d_fd = exterior_d(phi, DEMO_POINT, analytic=False)
+    d_an = exterior_d(phi, DEMO_POINT, analytic=True)
     return _report("exterior-d-demo", 2, [_termwise_err(d_fd, d_an)], 1e-6)
 
 
-def check_stokes(configs=((2, 1.0, 8), (3, 1.0, 8), (4, 1.0, 8), (3, 0.5, 8))) -> dict:
+def check_stokes() -> dict:
     """Boundary = volume = closed form on a set of cube configurations."""
     errors = []
     reports = []
-    for n, a, m in configs:
+    for n, a, m in ((2, 1.0, 8), (3, 1.0, 8), (4, 1.0, 8), (3, 0.5, 8)):
         rep = verify_stokes(n, a, m)
-        scale = max(1.0, abs(rep["volume"]))
-        errors += [rep["err_bv"] / scale, rep["err_vc"] / scale]
+        errors += _scaled_errors(rep)
         reports.append(rep)
     return _report("stokes-cubes", len(reports), errors, 1e-8, configs=reports)
 
@@ -324,5 +314,5 @@ SUITE_CHECKS = (
 
 
 def suite() -> list[dict]:
-    """Run every check with its default seed and case count."""
+    """Run every check."""
     return [check() for check in SUITE_CHECKS]

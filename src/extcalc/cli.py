@@ -14,7 +14,7 @@ where it happens, and restores the caller's warning filters.  With the
 global --stats option it then writes one JSON line to stderr: the
 subcommand, its elapsed seconds, whether numpy was loaded, the sorted
 extcalc modules the run loaded, for `verify stokes` its quadrature
-nodes, and for `verify suite` each check's name, cases and elapsed
+nodes, and for `verify suite` each check's name, cases, seed and elapsed
 seconds.  print, add, wedge, alt, eval, contract, pullback of degree 3
 or less and verify stokes compute on Python floats and never import
 numpy (the coefficient store and the evaluations refuse an overflow).
@@ -137,13 +137,12 @@ def cmd_print(args):
 
 
 def cmd_verify_stokes(args):
-    from .stokes import verify_stokes
+    from .stokes import _scaled_errors, verify_stokes
 
     tol = _check_tol(args.tol)
     rep = verify_stokes(args.n, args.a, args.m)
     args.work["nodes"] = rep["m"] ** rep["n"] + 2 * rep["n"] * rep["m"] ** (rep["n"] - 1)
-    scale = max(1.0, abs(rep["volume"]))
-    return rep, rep["err_bv"] / scale <= tol and rep["err_vc"] / scale <= tol
+    return rep, max(_scaled_errors(rep)) <= tol
 
 
 def cmd_verify_ddzero(args):
@@ -181,6 +180,7 @@ def cmd_verify_suite(args):
         start = time.perf_counter()
         reports.append(report := check())
         timings.append({"name": report["name"], "cases": report["cases"],
+                        "seed": getattr(check, "seed", None),
                         "elapsed_s": time.perf_counter() - start})
     args.work["checks"] = timings
     ok = all(r["passed"] for r in reports)

@@ -172,10 +172,8 @@ def evaluate_form(w: KForm, E) -> float:
     This is the one coefficient of dy1^...^dyk in the pullback along E,
     computed by pullback's own loop on that single target.  The terms
     are summed left to right in key order; a NaN or infinite value
-    raises ValueError, and the frame must be finite.
+    raises ValueError, and the frame must be finite (n x 0 for a 0-form).
     """
-    if w.arity == 0:
-        return w.terms.get((), 0.0)
     k = w.arity
     E = as_frame(E, k, w.dimension)
     return _finite_sum((c for _, c in _pulled(w, E, k, [tuple(range(1, k + 1))])),

@@ -29,7 +29,6 @@ n per node.  A coefficient without declared terms is called per node.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -153,12 +152,10 @@ class _AxisSum(tuple):
         return values
 
 
-@functools.lru_cache(maxsize=8)
 def _example_pair(n: int) -> tuple[FieldForm, FieldForm]:
     # phi = (sum_i (-1)^(i-1) x_i^i) * hat(n) and dphi = (sum_j j x_j^(j-1)) dx_1^...^dx_n,
     # dphi written by hand rather than derived from phi; hat(n) holds the bound before either
-    # coefficient is built.  A float exponent calls the libm pow that x**i calls.  The pair
-    # is immutable, so each n's is built once and kept for the last 8 n asked for
+    # coefficient is built.  A float exponent calls the libm pow that x**i calls
     keys = hat(n).terms
     phi = _AxisSum((float(i), 1.0 if i % 2 else -1.0) for i in range(1, n + 1))
     dphi = _AxisSum((j - 1.0, float(j)) for j in range(1, n + 1))
@@ -187,10 +184,12 @@ def dphi_example(x) -> KForm:
 def closed_form_value(n: int, a: float) -> float:
     """a^(n-1) * (a + a^2 + ... + a^n), the exact integral for the pair.
 
-    a must be finite, and a value that overflows a float raises
-    ValueError.
+    n must be integral and at least 2, as for CubeDomain; a must be
+    finite, and a value that overflows a float raises ValueError.
     """
-    a = _check_finite(a)
+    n, a = _check_integral(n, "n"), _check_finite(a)
+    if n < 2:
+        raise ValueError("need n >= 2")
     try:
         total = 0.0  # left to right: sum() compensates float sums from Python 3.12 on
         for j in range(1, n + 1):
@@ -315,6 +314,13 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
     if not all(map(math.isfinite, report.values())):
         raise ValueError(f"the quadrature overflows at n = {n}, a = {cube.a}")
     return report
+
+
+def _scaled_errors(report: dict) -> list:
+    # a verify_stokes report's two errors over max(1, |volume|): the one pass rule of `verify
+    # stokes` and the suite's stokes-cubes, each error <= tol
+    scale = max(1.0, abs(report["volume"]))
+    return [report["err_bv"] / scale, report["err_vc"] / scale]
 
 
 def verify_det_proportionality(w: KForm, E) -> dict:

@@ -66,12 +66,11 @@ def _refuse_kforms(call: str, *maps: SparseMap) -> None:
 def evaluate_tensor(S: KTensor, E) -> float:
     """Evaluate S on the frame E (columns are the k argument vectors).
 
-    Rows of E beyond the implied dimension are ignored; a NaN or
-    infinite value (an overflowing product or sum) raises ValueError.
+    Rows of E beyond the implied dimension are ignored; a 0-tensor reads
+    an n x 0 frame; a NaN or infinite value (an overflowing product or
+    sum) raises ValueError.
     """
     _refuse_kforms("evaluate_tensor", S)
-    if S.arity == 0:
-        return S.terms.get((), 0.0)
     # the frame's columns, each led by a placeholder so that a 1-based index reads its entry
     columns = [(None, *column) for column in zip(*as_frame(E, S.arity, S.dimension))]
     return _finite_sum((math.prod(map(operator.getitem, columns, key), start=c)

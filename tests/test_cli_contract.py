@@ -235,6 +235,9 @@ def test_the_refusals_whose_messages_are_declared(paths):
     for command in ("eval", "contract", "pullback"):
         assert _run([command, paths["w2"], paths["ragged"]]) == (
             2, "", "error: line 2: row has 1 entries, expected 2\n")
+    # a 0-form reads its frame as any form does, and a frame file has at least one column
+    assert _run(["eval", paths["w0"], paths["col4"]]) == (
+        2, "", "error: frame has 1 columns but the object has arity 0\n")
 
 
 # --stats rows: file names stand for their paths; the last three are refusals
@@ -277,7 +280,11 @@ def test_stats_line(row, paths):
         reports = json.loads(out)["checks"]
         assert [(c["name"], c["cases"]) for c in stats["checks"]] == [
             (r["name"], r["cases"]) for r in reports]
-        assert len(reports) == 14 and all(set(c) == {"name", "cases", "elapsed_s"} for c in stats["checks"])
+        assert len(reports) == 14 and all(
+            set(c) == {"name", "cases", "seed", "elapsed_s"} for c in stats["checks"])
+        # the seed each check draws from, null for the three that draw nothing
+        assert [c["seed"] for c in stats["checks"]] == [
+            101, 7, 102, 103, 104, 105, 106, 107, 108, 109, 110, None, None, None]
         assert 0.0 < sum(c["elapsed_s"] for c in stats["checks"]) <= stats["elapsed_s"]
     if stokes:  # m^n volume nodes and 2n faces of m^(n-1), at n = m = 2
         assert stats["nodes"] == 2**2 + 2 * 2 * 2**1

@@ -4,6 +4,7 @@ The same functions back `extcalc verify suite`, so this file keeps the
 CLI verification surface green under pytest as well.
 """
 
+import inspect
 import math
 from pathlib import Path
 
@@ -56,6 +57,15 @@ def test_suite_names_unique_and_complete():
         assert {"name", "cases", "passed"} <= set(r)
 
 
+def test_checks_take_no_settings():
+    # the suite's one settable value is the point `verify ddzero --at` passes to check_dd_zero;
+    # each check is check_<name>, the name perfbench/tracing.py builds its checks.* metrics from
+    for check in checks.SUITE_CHECKS:
+        want = ["x"] if check is checks.check_dd_zero else []
+        assert check.__name__.startswith("check_"), check
+        assert list(inspect.signature(check).parameters) == want, check.__name__
+
+
 def test_checks_are_deterministic():
     a = checks.check_multilinearity()
     b = checks.check_multilinearity()
@@ -87,13 +97,6 @@ def test_a_nan_error_is_refused_not_passed(monkeypatch, capsys):
     assert main(["verify", "suite"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: check multilinearity: an error came out NaN\n"
-
-
-def test_seed_changes_the_draws():
-    a = checks.check_multilinearity(seed=1)
-    b = checks.check_multilinearity(seed=2)
-    assert a["passed"] and b["passed"]
-    assert a["max_err"] != b["max_err"]
 
 
 # ------------------------------------------------ text format properties

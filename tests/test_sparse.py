@@ -267,6 +267,16 @@ def test_non_finite_frames_matrices_and_points_are_rejected(bad):
 
     w = kform_from_rows([(1, 2)], [1.0])
     frame = np.array([[1.0, 2.0], [3.0, bad], [5.0, 6.0]])
+    # a 0-form or 0-tensor reads its frame too: once it returned its constant for any input
+    for zero in (KForm(0, {(): 2.0}), KTensor(0, {(): 2.0})):
+        evaluate = evaluate_form if isinstance(zero, KForm) else evaluate_tensor
+        assert evaluate(zero, np.zeros((3, 0))) == 2.0
+        with pytest.raises(ValueError, match="need a finite number"):
+            evaluate(zero, [[bad]])
+        with pytest.raises(ValueError, match="unequal lengths"):
+            evaluate(zero, [[1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="could not convert"):
+            evaluate(zero, "abc")
     with pytest.raises(ValueError, match="finite"):
         evaluate_form(w, frame)
     with pytest.raises(ValueError, match="finite"):

