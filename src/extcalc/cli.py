@@ -6,30 +6,35 @@ by zero, invalid operation), reported as one error line.  File
 arguments accept "-" for stdin.  The EXTERIOR_TOL environment variable
 overrides the default tolerance used by the optional --zap cleanup flag.
 
+One grammar table, _grammar, feeds two parsers: a table parser reads a
+command line of the plain shape (exact long options, each value its own
+token), and argparse, built from the same table, loads only for help,
+abbreviations and refusals, which stay argparse's own.
+
 Each subcommand returns its result: a form or tensor, a scalar, a line
 of text, or a verification's (report, passed) pair.  main alone writes
 it, applying --zap, and exits 1 on a failed verdict.  It runs both steps
 with RuntimeWarning as an error, so a numpy floating-point error raises
 where it happens, and restores the caller's warning filters.  With the
 global --stats option it then writes one JSON line to stderr: the
-subcommand, its elapsed seconds, whether numpy was loaded, the sorted
-extcalc modules the run loaded, for `verify stokes` its quadrature
-nodes, and for `verify suite` each check's name, cases, seed and elapsed
-seconds.  print, add, wedge, alt, eval, contract, pullback of degree 3
-or less and verify stokes compute on Python floats and never import
-numpy (the coefficient store and the evaluations refuse an overflow).
-Each subcommand imports the modules it calls when it runs, and json
-only to write a report or the --stats line.  Besides extcalc, cli and
-sparse: add loads textio; print, eval, contract, wedge and pullback
-load textio, forms and arrays (the array gate); a ktensor file loads
-tensors and arrays (add and eval of one need no forms), and alt all
-four; d loads derivatives and arrays; `verify stokes` derivatives and
-stokes; the other checks more.
+subcommand, its elapsed seconds, whether numpy and argparse were loaded,
+the sorted extcalc modules the run loaded, for a form or tensor the
+terms written (and with --zap those zapped), for `verify stokes` its
+quadrature nodes, and for `verify suite` each check's name, cases, seed
+and elapsed seconds.  print, add, wedge, alt, eval, contract, pullback
+of degree 3 or less and verify stokes compute on Python floats and never
+import numpy (the coefficient store and the evaluations refuse an
+overflow).  Each subcommand imports the modules it calls when it runs,
+and json only to write a report or the --stats line.  Besides extcalc,
+cli and sparse: add loads textio; print, eval, contract, wedge and
+pullback load textio, forms and arrays (the array gate); a ktensor file
+loads tensors and arrays (add and eval of one need no forms), and alt
+all four; d loads derivatives and arrays; `verify stokes` derivatives
+and stokes; the other checks more.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
@@ -38,9 +43,6 @@ import warnings
 from .sparse import DEFAULT_TOL, KForm, SparseMap, _check_tol, format_coefficient
 
 __all__ = ["main"]
-
-# the demo 0-forms of extcalc.derivatives that `d --field` accepts
-_FIELDS = ("f1", "f2", "f3")
 
 # det46's coefficient sum_{j<=n} j^j overflows a float for every n above this
 DET46_MAX_N = 143
@@ -197,125 +199,143 @@ def _write(result, args) -> int:
         return 0 if passed else 1
     if isinstance(result, SparseMap):
         if getattr(args, "zap", None) is not None:
-            result = result.zap(args.zap)
+            args.work["zapped"] = len(result) - len(result := result.zap(args.zap))
+        args.work["terms"] = len(result)
         sys.stdout.write(result.to_text())
     else:
         print(format_coefficient(result) if isinstance(result, float) else result)
     return 0
 
 
-def _add_zap(p: argparse.ArgumentParser):
-    p.add_argument("--zap", nargs="?", type=float, const=_default_tol(), default=None,
-                   metavar="TOL", help="drop |coeff| <= TOL from the result "
-                   "(bare --zap uses EXTERIOR_TOL or 1e-11)")
+def _grammar() -> dict:
+    # the grammar both parsers read, in --help order: command words -> (help, function,
+    # positionals, {option: its add_argument keywords}, the options excluding each other);
+    # `verify` only groups its checks.  Built per run, so that bare --zap reads EXTERIOR_TOL
+    # each time and each list default is a fresh list
+    zap = {"--zap": {"nargs": "?", "type": float, "const": _default_tol(), "default": None,
+                     "metavar": "TOL", "help": "drop |coeff| <= TOL from the result "
+                     "(bare --zap uses EXTERIOR_TOL or 1e-11)"}}
+    at = {"--at": {"nargs": "+", "type": float, "default": [1.0, 2.0, 3.0, 4.0]}}
+    flag = {"action": "store_true", "default": False}
+    return {
+        ("eval",): ("evaluate a form or tensor on a frame", cmd_eval, ("object", "frame"), {}, ()),
+        ("wedge",): ("wedge product of two forms", cmd_wedge, ("a", "b"), zap, ()),
+        ("add",): ("sum of two like objects", cmd_add, ("a", "b"), zap, ()),
+        ("contract",): ("interior product with vectors", cmd_contract, ("form", "vectors"), {
+            "--keep-form": {**flag, "help": "return a 0-form instead of a bare scalar when "
+                            "fully contracted"}, **zap}, ()),
+        ("pullback",): ("pull a form back along a square matrix", cmd_pullback,
+                        ("form", "matrix"), zap, ()),
+        ("alt",): ("alternating part of a tensor", cmd_alt, ("tensor",), {}, ()),
+        ("d",): ("exterior derivative of the built-in fields", cmd_d, (), {
+            **at, "--field": {"choices": ["f1", "f2", "f3"], "help": "d of one demo 0-form"},
+            "--omega": {**flag, "help": "gradient 1-form of the singular (n-1)-form"},
+            "--fd": {**flag, "help": "force finite differences"}}, ("--field", "--omega")),
+        ("print",): ("symbolic one-line rendering", cmd_print, ("object",),
+                     {"--style": {"choices": ["letters", "d"], "default": None}}, ()),
+        ("verify",): ("numeric verification reports (JSON)", None, (), {}, ()),
+        ("verify", "stokes"): ("boundary vs volume vs closed form", cmd_verify_stokes, (), {
+            "--n": {"type": int, "default": 3}, "--a": {"type": float, "default": 1.0},
+            "--m": {"type": int, "default": 8}, "--tol": {"type": float, "default": 1e-8}}, ()),
+        ("verify", "ddzero"): ("d(d(demo 2-form)) = 0", cmd_verify_ddzero, (), at, ()),
+        ("verify", "det46"): ("top-form determinant proportionality", cmd_verify_det46, (), {
+            "--seed": {"type": int, "default": 0}, "--n": {"type": int, "default": 9}}, ()),
+        ("verify", "suite"): ("every seeded property check", cmd_verify_suite, (), {}, ()),
+    }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse whose refusals are the one `error: ...` line, with no usage lines, and
-    SystemExit(2); subparsers inherit it through parser_class."""
+def _parse(grammar: dict, argv: list):
+    """argparse's namespace for an argv of the plain shape, `[--stats] <command> [<check>]`
+    then positionals and exact long options, each value its own token; else None, which
+    leaves help, abbreviations, --opt=value, values starting with "-" and refusals to argparse.
+    """
+    from types import SimpleNamespace
 
-    def error(self, message):
-        self.exit(2, f"error: {message}\n")
+    stats = argv[:1] == ["--stats"]
+    words = tuple(argv[stats:stats + 2])
+    words = words if words in grammar else words[:1]
+    _, func, positionals, options, exclusive = grammar.get(words, (None,) * 5)
+    if func is None:
+        return None
+    values = {flag[2:].replace("-", "_"): kw.get("default") for flag, kw in options.items()}
+    values.update(stats=stats, command=words[0], func=func, **dict(zip(["check"], words[1:])))
+    rest, given, seen, i = argv[stats + len(words):], [], set(), 0
+    # which tokens are values: a lone "-" (stdin) is, any other token starting with "-" is not
+    is_value = [token[:1] != "-" or token == "-" for token in rest] + [False]
+    while i < len(rest):
+        token, kw, i = rest[i], options.get(rest[i]), i + 1
+        if is_value[i - 1]:
+            given.append(token)
+            continue
+        if kw is None:
+            return None
+        seen.add(token)
+        value, nargs, end = True, kw.get("nargs"), i
+        if "action" not in kw:
+            while is_value[end] and (end == i or nargs == "+"):
+                end += 1
+            try:
+                taken = [kw.get("type", str)(arg) for arg in rest[i:end]]
+            except ValueError:
+                return None
+            if not (taken or nargs == "?") or not all(v in kw.get("choices", taken) for v in taken):
+                return None
+            value = taken if nargs == "+" else taken[0] if taken else kw["const"]
+        values[token[2:].replace("-", "_")] = value
+        i = end
+    if len(given) != len(positionals) or len(seen.intersection(exclusive)) > 1:
+        return None
+    return SimpleNamespace(**values, **dict(zip(positionals, given)))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(grammar: dict):
+    """argparse's parser for the grammar: the only path for help, abbreviations and refusals."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse whose refusals are the one `error: ...` line, with no usage lines, and
+        SystemExit(2); subparsers inherit it through parser_class."""
+
+        def error(self, message):
+            self.exit(2, f"error: {message}\n")
+
     parser = _Parser(
         prog="extcalc", description="sparse exterior calculus on serialized k-forms and k-tensors")
     parser.add_argument("--stats", action="store_true",
                         help="after the result, write one JSON line of run statistics to stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a form or tensor on a frame")
-    p.add_argument("object")
-    p.add_argument("frame")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("wedge", help="wedge product of two forms")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_zap(p)
-    p.set_defaults(func=cmd_wedge)
-
-    p = sub.add_parser("add", help="sum of two like objects")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_zap(p)
-    p.set_defaults(func=cmd_add)
-
-    p = sub.add_parser("contract", help="interior product with vectors")
-    p.add_argument("form")
-    p.add_argument("vectors")
-    p.add_argument("--keep-form", action="store_true",
-                   help="return a 0-form instead of a bare scalar when fully contracted")
-    _add_zap(p)
-    p.set_defaults(func=cmd_contract)
-
-    p = sub.add_parser("pullback", help="pull a form back along a square matrix")
-    p.add_argument("form")
-    p.add_argument("matrix")
-    _add_zap(p)
-    p.set_defaults(func=cmd_pullback)
-
-    p = sub.add_parser("alt", help="alternating part of a tensor")
-    p.add_argument("tensor")
-    p.set_defaults(func=cmd_alt)
-
-    p = sub.add_parser("d", help="exterior derivative of the built-in fields")
-    p.add_argument("--at", nargs="+", type=float, default=[1.0, 2.0, 3.0, 4.0])
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--field", choices=sorted(_FIELDS), help="d of one demo 0-form")
-    src.add_argument("--omega", action="store_true",
-                     help="gradient 1-form of the singular (n-1)-form")
-    p.add_argument("--fd", action="store_true", help="force finite differences")
-    p.set_defaults(func=cmd_d)
-
-    p = sub.add_parser("print", help="symbolic one-line rendering")
-    p.add_argument("object")
-    p.add_argument("--style", choices=["letters", "d"], default=None)
-    p.set_defaults(func=cmd_print)
-
-    p = sub.add_parser("verify", help="numeric verification reports (JSON)")
-    vsub = p.add_subparsers(dest="check", required=True)
-
-    v = vsub.add_parser("stokes", help="boundary vs volume vs closed form")
-    v.add_argument("--n", type=int, default=3)
-    v.add_argument("--a", type=float, default=1.0)
-    v.add_argument("--m", type=int, default=8)
-    v.add_argument("--tol", type=float, default=1e-8)
-    v.set_defaults(func=cmd_verify_stokes)
-
-    v = vsub.add_parser("ddzero", help="d(d(demo 2-form)) = 0")
-    v.add_argument("--at", nargs="+", type=float, default=[1.0, 2.0, 3.0, 4.0])
-    v.set_defaults(func=cmd_verify_ddzero)
-
-    v = vsub.add_parser("det46", help="top-form determinant proportionality")
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--n", type=int, default=9)
-    v.set_defaults(func=cmd_verify_det46)
-
-    v = vsub.add_parser("suite", help="every seeded property check")
-    v.set_defaults(func=cmd_verify_suite)
-
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (help_text, func, positionals, options, exclusive) in grammar.items():
+        p = subparsers[words[:-1]].add_parser(words[-1], help=help_text)
+        if func is None:
+            subparsers[words] = p.add_subparsers(dest="check", required=True)
+            continue
+        group = p.add_mutually_exclusive_group() if exclusive else p
+        for name in positionals:
+            p.add_argument(name)
+        for flag, kw in options.items():
+            (group if flag in exclusive else p).add_argument(flag, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
 def _stats(args, elapsed: float) -> str:
-    # the --stats line: what ran, how long it took, whether numpy was loaded, which extcalc
-    # modules were (this one by its own name, also when it runs as __main__), and the work
+    # the --stats line: what ran, how long it took, whether numpy and argparse were loaded,
+    # which extcalc modules were (this one by its own name, also as __main__), and the work
     import json
 
     modules = sorted({__spec__.name, *(m for m in sys.modules if m.split(".")[0] == "extcalc")})
     stats = {"subcommand": " ".join(filter(None, (args.command, getattr(args, "check", None)))),
-             "elapsed_s": elapsed, "numpy_loaded": "numpy" in sys.modules, "modules": modules,
-             **args.work}
+             "elapsed_s": elapsed, "numpy_loaded": "numpy" in sys.modules,
+             "argparse_loaded": "argparse" in sys.modules, "modules": modules, **args.work}
     return json.dumps(stats, allow_nan=False)
 
 
 def main(argv=None) -> int:
     start = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
-        # what a subcommand reports of its work for --stats (its nodes, or its checks)
+        grammar, argv = _grammar(), sys.argv[1:] if argv is None else list(argv)
+        args = _parse(grammar, argv) or _build_parser(grammar).parse_args(argv)
+        # the work behind the result for --stats: nodes or checks, and _write's term counts
         args.work = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -11,6 +11,11 @@ Rows cross the objects with every file subcommand and each operand of
 the right kind, and put every other file once in each operand position;
 the odd option values -1, 0, 2.5, nan, inf and 1e400 go to every numeric
 option.  A new refusal adds a row here, not a test.
+
+Every argv run here also goes through both parsers of the one grammar:
+cli's table parser either defers to argparse or builds argparse's own
+namespace.  The benchmark's command shapes and argv drawn by hypothesis
+from the grammar get the same check.
 """
 
 import contextlib
@@ -24,8 +29,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import extcalc
+from extcalc import cli
 from extcalc.cli import main
 from oracles import dense_tensor_value, form_value_by_expansion, perm_parity
 
@@ -72,8 +80,30 @@ def paths(tmp_path_factory):
     return out
 
 
+def _shown(namespace) -> dict:
+    # each attribute's repr: tells nan, a list from a tuple and an int from a float apart
+    return {name: repr(value) for name, value in vars(namespace).items()}
+
+
+def _agrees(argv):
+    # the table parser's namespace for argv, None where it defers; where it accepts, argparse
+    # accepts too and builds the same attributes with the same values, func and defaults included
+    grammar = cli._grammar()
+    table = cli._parse(grammar, list(argv))
+    if table is not None:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parsed = cli._build_parser(grammar).parse_args(list(argv))
+            except SystemExit:
+                pytest.fail(f"{argv}: the table parser accepts what argparse refuses: "
+                            f"{err.getvalue()}")
+        assert _shown(table) == _shown(parsed), argv
+    return table
+
+
 def _run(argv):
     # (exit code, stdout, stderr) of one in-process CLI run; argparse's refusals raise SystemExit
+    _agrees(argv)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -268,9 +298,13 @@ def test_stats_line(row, paths):
     stats = json.loads(err, parse_constant=_no_constant)
     subcommand = " ".join(row[:2]) if row[0] == "verify" else row[0]
     suite, stokes = subcommand == "verify suite", subcommand == "verify stokes"
-    assert set(stats) == ({"subcommand", "elapsed_s", "numpy_loaded", "modules"}
-                          | ({"checks"} if suite else set()) | ({"nodes"} if stokes else set()))
+    written = out.startswith(("kform", "ktensor"))
+    assert set(stats) == ({"subcommand", "elapsed_s", "numpy_loaded", "argparse_loaded", "modules"}
+                          | ({"checks"} if suite else set()) | ({"nodes"} if stokes else set())
+                          | ({"terms"} if written else set()))
     assert stats["subcommand"] == subcommand and stats["numpy_loaded"] is True
+    # this process runs under pytest, which has loaded argparse
+    assert stats["argparse_loaded"] is True
     # in this process every extcalc module is loaded, each named once, in sorted order
     assert stats["modules"] == sorted(set(stats["modules"])) and {
         "extcalc", "extcalc.cli", "extcalc.sparse"} <= set(stats["modules"])
@@ -299,6 +333,19 @@ def test_stats_line_counts_the_nodes_of_verify_stokes():
     assert json.loads(err)["nodes"] == 896
 
 
+def test_stats_line_counts_the_terms_written_and_zapped(paths):
+    # w2 + w2 is 2 e12 + 6 e13 - 4 e23: a form result reports the terms it wrote, and with --zap
+    # the terms --zap dropped; stdout is byte-identical with and without --stats
+    for zap, work, text in (([], {"terms": 3}, "1 2 : 2\n1 3 : 6\n2 3 : -4\n"),
+                            (["--zap", "5"], {"terms": 1, "zapped": 2}, "1 3 : 6\n"),
+                            (["--zap", "10"], {"terms": 0, "zapped": 3}, "zero k=2\n")):
+        argv = ["add", paths["w2"], paths["w2"], *zap]
+        code, out, err = _run(["--stats", *argv])
+        assert (code, out) == _run(argv)[:2] == (0, "kform k=2\n" + text)
+        stats = json.loads(err, parse_constant=_no_constant)
+        assert {key: stats[key] for key in ("terms", "zapped") if key in stats} == work
+
+
 def test_stats_line_reports_a_run_without_numpy(paths):
     # in a process of its own, print never loads numpy
     src = str(Path(extcalc.__file__).resolve().parents[1])
@@ -308,6 +355,101 @@ def test_stats_line_reports_a_run_without_numpy(paths):
     assert run.stdout == _run(["print", paths["w2"]])[1]
     stats = json.loads(run.stderr, parse_constant=_no_constant)
     assert stats["subcommand"] == "print" and stats["numpy_loaded"] is False
+    # the table parser read the command line, so argparse never loaded
+    assert stats["argparse_loaded"] is False
     # run as `python -m extcalc.cli`, cli is __main__ and still listed by its own name
     assert stats["modules"] == ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.forms",
                                 "extcalc.sparse", "extcalc.textio"]
+
+
+# the argv shapes of perfbench/inputs.py and its print warm-up, file names standing for paths
+BENCHMARK_ARGV = [
+    ["print", "A3.txt"], ["add", "A3.txt", "C3.txt"], ["eval", "A3.txt", "E.txt"],
+    ["contract", "A3.txt", "V.txt"], ["wedge", "A3.txt", "B2.txt"], ["pullback", "P5.txt", "M.txt"],
+    *(["verify", "stokes", "--n", str(n), "--a", repr(a), "--m", str(m)]
+      for n, a, m in ((3, 1.0, 8), (4, 0.5, 8), (6, 1.0, 4))),
+    ["verify", "suite"], ["verify", "ddzero"], ["verify", "det46", "--seed", "1234567"],
+    ["d", "--field", "f1", "--fd"], ["d", "--omega", "--at", "1.0", "2.0", "3.0", "4.0", "5.0"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGV, ids=" ".join)
+def test_the_table_parser_reads_every_benchmark_command(argv):
+    # the benchmark's commands never reach argparse, with --stats or without
+    for line in (argv, ["--stats", *argv]):
+        assert _agrees(line) is not None, line
+
+
+def test_each_run_gets_a_list_default_of_its_own():
+    first, second = (cli._parse(cli._grammar(), ["d"]) for _ in range(2))
+    assert first.at == second.at == [1.0, 2.0, 3.0, 4.0] and first.at is not second.at
+
+
+# argv the table parser leaves to argparse, one per rule: help, an abbreviation, an unknown
+# option, --opt=value, --, a value starting with "-", a failed conversion, a choice outside the
+# set, too few or too many positionals, two options of one mutually exclusive group, --stats
+# after the command, a missing or unknown command
+DEFERRED = [
+    ["-h"], ["print", "x", "--help"], ["verify", "stokes", "-h"], ["verify", "stokes", "--t", "1"],
+    ["--stat", "print", "x"], ["print", "x", "--sty", "d"], ["verify", "stokes", "--x", "1"],
+    ["verify", "stokes", "--n=3"], ["print", "--", "x"], ["verify", "stokes", "--n", "-1"],
+    ["d", "--at", "1", "-2"], ["print", "-x"], ["wedge", "a", "b", "--zap", "-1"],
+    ["verify", "stokes", "--n", "2.5"], ["d", "--at", "x"], ["print", "x", "--style", "D"],
+    ["d", "--field", "f4"], ["print"], ["eval", "a"], ["print", "x", "y"], ["verify", "suite", "x"],
+    ["d", "--field", "f1", "--omega"], ["d", "--omega", "--at", "1", "--field", "f2"],
+    ["print", "x", "--stats"], ["verify", "--stats", "suite"], [], ["--stats"], ["verify"],
+    ["frobnicate"], ["verify", "frobnicate"], ["verify stokes"],
+]
+
+
+@pytest.mark.parametrize("argv", DEFERRED, ids=" ".join)
+def test_the_table_parser_defers_what_only_argparse_reads(argv):
+    assert cli._parse(cli._grammar(), argv) is None
+
+
+# hypothesis caches the constants it reads from local source at collection time: under
+# .pytest_cache, as in test_properties.py, not in a .hypothesis/ of the working directory
+set_hypothesis_home_dir(Path(__file__).resolve().parents[1] / ".pytest_cache" / "hypothesis")
+
+_GRAMMAR = cli._grammar()
+_ODD = ["-1", "-2.5", "nan", "inf", "1e400", "2.5", "x", "", "-", "f4", "--", "-h", "--help",
+        "--stats", "--x"]
+
+
+def _fitting(kw):
+    # values an option takes: none for a flag, else its choices or numbers of its type, as many
+    # as its nargs admits
+    if "action" in kw:
+        return st.just([])
+    numbers = ["0", "3", "12"] + (["2.5", "nan", "1e400"] if kw.get("type") is float else [])
+    low, high = {"+": (1, 3), "?": (0, 1)}.get(kw.get("nargs"), (1, 1))
+    return st.lists(st.sampled_from(kw.get("choices", numbers)), min_size=low, max_size=high)
+
+
+@st.composite
+def _argvs(draw):
+    # a command of the grammar, or an unknown or missing one; positionals, mostly as many as it
+    # takes; its options in any order, each with fitting values or with 0-3 odd ones; and now
+    # and then a stray: an abbreviation, --flag=value, -h, --, a negative, non-numeric, nan or
+    # 1e400 value or a lone "-"
+    words = draw(st.sampled_from([*_GRAMMAR, ("frobnicate",), ()]))
+    _, _, positionals, specs, _ = _GRAMMAR.get(words, ("", None, (), {}, ()))
+    count = len(positionals) + (draw(st.integers(0, 3)) == 0)
+    path = st.sampled_from(["a.txt", "-", "", "x y", "3", "stokes"]) | st.text(max_size=3)
+    chunks = [[draw(path)] for _ in range(count)]
+    for flag in draw(st.lists(st.sampled_from(sorted(specs)), max_size=3)) if specs else ():
+        odd = st.lists(st.sampled_from(_ODD) | st.text(max_size=3), max_size=3)
+        chunks.append([flag, *draw(odd if draw(st.integers(0, 3)) == 0 else _fitting(specs[flag]))])
+    strays = _ODD + [flag[:end] for flag in specs for end in range(3, len(flag))] + [
+        f"{flag}=3" for flag in specs]
+    if draw(st.integers(0, 3)) == 0:
+        chunks.append([draw(st.sampled_from(strays))])
+    order = draw(st.permutations(range(len(chunks))))
+    return ["--stats"] * draw(st.booleans()) + list(words) + [
+        token for i in order for token in chunks[i]]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_argvs())
+def test_the_table_parser_defers_or_agrees_with_argparse(argv):
+    _agrees(argv)

@@ -245,3 +245,26 @@ def test_a_ktensor_file_still_parses_and_adds(tmp_path):
               "assert 'extcalc.tensors' not in sys.modules\n"
               f"assert add({paths['t']!r}) == 'ktensor k=3\\n1 2 4 : 6\\n3 3 1 : 0.5\\n'\n")
     assert _loaded_after(script, ["extcalc.tensors"]) == ["extcalc.tensors"]
+
+
+def test_plain_command_lines_load_no_argparse(tmp_path):
+    # the table parser reads every command line of the plain shape, so argparse, its gettext
+    # and locale stay unloaded, also where numpy loads (pullback of degree 4, d, verify suite)
+    paths = _algebra_files(tmp_path)
+    commands = [["print", "w3"], ["add", "w3", "w3"], ["eval", "w3", "e"], ["contract", "w3", "e"],
+                ["wedge", "w1", "w3"], ["pullback", "w3", "m"], ["pullback", "w4", "m"],
+                ["verify", "stokes", "--n", "3", "--a", "0.5", "--m", "3"], ["verify", "suite"],
+                ["d", "--omega", "--at", "1", "2", "3"]]
+    script = _run_quietly([[paths.get(arg, arg) for arg in argv] for argv in commands])
+    assert _loaded_after(script, ["argparse", "gettext", "locale"]) == []
+
+
+def test_an_abbreviated_option_still_reaches_argparse():
+    # argparse alone reads --t as --tol, and the report is the one --tol writes
+    script = ("import contextlib, io, sys\nfrom extcalc.cli import main\n"
+              "def run(argv):\n    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        assert main(['verify', 'stokes', *argv]) == 0\n    return out.getvalue()\n"
+              "report = run(['--tol', '1e-9'])\nassert 'argparse' not in sys.modules\n"
+              "assert run(['--t', '1e-9']) == report and report.startswith('{\"n\": 3, ')\n")
+    assert _loaded_after(script, ["argparse"]) == ["argparse"]
