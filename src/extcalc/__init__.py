@@ -27,7 +27,7 @@ _EXPORTS = {
     "forms": [
         "alternating_tensor_to_form", "contract", "contract_matrix",
         "elementary", "evaluate_form", "form_to_tensor", "kform_from_rows",
-        "kform_general", "pullback", "rform", "symbolic", "wedge", "wedge_definitional",
+        "kform_general", "pullback", "rform", "wedge", "wedge_definitional",
     ],
     "derivatives": [
         "FieldForm", "ScalarField", "dd_check", "demo_two_form", "exterior_d", "f1",
@@ -38,7 +38,7 @@ _EXPORTS = {
         "integrate_boundary", "integrate_volume", "phi_example",
         "verify_det_proportionality", "verify_stokes",
     ],
-    "textio": ["ParseError", "parse_form_text", "parse_matrix_text"],
+    "textio": ["ParseError", "parse_form_text", "parse_matrix_text", "symbolic"],
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

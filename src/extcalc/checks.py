@@ -7,6 +7,10 @@ passed.  Checks compare two independent routes to the same value
 wherever one exists (definitional wedge vs key merge, contraction vs
 evaluation, finite differences vs closed forms), so a bug has to fool
 both routes at once to slip through.
+
+check_dd_zero, DEMO_POINT and _report, the reduction every check ends
+with, live in extcalc.derivatives beside dd_check, so that `verify
+ddzero` loads only the field layer; SUITE_CHECKS lists the check here.
 """
 
 from __future__ import annotations
@@ -21,33 +25,13 @@ from .sparse import SparseMap
 from .tensors import KTensor, alt, evaluate_tensor
 from .forms import (KForm, contract, contract_matrix, evaluate_form, form_to_tensor, pullback,
                     rform, wedge, wedge_definitional)
-from .derivatives import (dd_check, demo_two_form, exterior_d, f1, f2, f3, fd_gradient, grad, hat,
-                          omega_gradient)
+from .derivatives import (DEMO_POINT, _report, check_dd_zero, demo_two_form, exterior_d, f1, f2, f3,
+                          fd_gradient, grad, hat, omega_gradient)
 from .stokes import _scaled_errors, verify_stokes, verify_det_proportionality
 
 __all__ = ["suite", "SUITE_CHECKS"]
 
 CASES = 100
-DEMO_POINT = (1.0, 2.0, 3.0, 4.0)
-
-
-def _report(name: str, cases: int, errors, tol: float, **extra) -> dict:
-    # the one reduction of a check's errors; max() would drop a NaN
-    # (max(0.0, nan) is 0.0) and so pass the check: refuse it instead
-    max_err = 0.0
-    for err in errors:
-        if math.isnan(err):
-            raise ValueError(f"check {name}: an error came out NaN")
-        max_err = max(max_err, err)
-    out = {
-        "name": name,
-        "cases": cases,
-        "max_err": float(max_err),
-        "tol": float(tol),
-        "passed": bool(max_err <= tol),
-    }
-    out.update(extra)
-    return out
 
 
 def _seeded(seed: int, name: str = "", tol: float = 0.0):
@@ -262,18 +246,6 @@ def check_gradient_consistency(rng) -> dict:
             scale = max(1.0, float(np.max(np.abs(g_true))))
             errors.append(float(np.max(np.abs(g_true - g_fd))) / scale)
     return _report("gradient-consistency", len(errors), errors, 1e-5)
-
-
-def check_dd_zero(x=DEMO_POINT) -> dict:
-    """d(d(phi)) = 0 for the demo 2-form, both Hessian routes."""
-    phi = demo_two_form()
-    fd = dd_check(phi, x, analytic=False)
-    an = dd_check(phi, x, analytic=True)
-    fd_max = max(map(abs, fd.terms.values()), default=0.0)
-    an_max = max(map(abs, an.terms.values()), default=0.0)
-    out = _report("dd-zero", 2, [fd_max], 1e-4, fd_max=fd_max, analytic_max=an_max)
-    out["passed"] = bool(fd_max <= 1e-4 and an_max <= 1e-12)
-    return out
 
 
 def check_exterior_d_demo() -> dict:

@@ -26,11 +26,11 @@ of degree 3 or less and verify stokes compute on Python floats and never
 import numpy (the coefficient store and the evaluations refuse an
 overflow).  Each subcommand imports the modules it calls when it runs,
 and json only to write a report or the --stats line.  Besides extcalc,
-cli and sparse: add loads textio; print, eval, contract, wedge and
+cli and sparse: add and print load textio; eval, contract, wedge and
 pullback load textio, forms and arrays (the array gate); a ktensor file
-loads tensors and arrays (add and eval of one need no forms), and alt
-all four; d loads derivatives and arrays; `verify stokes` derivatives
-and stokes; the other checks more.
+loads tensors and arrays (add, eval and print of one need no forms), and
+alt all four; d and `verify ddzero` load derivatives and arrays;
+`verify stokes` derivatives and stokes; det46 and suite more.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def cmd_d(args):
 
 
 def cmd_print(args):
-    from .forms import symbolic
+    from .textio import symbolic
 
     obj = _read(args.object)
     style = args.style
@@ -148,7 +148,7 @@ def cmd_verify_stokes(args):
 
 
 def cmd_verify_ddzero(args):
-    from .checks import check_dd_zero
+    from .derivatives import check_dd_zero
 
     rep = check_dd_zero(tuple(args.at))
     return rep, rep["passed"]

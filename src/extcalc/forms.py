@@ -14,7 +14,8 @@ terms: pullback runs it on all increasing targets, and evaluate_form on
 the single target (1, ..., k).  Only degree 4 or more imports numpy,
 for stacks of up to _TARGET_CHUNK minors per np.linalg.det call.  Only
 the definitional routes, form_to_tensor and wedge_definitional, import
-extcalc.tensors.
+extcalc.tensors.  The one-line symbolic rendering lives beside the
+parser, in extcalc.textio, so `print` loads no algebra.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import itertools
 import math
 import operator
 
-from .sparse import (ArityError, KForm, SparseMap, _canonical_rows, _check_enumeration,
-                     _check_integral, _check_key, _check_rows, format_coefficient)
+from .sparse import (ArityError, KForm, _canonical_rows, _check_enumeration, _check_integral,
+                     _check_key, _check_rows)
 from .arrays import _finite_array, _finite_sum, as_frame
 
 __all__ = ["KForm", "kform_from_rows", "elementary", "kform_general", "evaluate_form", "wedge",
            "wedge_definitional", "form_to_tensor", "alternating_tensor_to_form", "contract",
-           "contract_matrix", "pullback", "symbolic", "rform", "SplitMix64"]
+           "contract_matrix", "pullback", "rform", "SplitMix64"]
 
 
 def kform_from_rows(rows, coeffs=None) -> KForm:
@@ -312,49 +313,6 @@ def pullback(w: KForm, M) -> KForm:
     _check_enumeration(len(w) * math.comb(n, k), "pullback: {} keys x C({}, {}) minors",
                        len(w), n, k)
     return KForm._trusted(k, _pulled(w, M, n, itertools.combinations(range(1, n + 1), k)))
-
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def symbolic(x: SparseMap, style: str = "letters", symbols=None) -> str:
-    """Render a tensor or form as one line of signed symbolic terms.
-
-    style "letters" names index i by its letter (a, b, c, ...) or by
-    symbols[i-1]; style "d" (alias "d-names") names it dx<i>, or
-    d<symbols[i-1]> when symbols are given.  Factors join with "*" for
-    tensors and "^" for forms; a unit coefficient is omitted, -1 prints
-    as a bare minus, and terms are separated by single spaces with a
-    leading + on a positive first term.
-    """
-    if style not in ("letters", "d", "d-names"):
-        raise ValueError(f"unknown style {style!r}")
-    if not x.terms:
-        return "0"
-
-    prefix = "" if style == "letters" else "d"
-    names = symbols if symbols is not None else _LETTERS if style == "letters" else None
-
-    def factor(i: int) -> str:
-        if names is None:
-            return f"dx{i}"
-        if i > len(names):
-            raise ValueError(f"index {i} exceeds the {len(names)} symbols supplied")
-        return prefix + names[i - 1]
-
-    joiner = "^" if isinstance(x, KForm) else "*"
-    parts = []
-    for key, c in x.terms.items():
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        body = joiner.join(factor(i) for i in key)
-        if not body:
-            parts.append(f"{sign} {format_coefficient(mag)}")
-        elif mag == 1.0:
-            parts.append(f"{sign} {body}")
-        else:
-            parts.append(f"{sign}{format_coefficient(mag)} {body}")
-    return " ".join(parts)
 
 
 _M64 = (1 << 64) - 1

@@ -1,6 +1,7 @@
 """Plain-text reading of sparse maps, forms, frames, and matrices.
 
-Writing lives on SparseMap.to_text(); this module holds the parsers.
+Writing of the term format lives on SparseMap.to_text(); this module
+holds the parsers and symbolic, the one-line rendering `print` writes.
 The term format is one `i1 i2 ... ik : coefficient` line per key, lines
 in lexicographic key order, `zero k=<arity>` for the empty map, with a
 `kform k=<arity>` or `ktensor k=<arity>` header naming the type.  Only
@@ -11,9 +12,10 @@ extcalc.sparse, and extcalc.tensors only for a `ktensor` header.
 
 from __future__ import annotations
 
-from .sparse import ArityError, KForm, SparseMap, _canonical_rows, _check_finite
+from .sparse import (ArityError, KForm, SparseMap, _canonical_rows, _check_finite,
+                     format_coefficient)
 
-__all__ = ["ParseError", "parse_form_text", "parse_matrix_text"]
+__all__ = ["ParseError", "parse_form_text", "parse_matrix_text", "symbolic"]
 
 
 class ParseError(ValueError):
@@ -120,3 +122,49 @@ def parse_matrix_text(text: str):
     import numpy as np
 
     return np.asarray(_parse_rows(text), dtype=float)
+
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def symbolic(x: SparseMap, style: str = "letters", symbols=None) -> str:
+    """Render a tensor or form as one line of signed symbolic terms.
+
+    style "letters" names index i by its letter (a, b, c, ...) or by
+    symbols[i-1]; style "d" (alias "d-names") names it dx<i>, or
+    d<symbols[i-1]> when symbols are given.  Factors join with "*" for
+    tensors and "^" for forms; a unit coefficient is omitted, -1 prints
+    as a bare minus, and terms are separated by single spaces with a
+    leading + on a positive first term.
+    """
+    if style not in ("letters", "d", "d-names"):
+        raise ValueError(f"unknown style {style!r}")
+    if not x.terms:
+        return "0"
+
+    prefix = "" if style == "letters" else "d"
+    names = symbols if symbols is not None else _LETTERS if style == "letters" else None
+
+    def factor(i: int) -> str:
+        if names is None:
+            return f"dx{i}"
+        if i > len(names):
+            if symbols is None:
+                raise ValueError(f"index {i} has no letter (the default symbols a-z name "
+                                 f"1-{len(names)}); use --style d")
+            raise ValueError(f"index {i} exceeds the {len(names)} symbols supplied")
+        return prefix + names[i - 1]
+
+    joiner = "^" if isinstance(x, KForm) else "*"
+    parts = []
+    for key, c in x.terms.items():
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        body = joiner.join(factor(i) for i in key)
+        if not body:
+            parts.append(f"{sign} {format_coefficient(mag)}")
+        elif mag == 1.0:
+            parts.append(f"{sign} {body}")
+        else:
+            parts.append(f"{sign}{format_coefficient(mag)} {body}")
+    return " ".join(parts)

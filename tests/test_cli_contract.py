@@ -50,6 +50,7 @@ FILES = {
     "big": ("kform k=1\n1 : 1e308\n2 : -1e308\n", ("kform", 1, {(1,): 1e308, (2,): -1e308})),
     "t1": ("ktensor k=1\n2 : 5\n", ("ktensor", 1, {(2,): 5.0})),
     "t2": ("ktensor k=2\n1 1 : 2\n2 1 : 3\n", ("ktensor", 2, {(1, 1): 2.0, (2, 1): 3.0})),
+    "t27": ("ktensor k=2\n1 27 : 3\n", ("ktensor", 2, {(1, 27): 3.0})),
     "vec3": ("1 2 3\n", ("rows", [1.0, 2.0, 3.0])),
     "col4": ("1\n0\n2\n-1\n", ("rows", [[1.0], [0.0], [2.0], [-1.0]])),
     "m32": ("1 2\n0 1\n3 -1\n", ("rows", [[1.0, 2.0], [0.0, 1.0], [3.0, -1.0]])),
@@ -268,6 +269,12 @@ def test_the_refusals_whose_messages_are_declared(paths):
     # a 0-form reads its frame as any form does, and a frame file has at least one column
     assert _run(["eval", paths["w0"], paths["col4"]]) == (
         2, "", "error: frame has 1 columns but the object has arity 0\n")
+    # print's default letters end at z: an index past 26 names the alphabet and the style that
+    # renders it, not a supply of symbols nobody gave
+    assert _run(["print", paths["t27"]]) == (
+        2, "", "error: index 27 has no letter (the default symbols a-z name 1-26); "
+        "use --style d\n")
+    assert _run(["print", paths["t27"], "--style", "d"]) == (0, "+3 dx1*dx27\n", "")
 
 
 # --stats rows: file names stand for their paths; the last three are refusals
@@ -357,9 +364,9 @@ def test_stats_line_reports_a_run_without_numpy(paths):
     assert stats["subcommand"] == "print" and stats["numpy_loaded"] is False
     # the table parser read the command line, so argparse never loaded
     assert stats["argparse_loaded"] is False
-    # run as `python -m extcalc.cli`, cli is __main__ and still listed by its own name
-    assert stats["modules"] == ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.forms",
-                                "extcalc.sparse", "extcalc.textio"]
+    # run as `python -m extcalc.cli`, cli is __main__ and still listed by its own name; the
+    # renderer lives beside the parser, so print loads neither forms nor the array gate
+    assert stats["modules"] == ["extcalc", "extcalc.cli", "extcalc.sparse", "extcalc.textio"]
 
 
 # the argv shapes of perfbench/inputs.py and its print warm-up, file names standing for paths

@@ -774,6 +774,17 @@ def test_symbolic_d_style_refuses_too_few_symbols():
         symbolic(w, style="letters", symbols="ab")
 
 
+def test_symbolic_letters_past_z_names_the_default_alphabet():
+    # no symbols were supplied, so the refusal names the default a-z and the d style instead
+    t = KTensor(2, {(1, 27): 3.0})
+    with pytest.raises(ValueError) as exc:
+        symbolic(t)
+    assert str(exc.value) == (
+        "index 27 has no letter (the default symbols a-z name 1-26); use --style d")
+    assert symbolic(t, style="d") == "+3 dx1*dx27"
+    assert symbolic(KTensor(1, {(26,): 1.0})) == "+ z"
+
+
 def _unrank_by_double_comb(r, n, k):
     # the r-th k-subset of 1..n as it was unranked before: math.comb evaluated twice a step
     out = []

@@ -1,0 +1,80 @@
+"""Golden digests of CLI runs, taken in process through cli.main.
+
+Each row is an argv, its exit code and the sha256 of its stdout and of
+its stderr.  The file operands are the small inline files below, every
+coefficient an integer, so each digest is the same on every platform.
+A row's digest changes only with a declared change of the output:
+
+- `print` of a ktensor with index 27 in the default letters style once
+  wrote `error: index 27 exceeds the 26 symbols supplied`, with stderr
+  digest 225c0584...c9107, though no symbols were supplied.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from extcalc.cli import main
+
+FILES = {
+    "w2": "kform k=2\n2 1 : -1\n1 3 : 3\n2 3 : -2\n3 3 : 7\n",
+    "w3": "kform k=3\n1 2 3 : 1\n2 3 4 : -5\n1 2 4 : 12\n",
+    "t2": "ktensor k=2\n1 1 : 2\n2 1 : -1\n3 2 : 1\n1 26 : -7\n",
+    "w0": "kform k=0\n : -4\n",
+    "wz": "kform k=2\nzero k=2\n",
+    "t27": "ktensor k=2\n1 27 : 3\n",
+}
+
+# the digest of an empty stream
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# argv (file names stand for their paths), exit code, sha256 of stdout, sha256 of stderr
+GOLDENS = [
+    (["print", "w2"], 0,
+     "ff862752d4f6d3f904f60c24c426282a4c9d16acc4e4687108467e29c59adb20", EMPTY),
+    (["print", "w2", "--style", "letters"], 0,
+     "193c752d773926dd7ad1f612145c8ff84e5113cc4996906d583c8081126814cf", EMPTY),
+    (["print", "w2", "--style", "d"], 0,
+     "ff862752d4f6d3f904f60c24c426282a4c9d16acc4e4687108467e29c59adb20", EMPTY),
+    (["print", "w3"], 0,
+     "156ac8618ec2fef3463742e9e6fb9378aa22f9e714f24483562469dbc41f4ad6", EMPTY),
+    (["print", "w3", "--style", "letters"], 0,
+     "ba817418ba7759cdd108c1ab8043da3a6d0ec917c87072b09c723d462104de39", EMPTY),
+    (["print", "t2"], 0,
+     "22dae8dbaa9f9357cd0f2f95473abffadaa62cab96474abd8eb83f4074ec920e", EMPTY),
+    (["print", "t2", "--style", "d"], 0,
+     "02d37a63b94bc90b463220fcbb20a0bbf115a50822857debd67e77031d702b15", EMPTY),
+    (["print", "w0"], 0,
+     "500e632c68b31012f661f468ab0686fabb0af009380adb9561aef30652142519", EMPTY),
+    (["print", "w0", "--style", "letters"], 0,
+     "500e632c68b31012f661f468ab0686fabb0af009380adb9561aef30652142519", EMPTY),
+    (["print", "wz"], 0,
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa", EMPTY),
+    (["print", "t27"], 2, EMPTY,
+     "704fc0c51d4eb47991af8b4c14c591a13614e479775b7e05821f103223439f7a"),
+    (["print", "t27", "--style", "d"], 0,
+     "285b0a4cb1a35f94aae63613f12fcd8b2151db6613e782ace8cba1665fe8564e", EMPTY),
+    (["verify", "ddzero", "--at", "1", "2", "3"], 2, EMPTY,
+     "44ba33ff5dadbd19b4077d58e28dc999cc3b160c41f3b865f344d825c7006847"),
+    (["verify", "ddzero", "--at", "1", "2", "3", "nan"], 2, EMPTY,
+     "1c816d6a0dc3276953e60d1e8ce7dc95bd04be0dcff38db0c833b8992611001d"),
+    (["verify", "ddzero", "--at", "1", "2", "3", "1e400"], 2, EMPTY,
+     "cbc010f507151ab57cdc0f409f62ac770d55e60b667fe3b6e60c1bd8efa22432"),
+]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", GOLDENS,
+                         ids=["-".join(row[0]) for row in GOLDENS])
+def test_golden(argv, code, out_sha, err_sha, tmp_path):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = main([str(tmp_path / arg) if arg in FILES else arg for arg in argv])
+    assert (got, _digest(out.getvalue()), _digest(err.getvalue())) == (code, out_sha, err_sha)

@@ -26,7 +26,9 @@ def _loaded_after(script: str, modules=HEAVY) -> list:
     # run script in a fresh interpreter; -> those of `modules` it loaded, in their order
     src = str(Path(extcalc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    script += f"\nimport sys, json\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))\n"
+    # the list is taken before the report's own import of json, so json can be one of `modules`
+    script += (f"\nimport sys\nloaded = [m for m in {modules!r} if m in sys.modules]\n"
+               "import json\nprint(json.dumps(loaded))\n")
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -89,14 +91,6 @@ def test_verify_stokes_runs_without_numpy():
     # the rule, the nodes and the sums are Python floats
     commands = [["verify", "stokes", "--n", str(n), "--m", "3"] for n in range(2, 7)]
     assert _loaded_after(_run_quietly(commands)) == ["extcalc.derivatives", "extcalc.stokes"]
-
-
-def test_verify_stokes_loads_four_extcalc_modules():
-    # the example pair needs only KForm's key rule, from sparse: forms, tensors, textio, checks
-    # and the array gate stay unloaded
-    commands = [["verify", "stokes", "--n", str(n), "--m", "3"] for n in range(2, 7)]
-    assert _loaded_after(_run_quietly(commands), _every_module()) == [
-        "extcalc", "extcalc.cli", "extcalc.derivatives", "extcalc.sparse", "extcalc.stokes"]
 
 
 def test_numeric_subcommand_loads_numpy_but_not_unused_layers(tmp_path):
@@ -179,38 +173,54 @@ def _every_module() -> list:
     return ["extcalc"] + [f"extcalc.{p.stem}" for p in sorted(package.glob("[!_]*.py"))]
 
 
-def test_d_loads_the_field_layer_and_the_algebra_it_calls():
-    # the field layer signs its index rows through sparse._canonical_rows and reads its point
-    # through the array gate; forms, tensors, the Stokes quadrature, the parser and the suite
-    # stay unloaded
-    commands = [["d"], ["d", "--fd"], ["d", "--field", "f1"],
-                ["d", "--omega", "--at", "1", "2", "3"]]
-    assert _loaded_after(_run_quietly(commands), _every_module()) == [
-        "extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.derivatives", "extcalc.sparse"]
-
-
-# what every algebra command loads: the parser reads through sparse alone, and the algebra of
-# extcalc.forms reads its frames, vectors and matrices through the array gate
+# what each command of the benchmark's workloads loads, alone in a fresh interpreter.  The
+# parser reads through sparse alone, and the algebra of extcalc.forms reads its frames, vectors
+# and matrices through the array gate, as the field layer reads its point.  print renders with
+# the parser's module, and verify ddzero runs beside dd_check, so neither loads forms;
+# verify stokes needs only KForm's key rule, from sparse; only verify suite loads checks.  numpy
+# loads for minors from 4x4 up, the field layer's derivatives and the seeded checks; json only
+# to write a report
+_TEXT = ["extcalc", "extcalc.cli", "extcalc.sparse", "extcalc.textio"]
 _ALGEBRA = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.forms", "extcalc.sparse",
             "extcalc.textio"]
+_KTENSOR = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.sparse", "extcalc.tensors",
+            "extcalc.textio"]
+_FIELD = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.derivatives", "extcalc.sparse",
+          "numpy"]
+_STOKES = ["extcalc", "extcalc.cli", "extcalc.derivatives", "extcalc.sparse", "extcalc.stokes",
+           "json"]
 _ALGEBRA_ROWS = {
-    "print": (["print", "w3"], _ALGEBRA),
-    "add": (["add", "w3", "w3", "--zap"], ["extcalc", "extcalc.cli", "extcalc.sparse",
-                                           "extcalc.textio"]),
+    "print": (["print", "w3"], _TEXT),
+    "print-0-form": (["print", "w0"], _TEXT),
+    "print-ktensor": (["print", "t"], _KTENSOR),
+    "add": (["add", "w3", "w3", "--zap"], _TEXT),
     "eval": (["eval", "w3", "e"], _ALGEBRA),
     "contract": (["contract", "w3", "e"], _ALGEBRA),
     "wedge": (["wedge", "w1", "w3"], _ALGEBRA),
     "pullback-k3": (["pullback", "w3", "m"], _ALGEBRA),
-    "pullback-k4": (["pullback", "w4", "m"], _ALGEBRA),
-    "add-ktensor": (["add", "t", "t"], ["extcalc", "extcalc.arrays", "extcalc.cli",
-                                        "extcalc.sparse", "extcalc.tensors", "extcalc.textio"]),
-    "eval-ktensor": (["eval", "t", "e"], ["extcalc", "extcalc.arrays", "extcalc.cli",
-                                          "extcalc.sparse", "extcalc.tensors", "extcalc.textio"]),
+    "pullback-k4": (["pullback", "w4", "m"], _ALGEBRA + ["numpy"]),
+    "add-ktensor": (["add", "t", "t"], _KTENSOR),
+    "eval-ktensor": (["eval", "t", "e"], _KTENSOR),
+    "d": (["d"], _FIELD),
+    "d-fd": (["d", "--fd"], _FIELD),
+    "d-field": (["d", "--field", "f1"], _FIELD),
+    "d-omega": (["d", "--omega", "--at", "1", "2", "3"], _FIELD),
+    **{f"verify-stokes-n{n}": (["verify", "stokes", "--n", str(n), "--m", "3"], _STOKES)
+       for n in range(2, 7)},
+    "verify-ddzero": (["verify", "ddzero"], _FIELD + ["json"]),
+    "verify-det46": (["verify", "det46"], ["extcalc", "extcalc.arrays", "extcalc.cli",
+                                           "extcalc.derivatives", "extcalc.forms",
+                                           "extcalc.sparse", "extcalc.stokes", "numpy", "json"]),
+    "verify-suite": (["verify", "suite"], ["extcalc", "extcalc.arrays", "extcalc.checks",
+                                           "extcalc.cli", "extcalc.derivatives", "extcalc.forms",
+                                           "extcalc.sparse", "extcalc.stokes", "extcalc.tensors",
+                                           "numpy", "json"]),
 }
 
 
 def _algebra_files(tmp_path) -> dict:
-    texts = {"w1": "kform k=1\n1 : 2\n4 : -0.5\n", "w3": "kform k=3\n1 2 3 : 2\n2 3 4 : -1\n",
+    texts = {"w0": "kform k=0\n : -3\n", "w1": "kform k=1\n1 : 2\n4 : -0.5\n",
+             "w3": "kform k=3\n1 2 3 : 2\n2 3 4 : -1\n",
              "w4": "kform k=4\n1 2 3 4 : 2\n", "t": "ktensor k=3\n1 2 4 : 3\n3 3 1 : 0.25\n",
              "e": "1 0 2\n0 1 1\n2 1 0\n1 1 1\n",
              "m": "1 2 0 1\n3 4 1 0\n0 1 2 3\n1 0 0 2\n"}
@@ -221,16 +231,12 @@ def _algebra_files(tmp_path) -> dict:
 
 @pytest.mark.parametrize("row", _ALGEBRA_ROWS, ids=_ALGEBRA_ROWS)
 def test_each_algebra_command_loads_exactly_its_modules(row, tmp_path):
-    # each command alone in a fresh interpreter: add never loads forms, tensors loads only for
-    # a ktensor file, and no algebra command loads derivatives, stokes or checks
+    # the exact extcalc modules, numpy and json one command loads: textio only for a file,
+    # tensors only for a ktensor file, and checks only for the suite
     argv, modules = _ALGEBRA_ROWS[row]
     paths = _algebra_files(tmp_path)
     command = [paths.get(arg, arg) for arg in argv]
-    # no json either, checked before the check's own import of it: cli imports json only to
-    # write a report or a --stats line; numpy only for minors from 4x4 up
-    script = _run_quietly([command]) + "import sys\nassert 'json' not in sys.modules\n"
-    numpy = ["numpy"] if row == "pullback-k4" else []
-    assert _loaded_after(script, _every_module() + ["numpy"]) == modules + numpy
+    assert _loaded_after(_run_quietly([command]), _every_module() + ["numpy", "json"]) == modules
 
 
 def test_a_ktensor_file_still_parses_and_adds(tmp_path):
