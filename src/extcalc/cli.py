@@ -25,12 +25,7 @@ and elapsed seconds.  print, add, wedge, alt, eval, contract, pullback
 of degree 3 or less and verify stokes compute on Python floats and never
 import numpy (the coefficient store and the evaluations refuse an
 overflow).  Each subcommand imports the modules it calls when it runs,
-and json only to write a report or the --stats line.  Besides extcalc,
-cli and sparse: add and print load textio; eval, contract, wedge and
-pullback load textio, forms and arrays (the array gate); a ktensor file
-loads tensors and arrays (add, eval and print of one need no forms), and
-alt all four; d and `verify ddzero` load derivatives and arrays;
-`verify stokes` derivatives and stokes; det46 and suite more.
+and json only to write a report or the --stats line.
 """
 
 from __future__ import annotations

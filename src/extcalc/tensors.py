@@ -6,8 +6,7 @@ indices, repeats allowed).  evaluate_tensor, tensor_product and alt
 read every key so and refuse a KForm, whose key (1, 2) means dx1^dx2 =
 phi1 x phi2 - phi2 x phi1 (form_to_tensor expands one).  Evaluation
 takes an n-by-k frame whose columns are the k argument vectors, read
-through the gate of extcalc.arrays.  Of the algebra commands, only
-`alt` and those given a ktensor file load this module.
+through the gate of extcalc.arrays.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ import extcalc
 from extcalc import cli
 from extcalc.cli import main
 from oracles import dense_tensor_value, form_value_by_expansion, perm_parity
+from test_imports import _ALGEBRA_ROWS
 
 ODD = ("-1", "0", "2.5", "nan", "inf", "1e400")
 
@@ -364,9 +365,8 @@ def test_stats_line_reports_a_run_without_numpy(paths):
     assert stats["subcommand"] == "print" and stats["numpy_loaded"] is False
     # the table parser read the command line, so argparse never loaded
     assert stats["argparse_loaded"] is False
-    # run as `python -m extcalc.cli`, cli is __main__ and still listed by its own name; the
-    # renderer lives beside the parser, so print loads neither forms nor the array gate
-    assert stats["modules"] == ["extcalc", "extcalc.cli", "extcalc.sparse", "extcalc.textio"]
+    # run as `python -m extcalc.cli`, cli is __main__ and still listed by its own name
+    assert stats["modules"] == _ALGEBRA_ROWS["print"][1]
 
 
 # the argv shapes of perfbench/inputs.py and its print warm-up, file names standing for paths

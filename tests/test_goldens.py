@@ -2,7 +2,9 @@
 
 Each row is an argv, its exit code and the sha256 of its stdout and of
 its stderr.  The file operands are the small inline files below, every
-coefficient an integer, so each digest is the same on every platform.
+coefficient and every frame, vector and matrix entry an integer, and the
+algebra commands compute on Python floats, so each digest is the same
+on every IEEE platform.
 A row's digest changes only with a declared change of the output:
 
 - `print` of a ktensor with index 27 in the default letters style once
@@ -25,6 +27,11 @@ FILES = {
     "w0": "kform k=0\n : -4\n",
     "wz": "kform k=2\nzero k=2\n",
     "t27": "ktensor k=2\n1 27 : 3\n",
+    "w1": "kform k=1\n1 : 2\n4 : -3\n",
+    "e2": "1 2\n0 -1\n3 1\n",
+    "e3": "1 0 2\n0 1 1\n2 1 0\n1 1 1\n",
+    "v": "1\n2\n0\n-1\n",
+    "m": "1 2 0 1\n3 4 1 0\n0 1 2 3\n1 0 0 2\n",
 }
 
 # the digest of an empty stream
@@ -56,6 +63,38 @@ GOLDENS = [
      "704fc0c51d4eb47991af8b4c14c591a13614e479775b7e05821f103223439f7a"),
     (["print", "t27", "--style", "d"], 0,
      "285b0a4cb1a35f94aae63613f12fcd8b2151db6613e782ace8cba1665fe8564e", EMPTY),
+    (["add", "w2", "w2"], 0,
+     "5411518296a6ce404893c81c888a3be7ff611253075d77f47c0716b22d02c21b", EMPTY),
+    (["add", "t2", "t2"], 0,
+     "c0db1f2b7e9e1af47d80724f9894cddcea91c8917595cf735f5cfc832898e09a", EMPTY),
+    (["add", "w3", "w3", "--zap", "10"], 0,
+     "644afd3ab02ea65b9647d0d21898bfeb806eea9a15de2ff5dac670e8fc0a53d9", EMPTY),
+    (["wedge", "w1", "w2"], 0,
+     "7f1f96ded90d192dd0d523e3e4d6629fe3d0c7c0107f02e2776e97dac8554ab2", EMPTY),
+    (["wedge", "w0", "w3"], 0,
+     "49a2e4f041448d01816ec215a1897566dcc8634a12c364c4534392fe68b80534", EMPTY),
+    (["wedge", "w1", "w3"], 0,
+     "0b2d343dbfdc80c13afc44c2da6658b69882333c9d5b9ff4344f4737bbea8ff8", EMPTY),
+    (["eval", "w3", "e3"], 0,
+     "e13e8b54c5d4e113a5e0f8eb2b59702b143743db40fabccb2c1d6695160a952b", EMPTY),
+    (["eval", "w2", "e2"], 0,
+     "d3efadfafd8abcff38ccddb358a9c4fca6a773b8bd3fa778482e6de7836203dc", EMPTY),
+    (["contract", "w3", "v"], 0,
+     "3ec0002cba597bf2c28dcace704ec8c8c8bec84021e69a85b97e34e9628913c6", EMPTY),
+    (["contract", "w3", "e3"], 0,
+     "e13e8b54c5d4e113a5e0f8eb2b59702b143743db40fabccb2c1d6695160a952b", EMPTY),
+    (["contract", "w3", "e3", "--keep-form"], 0,
+     "d021522cf7597a5e84889954ac2f5e5527889772e63be7334df66b6646c6bc5b", EMPTY),
+    (["pullback", "w1", "m"], 0,
+     "b744659714e0dc5b33d2e869ab8e7001a0d99b4b5848705a86df11f08118207e", EMPTY),
+    (["pullback", "w2", "m"], 0,
+     "fe6d40c4168093df98b5040c1caafd2e03a4c01ee13e6b9b5678994b6308a4fd", EMPTY),
+    (["pullback", "w3", "m"], 0,
+     "744b9d799181a5a755b31183c51bb7d7139becee3aa407605b660033b656f7d7", EMPTY),
+    (["alt", "t2"], 0,
+     "253bc2bf42cfffc9c4ceba09d6f7e17913acdcf44d1922521be9ff632432fb12", EMPTY),
+    (["alt", "w2"], 0,
+     "bc01f7d4f4dbe14edf1eea250ee15147f75e122039339d43acbc749f484ba889", EMPTY),
     (["verify", "ddzero", "--at", "1", "2", "3"], 2, EMPTY,
      "44ba33ff5dadbd19b4077d58e28dc999cc3b160c41f3b865f344d825c7006847"),
     (["verify", "ddzero", "--at", "1", "2", "3", "nan"], 2, EMPTY,

@@ -15,6 +15,7 @@ that catch it.
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,6 +150,12 @@ def _signed_weights_drop_orient(monkeypatch):
                         lambda orient, weights, degree: signed_weights(1.0, weights, degree))
 
 
+def _per_node_values_dropped(monkeypatch):
+    # _integrate's per-node branch keeps the running 0.0 and drops each function's values: it
+    # is the one user of operator.add in stokes
+    monkeypatch.setattr(stokes, "operator", SimpleNamespace(add=lambda a, b: a))
+
+
 def _signs_one_flipped(monkeypatch):
     # the cached signs of each arity k >= 2 with the second permutation's sign negated
     signs = tensors._signs
@@ -248,6 +255,11 @@ MUTANTS = {
     "axis-table-sign-flipped": (_axis_table_sign_flipped, {"stokes-cubes"}),
     "axis-tables-reordered": (_axis_tables_reordered, {"stokes-cubes"}),
     "signed-weights-drop-orient": (_signed_weights_drop_orient, {"stokes-cubes"}),
+    # stokes-cubes integrates only the example pair, whose faces all take the per-axis tables;
+    # test_integrate_volume_known_values, test_boundary_orientation_green_case,
+    # test_boundary_matches_face_frame_evaluation and
+    # test_integrators_sum_shared_keys_and_empty_faces_node_by_node:
+    "per-node-values-dropped": (_per_node_values_dropped, set()),
     "signs-one-flipped": (_signs_one_flipped, {"alt-operator", "wedge-definitional"}),
     "permutation-images-reversed": (
         _permutation_images_reversed, {"alt-operator", "wedge-definitional"}),
