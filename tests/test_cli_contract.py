@@ -10,7 +10,12 @@ input below is integral, so each of those routes is exact.
 Rows cross the objects with every file subcommand and each operand of
 the right kind, and put every other file once in each operand position;
 the odd option values -1, 0, 2.5, nan, inf and 1e400 go to every numeric
-option.  A new refusal adds a row here, not a test.
+option.
+
+REFUSALS is the one record of what the CLI refuses: each row is an
+argv and its exact stderr line, and a new refusal adds a row there, not
+a test.  Every row also runs in a fresh interpreter, outside pytest's
+warning filters.
 
 Every argv run here also goes through both parsers of the one grammar:
 cli's table parser either defers to argparse or builds argparse's own
@@ -25,6 +30,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +55,20 @@ FILES = {
     "w3": ("kform k=3\n1 2 3 : 2\n2 3 4 : -1\n", ("kform", 3, {(1, 2, 3): 2.0, (2, 3, 4): -1.0})),
     "wz": ("kform k=2\nzero k=2\n", ("kform", 2, {})),
     "big": ("kform k=1\n1 : 1e308\n2 : -1e308\n", ("kform", 1, {(1,): 1e308, (2,): -1e308})),
+    "big2": ("kform k=2\n1 2 : 1e308\n", ("kform", 2, {(1, 2): 1e308})),
+    "ten1": ("kform k=1\n2 : 10\n", ("kform", 1, {(2,): 10.0})),
+    "w7": ("kform k=7\n1 2 3 4 5 6 7 : 1\n", ("kform", 7, {tuple(range(1, 8)): 1.0})),
+    "w11": ("kform k=11\n1 2 3 4 5 6 7 8 9 10 11 : 1\n",
+            ("kform", 11, {tuple(range(1, 12)): 1.0})),
     "t1": ("ktensor k=1\n2 : 5\n", ("ktensor", 1, {(2,): 5.0})),
     "t2": ("ktensor k=2\n1 1 : 2\n2 1 : 3\n", ("ktensor", 2, {(1, 1): 2.0, (2, 1): 3.0})),
+    "t10": ("ktensor k=10\n1 2 3 4 5 6 7 8 9 10 : 1\n",
+            ("ktensor", 10, {tuple(range(1, 11)): 1.0})),
     "t27": ("ktensor k=2\n1 27 : 3\n", ("ktensor", 2, {(1, 27): 3.0})),
     "vec3": ("1 2 3\n", ("rows", [1.0, 2.0, 3.0])),
     "col4": ("1\n0\n2\n-1\n", ("rows", [[1.0], [0.0], [2.0], [-1.0]])),
+    "v10": ("10\n0\n", ("rows", [[10.0], [0.0]])),
+    "m10": ("10 0\n0 10\n", ("rows", [[10.0, 0.0], [0.0, 10.0]])),
     "m32": ("1 2\n0 1\n3 -1\n", ("rows", [[1.0, 2.0], [0.0, 1.0], [3.0, -1.0]])),
     "m3": ("1 2 0\n0 1 1\n2 0 1\n", ("rows", [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [2.0, 0.0, 1.0]])),
     "m4": ("1 0 2 0\n0 1 0 1\n1 1 1 0\n0 2 0 1\n",
@@ -61,6 +76,7 @@ FILES = {
                      [0.0, 2.0, 0.0, 1.0]])),
     "ragged": ("1 2\n3\n", None),
     "nancoef": ("kform k=1\n1 : nan\n", None),
+    "badcoef": ("kform k=2\n1 2 : oops\n", None),
     "junk": ("hello\n", None),
     "empty": ("", None),
     "missing": (None, None),
@@ -259,23 +275,132 @@ def test_numeric_options(value):
                 assert argv[0] == "verify" and isinstance(json.loads(out), dict), argv
 
 
-def test_the_refusals_whose_messages_are_declared(paths):
-    # wedge reads each operand through the kform check that contract and pullback use
-    for a, b in (("t2", "w1"), ("w1", "t1"), ("t1", "t2")):
-        assert _run(["wedge", paths[a], paths[b]]) == (2, "", "error: wedge needs a kform input\n")
-    # ragged matrix rows are refused by the row reader, naming the line
-    for command in ("eval", "contract", "pullback"):
-        assert _run([command, paths["w2"], paths["ragged"]]) == (
-            2, "", "error: line 2: row has 1 entries, expected 2\n")
-    # a 0-form reads its frame as any form does, and a frame file has at least one column
-    assert _run(["eval", paths["w0"], paths["col4"]]) == (
-        2, "", "error: frame has 1 columns but the object has arity 0\n")
-    # print's default letters end at z: an index past 26 names the alphabet and the style that
-    # renders it, not a supply of symbols nobody gave
-    assert _run(["print", paths["t27"]]) == (
-        2, "", "error: index 27 has no letter (the default symbols a-z name 1-26); "
-        "use --style d\n")
-    assert _run(["print", paths["t27"], "--style", "d"]) == (0, "+3 dx1*dx27\n", "")
+_DET46_N = ("error: det46 needs 2 <= --n <= 143, got {}: the example needs two dimensions, and "
+            "sum_j j^j overflows above 143")
+_NODES = "error: verify_stokes: m^n = {}^{} volume nodes = {} exceeds the bound 1048576; refusing"
+_ALT = ("error: alt on arity {0}: {1} terms x {0}! permutations = {2} exceeds the bound 1048576; "
+        "refusing")
+_R4 = "error: the demo fields f1, f2, f3 live on R^4, got a point in R^{}"
+_INF = "error: cannot store the non-finite coefficient inf"
+_NAN_TOL = "error: a tolerance must be a number, got nan"
+
+# every refusal of the CLI: argv, file names standing for their paths, and its one stderr line.
+# A line of None is worded by numpy (its RuntimeWarnings vary across the versions pyproject
+# admits), by argparse (which varies across 3.10-3.12) or by the OS (a missing file's message
+# holds its path); those rows keep the contract's one `error:` line
+REFUSALS = [
+    # add takes two objects of one type; wedge, contract and pullback read each form through
+    # one kform check
+    (["add", "w1", "t1"], "error: add needs two objects of the same type"),
+    *((["wedge", a, b], "error: wedge needs a kform input")
+      for a, b in (("t2", "w1"), ("w1", "t1"), ("t1", "t2"))),
+    (["contract", "t1", "v10"], "error: contract needs a kform input"),
+    (["pullback", "t1", "v10"], "error: pullback needs a kform input"),
+    # the readers name the line; a 0-form reads its frame as any form does
+    *(([command, "w2", "ragged"], "error: line 2: row has 1 entries, expected 2")
+      for command in ("eval", "contract", "pullback")),
+    (["print", "badcoef"], "error: line 2: bad coefficient in '1 2 : oops'"),
+    (["print", "nancoef"], "error: line 2: bad coefficient in '1 : nan'"),
+    (["print", "missing"], None),
+    (["eval", "w0", "col4"], "error: frame has 1 columns but the object has arity 0"),
+    # print's default letters end at z: the message names the alphabet and the style that
+    # renders index 27.  It once read `error: index 27 exceeds the 26 symbols supplied`, with
+    # stderr sha256 225c0584...c9107, though no symbols were supplied
+    (["print", "t27"], "error: index 27 has no letter (the default symbols a-z name 1-26); "
+     "use --style d"),
+    # alt counts terms x k! before expanding a form or permuting a tensor
+    (["alt", "w11"], _ALT.format(11, 39916800, 1593350922240000)),
+    (["alt", "w7"], _ALT.format(7, 5040, 25401600)),
+    (["alt", "t10"], _ALT.format(10, 1, 3628800)),
+    # finite inputs whose result overflows
+    (["eval", "big2", "m10"],
+     "error: evaluate_form: the value came out inf: a product or sum overflowed"),
+    (["pullback", "big2", "m10"], _INF),
+    (["wedge", "big", "ten1"], _INF),
+    (["contract", "big", "v10"], _INF),
+    (["contract", "big2", "v10", "--keep-form"], _INF),
+    # a NaN tolerance would drop every term (--zap) or fail every comparison (--tol)
+    (["wedge", "w1", "ten1", "--zap", "nan"], _NAN_TOL),
+    (["add", "w1", "ten1", "--zap", "nan"], _NAN_TOL),
+    (["verify", "stokes", "--n", "2", "--tol", "nan"], _NAN_TOL),
+    # a point: finite, and in R^4 for the demo fields
+    (["d", "--at", "nan", "2", "3", "4"], "error: need a finite number, got nan"),
+    (["d", "--omega", "--at", "inf", "1"], "error: need a finite number, got inf"),
+    (["d", "--field", "f1", "--at", "1", "inf", "3", "4"], "error: need a finite number, got inf"),
+    (["verify", "ddzero", "--at", "1", "2", "3", "nan"], "error: need a finite number, got nan"),
+    (["verify", "ddzero", "--at", "1", "2", "3", "1e400"], "error: need a finite number, got inf"),
+    (["d", "--at", "1", "2"], "error: point has length 2 but indices reach 4"),
+    (["verify", "ddzero", "--at", "1", "2"], "error: point has length 2 but indices reach 4"),
+    (["verify", "ddzero", "--at", "1", "2", "3"], "error: point has length 3 but indices reach 4"),
+    (["d", "--field", "f1", "--at", "1", "2"], _R4.format(2)),
+    (["d", "--fd", "--field", "f2", "--at", "1", "2", "3"], _R4.format(3)),
+    (["d", "--at", "1", "2", "3", "4", "5"], _R4.format(5)),
+    (["verify", "ddzero", "--at", "1", "2", "3", "4", "5"], _R4.format(5)),
+    # numpy's floating-point errors, one error line under cli.main's policy
+    (["d", "--omega", "--at", "1e200", "1", "1"], None),
+    (["d", "--at", "1e200", "1", "1", "1"], None),
+    (["d", "--omega", "--at", "1e-100", "1e-100", "1e-100"], None),
+    # verify stokes: a finite edge, a closed form that fits a float, and at most 2^20 nodes
+    (["verify", "stokes", "--n", "2", "--a", "inf"], "error: need a finite number, got inf"),
+    (["verify", "stokes", "--n", "2", "--a", "1e308"],
+     "error: the closed form overflows at n = 2, a = 1e+308"),
+    (["verify", "stokes", "--n", "3", "--m", "3", "--a", "1e100"],
+     "error: the closed form overflows at n = 3, a = 1e+100"),
+    (["verify", "stokes", "--n", "6", "--m", "50"], _NODES.format(50, 6, 15625000000)),
+    (["verify", "stokes", "--n", "2", "--m", "100000"], _NODES.format(100000, 2, 10000000000)),
+    # verify det46: --n in its range, refused before allocating, and a seed default_rng takes
+    *((["verify", "det46", "--n", n], _DET46_N.format(n))
+      for n in ("-1", "0", "1", "144", "300", str(10**12))),
+    (["verify", "det46", "--n", "130"], "error: the determinant check overflows at n = 130"),
+    *((["verify", "det46", "--seed", seed],
+       f"error: det46 needs --seed >= 0, got {seed}: it seeds numpy's default_rng")
+      for seed in ("-1", str(-(2**70)))),
+    # argparse's usage errors: an unknown command, and none
+    (["frobnicate"], None),
+    ([], None),
+]
+
+
+@pytest.mark.parametrize("argv, line", REFUSALS,
+                         ids=[" ".join(argv) or "no-command" for argv, _ in REFUSALS])
+def test_refusal(argv, line, paths):
+    # exit 2, nothing on stdout and the row's one line on stderr, well within a second: no
+    # refusal allocates or expands first
+    argv = [paths.get(arg, arg) for arg in argv]
+    start = time.perf_counter()
+    code, out, err = _run(argv)
+    assert time.perf_counter() - start < 1.0, argv
+    _check(argv, code, out, err)
+    assert (code, out, err) == (2, "", err if line is None else line + "\n")
+
+
+def test_cli_floating_point_policy_holds_in_a_fresh_interpreter(paths):
+    # pytest turns every warning into an error, so only an interpreter without its filters
+    # shows that main alone makes numpy's overflow, division and invalid-value warnings one
+    # error line, and puts the caller's warning filters back
+    rows = [([paths.get(arg, arg) for arg in argv], line) for argv, line in REFUSALS]
+    script = (
+        "import contextlib, io, warnings\n"
+        "from extcalc.cli import main\n"
+        f"for argv, line in {rows!r}:\n"
+        "    before = list(warnings.filters)\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    lines = err.getvalue().splitlines()\n"
+        "    assert code == 2 and out.getvalue() == '', (argv, code, out.getvalue())\n"
+        "    assert len(lines) == 1 and lines[0].startswith('error:'), (argv, lines)\n"
+        "    assert line in (None, lines[0]), (argv, lines)\n"
+        "    assert warnings.filters == before, argv\n"
+    )
+    src = str(Path(extcalc.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --stats rows: file names stand for their paths; the last three are refusals

@@ -38,12 +38,12 @@ def _every_module() -> list:
 
 
 def _loaded_after(script: str) -> list:
-    # run script in a fresh `python -S`; -> the modules it loaded of every extcalc module,
-    # numpy, json and the rule's six, in that order.  The report imports nothing
+    # run script in a fresh `python -S`, within 60 s; -> the modules it loaded of every extcalc
+    # module, numpy, json and the rule's six, in that order.  The report imports nothing
     watched = _every_module() + ["numpy", "json"] + _RULE
     script += f"\nimport sys\nprint(*[m for m in {watched!r} if m in sys.modules])\n"
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": _PATH})
+                          env={**os.environ, "PYTHONPATH": _PATH}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
 
@@ -161,7 +161,8 @@ _ALGEBRA_ROWS = {
     **{f"verify-stokes-n{n}": (["verify", "stokes", "--n", str(n), "--m", "3"], _STOKES)
        for n in range(2, 7)},
     "verify-stokes-a": (["verify", "stokes", "--n", "3", "--a", "0.5", "--m", "3"], _STOKES),
-    # verify_stokes's node bound, 10^6 volume nodes
+    # verify_stokes's node bound, 10^6 volume nodes: the quadrature on Python floats finishes
+    # within _loaded_after's 60 s
     "verify-stokes-n6-m10": (["verify", "stokes", "--n", "6", "--m", "10"], _STOKES),
     "verify-ddzero": (["verify", "ddzero"], _FIELD + ["json"]),
     "verify-det46": (["verify", "det46"], ["extcalc", "extcalc.arrays", "extcalc.cli",

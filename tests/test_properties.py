@@ -51,8 +51,12 @@ def test_suite_check_passes(check):
 
 def test_suite_names_unique_and_complete():
     reports = checks.suite()
-    names = [r["name"] for r in reports]
-    assert len(names) == len(set(names)) == 14
+    # in the order the report and the --stats line list them
+    assert [r["name"] for r in reports] == [
+        "multilinearity", "not-linear-in-frame", "alternation-column-swap", "alt-operator",
+        "wedge-algebra", "wedge-definitional", "contraction-vs-evaluation",
+        "det-proportionality", "pullback", "omega-closedness", "gradient-consistency",
+        "dd-zero", "exterior-d-demo", "stokes-cubes"]
     for r in reports:
         assert {"name", "cases", "passed"} <= set(r)
 
