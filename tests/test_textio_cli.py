@@ -286,6 +286,20 @@ def test_cli_reads_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out == "+3 dx2\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["print", "-"], ["verify", "stokes", "--n", "2", "--a", "inf"],
+     ["verify", "stokes", "--n", "2", "--a", "1e308"],
+     ["verify", "stokes", "--n", "3", "--m", "3", "--a", "1e100"]],
+)
+def test_cli_non_finite_numbers_exit_2(argv, monkeypatch, capsys):
+    # NaN on stdin, or a finite --a whose closed form overflows
+    monkeypatch.setattr(sys, "stdin", io.StringIO("kform k=1\n1 : nan\n"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 def test_cli_floating_point_error_is_one_error_line():
     # numpy's overflow warnings must not precede the error message
     src = str(Path(extcalc.__file__).resolve().parents[1])
