@@ -29,9 +29,10 @@ _EXPORTS = {
         "elementary", "evaluate_form", "form_to_tensor", "kform_from_rows",
         "kform_general", "pullback", "rform", "wedge", "wedge_definitional",
     ],
+    "fields": ["FieldForm", "ScalarField"],
     "derivatives": [
-        "FieldForm", "ScalarField", "dd_check", "demo_two_form", "exterior_d", "f1",
-        "f2", "f3", "fd_gradient", "fd_hessian", "grad", "hat", "omega_gradient",
+        "dd_check", "demo_two_form", "exterior_d", "f1", "f2", "f3", "fd_gradient",
+        "fd_hessian", "grad", "hat", "omega_gradient",
     ],
     "stokes": [
         "CubeDomain", "QuadratureRule", "closed_form_value", "dphi_example",

@@ -24,12 +24,14 @@ quadrature nodes, and for `verify suite` each check's name, cases, seed
 and elapsed seconds.  print, add, wedge, alt, eval, contract, pullback
 of degree 3 or less and verify stokes compute on Python floats and never
 import numpy (the coefficient store and the evaluations refuse an
-overflow).  Each subcommand imports the modules it calls when it runs,
-and json only to write a report or the --stats line.
+overflow).  Each subcommand imports the modules it calls when it runs.
+Reports and the --stats line are written by _json, so no command loads
+the json module.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
@@ -184,13 +186,37 @@ def cmd_verify_suite(args):
     return {"checks": reports, "passed": ok}, ok
 
 
+def _name(s) -> str:
+    # a report's name as JSON: printable ASCII without " or \, which JSON writes unescaped
+    if isinstance(s, str) and s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    raise ValueError(f"cannot write {s!r} as a report name")
+
+
+def _json(obj) -> str:
+    """json.dumps(obj, default=float, allow_nan=False) for what a report or the --stats line
+    holds: dicts keyed by names, lists, bools, None, ints, names, and numbers through float().
+    A name JSON would escape, NaN and infinity raise ValueError."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{_name(k)}: {_json(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_json, obj)) + "]"
+    if isinstance(obj, str):
+        return _name(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if not math.isfinite(value := float(obj)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return float.__repr__(value)
+
+
 def _write(result, args) -> int:
     """Write a subcommand's result to stdout and return the exit code."""
     if isinstance(result, tuple):
-        import json
-
         report, passed = result
-        print(json.dumps(report, default=float, allow_nan=False))
+        print(_json(report))
         return 0 if passed else 1
     if isinstance(result, SparseMap):
         if getattr(args, "zap", None) is not None:
@@ -316,13 +342,11 @@ def _build_parser(grammar: dict):
 def _stats(args, elapsed: float) -> str:
     # the --stats line: what ran, how long it took, whether numpy and argparse were loaded,
     # which extcalc modules were (this one by its own name, also as __main__), and the work
-    import json
-
     modules = sorted({__spec__.name, *(m for m in sys.modules if m.split(".")[0] == "extcalc")})
     stats = {"subcommand": " ".join(filter(None, (args.command, getattr(args, "check", None)))),
              "elapsed_s": elapsed, "numpy_loaded": "numpy" in sys.modules,
              "argparse_loaded": "argparse" in sys.modules, "modules": modules, **args.work}
-    return json.dumps(stats, allow_nan=False)
+    return _json(stats)
 
 
 def main(argv=None) -> int:

@@ -13,8 +13,9 @@ tuple of n Python floats, and returns a number; no form is built per
 node.  The rule, the nodes and the sums are Python floats throughout,
 so `verify stokes` never imports numpy, and its digits follow libm's
 pow (through Python's float **), not the SIMD loops numpy picks for the
-CPU.  The module loads only extcalc.sparse and extcalc.derivatives; the
-array gate is loaded when a point or frame is read.
+CPU.  The module loads only extcalc.sparse and extcalc.fields, the
+field core without the derivatives; the array gate is loaded when a
+point or frame is read.
 
 Each face is one loop over its nodes in itertools.product order that
 adds orient * w * (coefficient) to the running total, so the sums are
@@ -34,7 +35,7 @@ import math
 import operator
 
 from .sparse import DimensionError, KForm, _check_enumeration, _check_finite, _check_integral
-from .derivatives import FieldForm, _Record, _finite_array, hat
+from .fields import FieldForm, _Record, _finite_array, _hat_keys
 
 __all__ = [
     "CubeDomain",
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 class CubeDomain(_Record):
-    """The cube [0, a]^n; n must be integral."""
+    """The cube [0, a]^n; n must be integral, and a is kept as a finite float."""
 
     __slots__ = ("n", "a")
 
@@ -59,8 +60,7 @@ class CubeDomain(_Record):
             raise ValueError("need n >= 2")
         if not a > 0:
             raise ValueError("need edge length a > 0")
-        _check_finite(a)
-        self._set(n=n, a=a)
+        self._set(n=n, a=_check_finite(a))
 
 
 class QuadratureRule(_Record):
@@ -154,9 +154,9 @@ class _AxisSum(tuple):
 
 def _example_pair(n: int) -> tuple[FieldForm, FieldForm]:
     # phi = (sum_i (-1)^(i-1) x_i^i) * hat(n) and dphi = (sum_j j x_j^(j-1)) dx_1^...^dx_n,
-    # dphi written by hand rather than derived from phi; hat(n) holds the bound before either
-    # coefficient is built.  A float exponent calls the libm pow that x**i calls
-    keys = hat(n).terms
+    # dphi written by hand rather than derived from phi; hat's keys hold its bound before
+    # either coefficient is built.  A float exponent calls the libm pow that x**i calls
+    keys = _hat_keys(n)
     phi = _AxisSum((float(i), 1.0 if i % 2 else -1.0) for i in range(1, n + 1))
     dphi = _AxisSum((j - 1.0, float(j)) for j in range(1, n + 1))
     return FieldForm((phi, key) for key in keys), FieldForm([(dphi, tuple(range(1, n + 1)))])

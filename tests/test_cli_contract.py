@@ -21,11 +21,16 @@ Every argv run here also goes through both parsers of the one grammar:
 cli's table parser either defers to argparse or builds argparse's own
 namespace.  The benchmark's command shapes and argv drawn by hypothesis
 from the grammar get the same check.
+
+cli._json writes every report and the --stats line; the json module
+stays here only as its oracle, on drawn report-shaped values and on the
+real reports.
 """
 
 import contextlib
 import io
 import itertools
+import math
 import json
 import os
 import subprocess
@@ -585,3 +590,60 @@ def _argvs(draw):
 @given(_argvs())
 def test_the_table_parser_defers_or_agrees_with_argparse(argv):
     _agrees(argv)
+
+
+# report-shaped values for cli._json: names, ints, floats at the edges of repr's forms, bools,
+# None and the numpy scalars a report may hold, nested in lists and in dicts keyed by names
+_NAMES = st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters='"\\'),
+                 max_size=6)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = (st.sampled_from([-0.0, 1e16, 1e15, 5e-324, -1.7976931348623157e308, 0.1, 2**70])
+           | _FLOATS | st.integers() | st.booleans() | st.none() | _NAMES
+           | _FLOATS.map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+           | st.booleans().map(np.bool_))
+_REPORTS = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(_NAMES, inner, max_size=4), max_leaves=24)
+
+
+def _dumps(value) -> str:
+    # the oracle: what cli wrote with the json module, allow_nan=False and float() for the rest
+    return json.dumps(value, default=float, allow_nan=False)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_REPORTS)
+def test_the_report_writer_writes_what_json_dumps_writes(value):
+    assert cli._json(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"),
+                                 np.float64("-inf"), np.float32("inf")], ids=repr)
+def test_the_report_writer_refuses_nan_and_infinity(bad):
+    # one ValueError, worded the same on every Python, wherever the value sits
+    for value in (bad, [1, bad], {"name": "x", "values": [0.5, {"err": bad}]}):
+        with pytest.raises(ValueError) as refused:
+            cli._json(value)
+        assert str(refused.value) == "Out of range float values are not JSON compliant"
+        with pytest.raises(ValueError):
+            _dumps(value)
+
+
+@pytest.mark.parametrize("bad", ['say "x"', "a\\b", "line\n", "tab\t", "\x7f", "café"],
+                         ids=repr)
+def test_the_report_writer_refuses_a_name_json_would_escape(bad):
+    for value in (bad, [bad], {bad: 1}, {"name": bad}):
+        with pytest.raises(ValueError, match="as a report name"):
+            cli._json(value)
+
+
+@pytest.mark.parametrize("argv", [["verify", "stokes", "--n", "4", "--a", "0.5", "--m", "8"],
+                                  ["verify", "ddzero"], ["verify", "det46", "--seed", "3"],
+                                  ["verify", "suite"]], ids=" ".join)
+def test_the_real_reports_and_stats_line_are_written_as_json_dumps_writes(argv):
+    # each verify report, and its --stats line, which the oracle reads back and writes again
+    args = cli._parse(cli._grammar(), ["--stats", *argv])
+    args.work = {}
+    report, _ = args.func(args)
+    assert cli._json(report) == _dumps(report)
+    line = cli._stats(args, 0.25)
+    assert line == _dumps(json.loads(line)) and json.loads(line)["elapsed_s"] == 0.25

@@ -1,10 +1,10 @@
 """Import hygiene: each command loads only the modules it calls.
 
 _ALGEBRA_ROWS is the one record of what a command loads: the exact
-extcalc modules, numpy and json of each command line in it.  Each row
-runs alone in a fresh interpreter, since the test process has long
-since imported everything, and under -S, which keeps site's own imports
-out.  Every row also keeps one shared rule: argparse, gettext and locale
+extcalc modules and numpy of each command line in it.  Each row runs
+alone in a fresh interpreter, since the test process has long since
+imported everything, and under -S, which keeps site's own imports out.
+Every row also keeps one shared rule: argparse, gettext, locale and json
 never load, and a run without numpy loads none of typing, inspect and
 dataclasses.  `import extcalc` itself loads no submodule.
 """
@@ -25,9 +25,10 @@ import extcalc
 _PATH = os.pathsep.join([str(Path(extcalc.__file__).resolve().parents[1]),
                          str(Path(importlib.util.find_spec("numpy").origin).parents[1])])
 # the table parser reads every plain command line, so argparse, its gettext and locale never
-# load; numpy imports typing and inspect itself, so only a run without numpy must leave these
-# three unloaded (the records are __slots__ classes, and no annotation is ever evaluated)
-_NEVER = ["argparse", "gettext", "locale"]
+# load, and cli writes each report itself, so json never does; numpy imports typing and inspect
+# itself, so only a run without numpy must leave these three unloaded (the records are
+# __slots__ classes, and no annotation is ever evaluated)
+_NEVER = ["argparse", "gettext", "locale", "json"]
 _NOT_WITHOUT_NUMPY = ["typing", "inspect", "dataclasses"]
 _RULE = _NEVER + _NOT_WITHOUT_NUMPY
 
@@ -39,8 +40,8 @@ def _every_module() -> list:
 
 def _loaded_after(script: str) -> list:
     # run script in a fresh `python -S`, within 60 s; -> the modules it loaded of every extcalc
-    # module, numpy, json and the rule's six, in that order.  The report imports nothing
-    watched = _every_module() + ["numpy", "json"] + _RULE
+    # module, numpy and the rule's seven, in that order.  The report imports nothing
+    watched = _every_module() + ["numpy"] + _RULE
     script += f"\nimport sys\nprint(*[m for m in {watched!r} if m in sys.modules])\n"
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": _PATH}, timeout=60)
@@ -124,9 +125,9 @@ def test_every_annotation_resolves():
 # algebra of extcalc.forms reads its frames, vectors and matrices through the array gate, as the
 # field layer reads its point.  print renders with the parser's module, and verify ddzero runs
 # beside dd_check, so neither loads forms; verify stokes needs only KForm's key rule, from
-# sparse; a ktensor file loads tensors, and alt expands a form into one; only verify suite loads
-# checks.  numpy loads for minors from 4x4 up, the field layer's derivatives and the seeded
-# checks; json only to write a report
+# sparse, and the field core of extcalc.fields, not the derivatives; a ktensor file loads
+# tensors, and alt expands a form into one; only verify suite loads checks.  numpy loads for
+# minors from 4x4 up, the field layer's derivatives and the seeded checks
 _TEXT = ["extcalc", "extcalc.cli", "extcalc.sparse", "extcalc.textio"]
 _ALGEBRA = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.forms", "extcalc.sparse",
             "extcalc.textio"]
@@ -134,10 +135,9 @@ _KTENSOR = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.sparse", "extca
             "extcalc.textio"]
 _ALT = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.forms", "extcalc.sparse",
         "extcalc.tensors", "extcalc.textio"]
-_FIELD = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.derivatives", "extcalc.sparse",
-          "numpy"]
-_STOKES = ["extcalc", "extcalc.cli", "extcalc.derivatives", "extcalc.sparse", "extcalc.stokes",
-           "json"]
+_FIELD = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.derivatives", "extcalc.fields",
+          "extcalc.sparse", "numpy"]
+_STOKES = ["extcalc", "extcalc.cli", "extcalc.fields", "extcalc.sparse", "extcalc.stokes"]
 _ALGEBRA_ROWS = {
     "print": (["print", "w3"], _TEXT),
     "print-0-form": (["print", "w0"], _TEXT),
@@ -164,14 +164,14 @@ _ALGEBRA_ROWS = {
     # verify_stokes's node bound, 10^6 volume nodes: the quadrature on Python floats finishes
     # within _loaded_after's 60 s
     "verify-stokes-n6-m10": (["verify", "stokes", "--n", "6", "--m", "10"], _STOKES),
-    "verify-ddzero": (["verify", "ddzero"], _FIELD + ["json"]),
+    "verify-ddzero": (["verify", "ddzero"], _FIELD),
     "verify-det46": (["verify", "det46"], ["extcalc", "extcalc.arrays", "extcalc.cli",
-                                           "extcalc.derivatives", "extcalc.forms",
-                                           "extcalc.sparse", "extcalc.stokes", "numpy", "json"]),
+                                           "extcalc.fields", "extcalc.forms", "extcalc.sparse",
+                                           "extcalc.stokes", "numpy"]),
     "verify-suite": (["verify", "suite"], ["extcalc", "extcalc.arrays", "extcalc.checks",
-                                           "extcalc.cli", "extcalc.derivatives", "extcalc.forms",
-                                           "extcalc.sparse", "extcalc.stokes", "extcalc.tensors",
-                                           "numpy", "json"]),
+                                           "extcalc.cli", "extcalc.derivatives", "extcalc.fields",
+                                           "extcalc.forms", "extcalc.sparse", "extcalc.stokes",
+                                           "extcalc.tensors", "numpy"]),
 }
 
 
@@ -188,8 +188,8 @@ def _algebra_files(tmp_path) -> dict:
 
 @pytest.mark.parametrize("row", _ALGEBRA_ROWS, ids=_ALGEBRA_ROWS)
 def test_each_algebra_command_loads_exactly_its_modules(row, tmp_path):
-    # the row's exact extcalc modules, numpy and json; of the rule's six, only those numpy
-    # imports itself may load beside them
+    # the row's exact extcalc modules and numpy; of the rule's seven, only those numpy imports
+    # itself may load beside them
     argv, modules = _ALGEBRA_ROWS[row]
     paths = _algebra_files(tmp_path)
     loaded = _loaded_after(_run_quietly([paths.get(arg, arg) for arg in argv]))

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from extcalc import arrays, checks, derivatives, forms, sparse, stokes, tensors
+from extcalc import arrays, checks, derivatives, fields, forms, sparse, stokes, tensors
 
 
 def _merge_sign_always_plus(monkeypatch):
@@ -70,10 +70,10 @@ def _canonical_rows_unsigned(monkeypatch):
                 yield tuple(sorted(row)), c
 
     # the sign rule lives in sparse; kform_from_rows and FieldForm._at bind it from there when
-    # forms and derivatives are imported
+    # forms and fields are imported
     monkeypatch.setattr(sparse, "_canonical_rows", unsigned)
     monkeypatch.setattr(forms, "_canonical_rows", unsigned)
-    monkeypatch.setattr(derivatives, "_canonical_rows", unsigned)
+    monkeypatch.setattr(fields, "_canonical_rows", unsigned)
 
 
 def _pullback_first_chunk_only(monkeypatch):
@@ -209,14 +209,14 @@ def _unrank_next_rank(monkeypatch):
 def _field_rows_after_key(monkeypatch):
     def at(self, x, degree, rows):
         # FieldForm._at with each field's key put before its rows, I_j + R for R + I_j
-        x = derivatives._finite_array(x, 1, "point", self.dimension)[0]
+        x = fields._finite_array(x, 1, "point", self.dimension)[0]
         items = []
         for field, key in self.terms:
             items += sparse._accumulate(
                 sparse._canonical_rows((key + R, c) for R, c in rows(field, x))).items()
         return forms.KForm._trusted(degree + self.arity, items)
 
-    monkeypatch.setattr(derivatives.FieldForm, "_at", at)
+    monkeypatch.setattr(fields.FieldForm, "_at", at)
 
 
 def _gate_finiteness_skipped(monkeypatch):
@@ -229,8 +229,8 @@ def _gate_finiteness_skipped(monkeypatch):
         shape = gate(np.zeros(A.shape), ndim, what, min_rows)[1]
         return A.reshape(shape).tolist(), shape
 
-    # forms binds the gate at import; as_frame reads arrays._finite_array, and derivatives and
-    # stokes import it from arrays per call
+    # forms binds the gate at import; as_frame reads arrays._finite_array, and fields imports it
+    # from arrays per call, for derivatives and stokes too
     monkeypatch.setattr(arrays, "_finite_array", unchecked)
     monkeypatch.setattr(forms, "_finite_array", unchecked)
 
@@ -255,11 +255,7 @@ MUTANTS = {
     "axis-table-sign-flipped": (_axis_table_sign_flipped, {"stokes-cubes"}),
     "axis-tables-reordered": (_axis_tables_reordered, {"stokes-cubes"}),
     "signed-weights-drop-orient": (_signed_weights_drop_orient, {"stokes-cubes"}),
-    # stokes-cubes integrates only the example pair, whose faces all take the per-axis tables;
-    # test_integrate_volume_known_values, test_boundary_orientation_green_case,
-    # test_boundary_matches_face_frame_evaluation and
-    # test_integrators_sum_shared_keys_and_empty_faces_node_by_node:
-    "per-node-values-dropped": (_per_node_values_dropped, set()),
+    "per-node-values-dropped": (_per_node_values_dropped, {"stokes-cubes"}),
     "signs-one-flipped": (_signs_one_flipped, {"alt-operator", "wedge-definitional"}),
     "permutation-images-reversed": (
         _permutation_images_reversed, {"alt-operator", "wedge-definitional"}),

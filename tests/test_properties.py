@@ -34,7 +34,7 @@ EXPECTED_CASES = {
     "gradient-consistency": 90,
     "dd-zero": 2,
     "exterior-d-demo": 2,
-    "stokes-cubes": 4,
+    "stokes-cubes": 5,
 }
 
 

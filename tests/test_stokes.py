@@ -25,7 +25,7 @@ from extcalc import (
 )
 
 from extcalc import sparse, stokes
-from extcalc.derivatives import _value
+from extcalc.fields import _value
 from oracles import monomial_integral
 
 
@@ -165,6 +165,24 @@ def test_cube_validation():
         with pytest.raises(ValueError, match="n must be integral"):
             CubeDomain(bad, 1.0)
     assert type(CubeDomain(np.int64(3)).n) is int and CubeDomain(3.0).n == 3
+
+
+def test_cube_keeps_its_edge_as_a_float():
+    # an int or numpy edge is kept as the float the finiteness check returns, so every
+    # coordinate a coefficient reads, the side x_i = a included, is a Python float
+    seen = set()
+
+    def spy(x):
+        seen.update(map(type, x))
+        return x[0]
+
+    for edge in (1, np.float64(1.0), np.int64(2)):
+        cube = CubeDomain(2, edge)
+        assert type(cube.a) is float and cube.a == edge
+        rule = QuadratureRule.gauss_legendre(3, cube.a)
+        integrate_boundary(FieldForm([(spy, (1,)), (spy, (2,))]), cube, rule)
+        integrate_volume(FieldForm([(spy, (1, 2))]), cube, rule)
+    assert seen == {float}
 
 
 def test_integrate_volume_known_values():
