@@ -19,7 +19,8 @@ __version__ = "0.1.0"
 
 # each submodule and the public names it defines, in __all__ order
 _EXPORTS = {
-    "sparse": ["ArityError", "DimensionError", "SparseMap", "KForm", "DEFAULT_TOL"],
+    "rules": ["ArityError", "DimensionError", "DEFAULT_TOL"],
+    "sparse": ["SparseMap", "KForm"],
     "tensors": [
         "KTensor", "alt", "evaluate_tensor", "ktensor_from_rows", "perm_sign",
         "tensor_product",

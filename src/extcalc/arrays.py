@@ -3,7 +3,7 @@
 Nested lists and tuples of Python numbers are read without numpy; any
 other input goes through numpy.asarray.  forms and tensors import the
 gate; derivatives and stokes reach it on first use, so `verify stokes`
-never loads it.
+never loads it.  It imports only the rules of extcalc.rules.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .sparse import DimensionError, _check_finite
+from .rules import DimensionError, _check_finite
 
 _NUMBERS = {int, float, bool}
 

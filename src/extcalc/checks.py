@@ -21,6 +21,7 @@ import operator
 
 import numpy as np
 
+from .arrays import as_frame
 from .sparse import SparseMap
 from .tensors import KTensor, alt, evaluate_tensor
 from .forms import (KForm, contract, contract_matrix, evaluate_form, form_to_tensor, pullback,
@@ -117,7 +118,8 @@ def check_not_linear_in_frame(rng) -> dict:
 
 @_seeded(102, "alternation-column-swap", 1e-10)
 def check_alternation(rng):
-    """Form evaluation flips sign under any frame column swap."""
+    """Form evaluation flips sign under any frame column swap, and the frame gate of
+    evaluate_form refuses a NaN row below the rows the form reads (error 0.0 if refused)."""
     n = int(rng.integers(3, 9))
     k = int(rng.integers(2, min(n, 4) + 1))
     w = _random_form(rng, k, n)
@@ -126,6 +128,12 @@ def check_alternation(rng):
     Eswap = E.copy()
     Eswap[:, [i, j]] = Eswap[:, [j, i]]
     yield _rel(evaluate_form(w, E), -evaluate_form(w, Eswap))
+    try:
+        as_frame(np.vstack([E, np.full(k, np.nan)]), k, w.dimension)
+    except ValueError:
+        yield 0.0
+    else:
+        yield 1.0
 
 
 @_seeded(103, "alt-operator", 1e-10)

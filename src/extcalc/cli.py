@@ -24,9 +24,9 @@ quadrature nodes, and for `verify suite` each check's name, cases, seed
 and elapsed seconds.  print, add, wedge, alt, eval, contract, pullback
 of degree 3 or less and verify stokes compute on Python floats and never
 import numpy (the coefficient store and the evaluations refuse an
-overflow).  Each subcommand imports the modules it calls when it runs.
-Reports and the --stats line are written by _json, so no command loads
-the json module.
+overflow).  Each subcommand imports the modules it calls when it runs;
+the seven that read files run their bodies in extcalc.filecmds.  Reports
+and the --stats line are written by _json, so no command loads json.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import sys
 import time
 import warnings
 
-from .sparse import DEFAULT_TOL, KForm, SparseMap, _check_tol, format_coefficient
+from .rules import DEFAULT_TOL, _check_tol
 
 __all__ = ["main"]
 
@@ -53,66 +53,6 @@ def _default_tol() -> float:
         raise ValueError(f"EXTERIOR_TOL must be a number, got {raw!r}") from None
 
 
-def _read(path: str, rows: bool = False):
-    # the form or tensor in a file ("-" for stdin), or with rows its rows of numbers
-    from .textio import _parse_rows, parse_form_text
-
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return _parse_rows(text) if rows else parse_form_text(text)
-
-
-def _kform(path: str, command: str) -> KForm:
-    w = _read(path)
-    if not isinstance(w, KForm):
-        raise ValueError(f"{command} needs a kform input")
-    return w
-
-
-def cmd_eval(args):
-    return _read(args.object)(_read(args.frame, rows=True))
-
-
-def cmd_wedge(args):
-    return _kform(args.a, "wedge") ^ _kform(args.b, "wedge")
-
-
-def cmd_add(args):
-    a, b = _read(args.a), _read(args.b)
-    if type(a) is not type(b):
-        raise ValueError("add needs two objects of the same type")
-    return a + b
-
-
-def cmd_contract(args):
-    from .forms import contract_matrix
-
-    w = _kform(args.form, "contract")
-    return contract_matrix(w, _read(args.vectors, rows=True), lose=not args.keep_form)
-
-
-def cmd_pullback(args):
-    from .forms import pullback
-
-    w = _kform(args.form, "pullback")
-    return pullback(w, _read(args.matrix, rows=True))
-
-
-def cmd_alt(args):
-    from .forms import form_to_tensor
-    from .tensors import _count_permutations, alt
-
-    obj = _read(args.tensor)
-    if isinstance(obj, KForm):
-        # alt's own bound, counted on the k! terms per key of the expansion before it is built
-        _count_permutations("alt", obj.arity, len(obj), obj.arity)
-        obj = form_to_tensor(obj)
-    return alt(obj)
-
-
 def cmd_d(args):
     from . import derivatives
 
@@ -123,16 +63,6 @@ def cmd_d(args):
     else:
         form = derivatives.demo_two_form()
     return derivatives.exterior_d(form, args.at, analytic=not args.fd)
-
-
-def cmd_print(args):
-    from .textio import symbolic
-
-    obj = _read(args.object)
-    style = args.style
-    if style is None:
-        style = "d" if isinstance(obj, KForm) else "letters"
-    return symbolic(obj, style=style)
 
 
 def cmd_verify_stokes(args):
@@ -218,6 +148,8 @@ def _write(result, args) -> int:
         report, passed = result
         print(_json(report))
         return 0 if passed else 1
+    from .sparse import SparseMap, format_coefficient
+
     if isinstance(result, SparseMap):
         if getattr(args, "zap", None) is not None:
             args.work["zapped"] = len(result) - len(result := result.zap(args.zap))
@@ -231,28 +163,30 @@ def _write(result, args) -> int:
 def _grammar() -> dict:
     # the grammar both parsers read, in --help order: command words -> (help, function,
     # positionals, {option: its add_argument keywords}, the options excluding each other);
-    # `verify` only groups its checks.  Built per run, so that bare --zap reads EXTERIOR_TOL
-    # each time and each list default is a fresh list
+    # `verify` only groups its checks, and a file command's function is the name of its body
+    # in extcalc.filecmds, which main imports only for it.  Built per run, so that bare --zap
+    # reads EXTERIOR_TOL each time and each list default is a fresh list
     zap = {"--zap": {"nargs": "?", "type": float, "const": _default_tol(), "default": None,
                      "metavar": "TOL", "help": "drop |coeff| <= TOL from the result "
                      "(bare --zap uses EXTERIOR_TOL or 1e-11)"}}
     at = {"--at": {"nargs": "+", "type": float, "default": [1.0, 2.0, 3.0, 4.0]}}
     flag = {"action": "store_true", "default": False}
     return {
-        ("eval",): ("evaluate a form or tensor on a frame", cmd_eval, ("object", "frame"), {}, ()),
-        ("wedge",): ("wedge product of two forms", cmd_wedge, ("a", "b"), zap, ()),
-        ("add",): ("sum of two like objects", cmd_add, ("a", "b"), zap, ()),
-        ("contract",): ("interior product with vectors", cmd_contract, ("form", "vectors"), {
+        ("eval",): ("evaluate a form or tensor on a frame", "cmd_eval", ("object", "frame"), {},
+                    ()),
+        ("wedge",): ("wedge product of two forms", "cmd_wedge", ("a", "b"), zap, ()),
+        ("add",): ("sum of two like objects", "cmd_add", ("a", "b"), zap, ()),
+        ("contract",): ("interior product with vectors", "cmd_contract", ("form", "vectors"), {
             "--keep-form": {**flag, "help": "return a 0-form instead of a bare scalar when "
                             "fully contracted"}, **zap}, ()),
-        ("pullback",): ("pull a form back along a square matrix", cmd_pullback,
+        ("pullback",): ("pull a form back along a square matrix", "cmd_pullback",
                         ("form", "matrix"), zap, ()),
-        ("alt",): ("alternating part of a tensor", cmd_alt, ("tensor",), {}, ()),
+        ("alt",): ("alternating part of a tensor", "cmd_alt", ("tensor",), {}, ()),
         ("d",): ("exterior derivative of the built-in fields", cmd_d, (), {
             **at, "--field": {"choices": ["f1", "f2", "f3"], "help": "d of one demo 0-form"},
             "--omega": {**flag, "help": "gradient 1-form of the singular (n-1)-form"},
             "--fd": {**flag, "help": "force finite differences"}}, ("--field", "--omega")),
-        ("print",): ("symbolic one-line rendering", cmd_print, ("object",),
+        ("print",): ("symbolic one-line rendering", "cmd_print", ("object",),
                      {"--style": {"choices": ["letters", "d"], "default": None}}, ()),
         ("verify",): ("numeric verification reports (JSON)", None, (), {}, ()),
         ("verify", "stokes"): ("boundary vs volume vs closed form", cmd_verify_stokes, (), {
@@ -358,7 +292,12 @@ def main(argv=None) -> int:
         args.work = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code = _write(args.func(args), args)
+            func = args.func
+            if isinstance(func, str):
+                from . import filecmds
+
+                func = getattr(filecmds, func)
+            code = _write(func(args), args)
         if args.stats:
             print(_stats(args, time.perf_counter() - start), file=sys.stderr)
         return code

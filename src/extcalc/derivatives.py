@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 import sys
 
-from .sparse import DimensionError, KForm
+from .rules import DimensionError
+from .sparse import KForm
 from .fields import FieldForm, ScalarField, _finite_array, _hat_keys
 
 __all__ = ["fd_gradient", "fd_hessian", "ScalarField", "FieldForm", "grad", "exterior_d", "hat",

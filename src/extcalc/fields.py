@@ -5,15 +5,18 @@ Stokes domain and rule, the evaluation of a coefficient function at one
 point, and the keys of hat(n).  extcalc.stokes integrates FieldForms
 with this module alone; extcalc.derivatives differentiates them, and
 ScalarField's gradient_at and hessian_at import its finite differences
-when they run.  The module loads only extcalc.sparse; the array gate of
-extcalc.arrays loads on first use.
+when they run.  The module loads only extcalc.rules; _at imports
+extcalc.sparse when it builds a form, the array gate of extcalc.arrays
+loads on first use, and annotations name extcalc.KForm lazily.
 """
 
 from __future__ import annotations
 
 import math
 
-from .sparse import KForm, _accumulate, _canonical_rows, _check_enumeration, _check_integral
+import extcalc
+
+from .rules import _check_enumeration, _check_form_key, _check_integral
 
 __all__ = ["ScalarField", "FieldForm"]
 
@@ -142,7 +145,7 @@ class FieldForm(_Record):
         if not pairs:
             raise ValueError("need at least one (field, key) term")
         k = len(pairs[0][1])
-        pairs = [(f, KForm._key_rule(key, k)) for f, key in pairs]
+        pairs = [(f, _check_form_key(key, k)) for f, key in pairs]
         self._set(terms=tuple(pairs))
 
     @property
@@ -153,16 +156,18 @@ class FieldForm(_Record):
     def dimension(self) -> int:
         return max((max(key) for _, key in self.terms if key), default=0)
 
-    def coefficients_at(self, x) -> KForm:
+    def coefficients_at(self, x) -> extcalc.KForm:
         """The plain KForm with each field evaluated at x."""
         return self._at(x, 0, lambda field, x: [((), _value(field.fn, x))])
 
-    def _at(self, x, degree: int, rows) -> KForm:
+    def _at(self, x, degree: int, rows) -> extcalc.KForm:
         # sum_j sum_R c_R dx_R ^ dx_{I_j} over the (R, c_R) index rows of degree `degree` that
         # rows(f_j, x) gives, x gated once, reach included, to a list of floats before any
         # field runs.  _canonical_rows signs each row R + I_j, and the storage kernel sums each
         # field's rows before the fields are summed in field order: a running sum S + a - b is
         # not S + (a - b), so a raw Hessian's (r, s) and (s, r) rows must meet first
+        from .sparse import KForm, _accumulate, _canonical_rows
+
         x = _finite_array(x, 1, "point", self.dimension)[0]
         items = []
         for field, key in self.terms:

@@ -25,8 +25,8 @@ import itertools
 import math
 import operator
 
-from .sparse import (ArityError, KForm, _canonical_rows, _check_enumeration, _check_integral,
-                     _check_key, _check_rows)
+from .rules import ArityError, _check_enumeration, _check_integral, _check_key
+from .sparse import KForm, _canonical_rows, _check_rows
 from .arrays import _finite_array, _finite_sum, as_frame
 
 __all__ = ["KForm", "kform_from_rows", "elementary", "kform_general", "evaluate_form", "wedge",

@@ -13,7 +13,8 @@ everywhere:
   computed (an overflowing product, say), raises ValueError.
 
 Public constructors validate every key: an index must be an integral
-value >= 1 and key lengths must match the arity.  Results computed
+value >= 1 and key lengths must match the arity (the rules and their
+errors are extcalc.rules', imported back here).  Results computed
 inside the package have canonical keys by construction, so they go
 through the trusted path (SparseMap._trusted), which skips that
 validation.  Both paths store their terms through one accumulation
@@ -21,10 +22,11 @@ kernel, which settles each key once by the zero, order and finiteness
 rules; to_text writes every term line as one `%d ... %d` template of its
 key and the ` : c` tail of its coefficient, formatted once per value.
 
-KForm lives here too, with its key rule and the sign rule that sorts
-raw index rows into its keys (_canonical_rows), so that the parser, hat
-and FieldForm build forms without loading extcalc.forms, which
-re-exports the class and does its algebra.
+KForm lives here too, with the sign rule that sorts raw index rows
+into its keys (_canonical_rows), so that the parser, hat and FieldForm
+build forms without loading extcalc.forms, which re-exports the class
+and does its algebra.  Its key rule is extcalc.rules', which FieldForm
+checks without loading this module.
 
 Instances are immutable by convention: every operation returns a new map
 and never touches its operands, so values can be shared freely between
@@ -37,6 +39,9 @@ import itertools
 import math
 import operator
 
+from .rules import (DEFAULT_TOL, ArityError, DimensionError, _check_finite, _check_form_key,
+                    _check_integral, _check_key, _check_tol)
+
 __all__ = [
     "ArityError",
     "DimensionError",
@@ -45,16 +50,6 @@ __all__ = [
     "DEFAULT_TOL",
     "format_coefficient",
 ]
-
-DEFAULT_TOL = 1e-11
-
-
-class ArityError(ValueError):
-    """Keys or operands disagree about the arity k."""
-
-
-class DimensionError(ValueError):
-    """An evaluation frame or matrix is too small for the object."""
 
 
 def format_coefficient(c: float) -> str:
@@ -71,53 +66,6 @@ def format_coefficient(c: float) -> str:
     if c.is_integer() and abs(c) < 1e16:
         return str(int(c))
     return repr(c)
-
-
-# the most permutations, minors, subsets or nodes one call may enumerate
-MAX_ENUMERATION = 2**20
-
-
-def _check_enumeration(count: int, what: str, *args) -> None:
-    # `what` is a str.format template of args, formatted only for the refusal
-    if count > MAX_ENUMERATION:
-        raise ValueError(f"{what.format(*args)} = {count} exceeds the bound {MAX_ENUMERATION}; "
-                         "refusing")
-
-
-def _check_integral(x, what: str = "indices") -> int:
-    # int(x) for an integral number of any type (2.0, numpy's int64(2));
-    # 2.7, infinity, NaN or the string "2" raise ValueError naming `what`
-    try:
-        i = int(x)
-    except (OverflowError, ValueError):
-        i = None
-    if i != x:
-        raise ValueError(f"{what} must be integral, got {x!r}")
-    return i
-
-
-def _check_key(key, arity: int) -> tuple:
-    key = tuple(map(_check_integral, key))
-    if len(key) != arity:
-        raise ArityError(f"key {key} has arity {len(key)}, expected {arity}")
-    if min(key, default=1) < 1:
-        raise ValueError(f"indices are 1-based positive integers, got {key}")
-    return key
-
-
-def _check_finite(c) -> float:
-    c = float(c)
-    if not math.isfinite(c):
-        raise ValueError(f"need a finite number, got {c}")
-    return c
-
-
-def _check_tol(tol) -> float:
-    # a NaN tolerance compares false with everything: refuse it
-    tol = float(tol)
-    if math.isnan(tol):
-        raise ValueError(f"a tolerance must be a number, got {tol}")
-    return tol
 
 
 def _check_rows(rows, coeffs):
@@ -333,14 +281,7 @@ class KForm(SparseMap):
         or cancels, must be strictly increasing, else ValueError."""
         super().__init__(arity, terms)
 
-    @staticmethod
-    def _key_rule(key, arity: int) -> tuple:
-        # the form key rule, with one message for KForm and FieldForm
-        key = _check_key(key, arity)
-        if not all(map(operator.lt, key, key[1:])):
-            raise ValueError(f"form keys must be strictly increasing, got {key}; "
-                             "use kform_from_rows to canonicalize raw rows")
-        return key
+    _key_rule = staticmethod(_check_form_key)
 
     def __call__(self, frame):
         from .forms import evaluate_form

@@ -13,9 +13,10 @@ tuple of n Python floats, and returns a number; no form is built per
 node.  The rule, the nodes and the sums are Python floats throughout,
 so `verify stokes` never imports numpy, and its digits follow libm's
 pow (through Python's float **), not the SIMD loops numpy picks for the
-CPU.  The module loads only extcalc.sparse and extcalc.fields, the
-field core without the derivatives; the array gate is loaded when a
-point or frame is read.
+CPU.  The module loads only extcalc.rules and extcalc.fields, the
+field core without the derivatives or the coefficient store; the array
+gate is loaded when a point or frame is read, and extcalc.sparse when
+phi_example or dphi_example builds a form.
 
 Each face is one loop over its nodes in itertools.product order that
 adds orient * w * (coefficient) to the running total, so the sums are
@@ -34,7 +35,9 @@ import itertools
 import math
 import operator
 
-from .sparse import DimensionError, KForm, _check_enumeration, _check_finite, _check_integral
+import extcalc
+
+from .rules import DimensionError, _check_enumeration, _check_finite, _check_integral
 from .fields import FieldForm, _Record, _finite_array, _hat_keys
 
 __all__ = [
@@ -69,12 +72,26 @@ class QuadratureRule(_Record):
     points and weights are tuples of m Python floats, points ascending.
     The rule comes from Newton's method on the Legendre polynomial P_m,
     so its m^2 recurrence steps are counted against MAX_ENUMERATION
-    before the first iteration (m <= 1024).
+    before the first iteration (m <= 1024).  The constructor takes any
+    rule on [0, a] of that shape: m must be integral and count both the
+    points and the weights, each a finite number, the points strictly
+    ascending within [0, a], and a finite and > 0, else ValueError.
     """
 
     __slots__ = ("m", "a", "points", "weights")
 
     def __init__(self, m: int, a: float, points: tuple, weights: tuple):
+        m = _check_integral(m, "m")
+        if not a > 0:
+            raise ValueError("need a > 0")
+        a = _check_finite(a)
+        points, weights = tuple(map(_check_finite, points)), tuple(map(_check_finite, weights))
+        if not len(points) == len(weights) == m:
+            raise ValueError(f"need m = {m} points and weights, got {len(points)} and "
+                             f"{len(weights)}")
+        within = not points or 0.0 <= points[0] and points[-1] <= a
+        if sorted(set(points)) != list(points) or not within:
+            raise ValueError(f"points must ascend strictly within [0, {a}], got {points}")
         self._set(m=m, a=a, points=points, weights=weights)
 
     @classmethod
@@ -169,13 +186,13 @@ def _point(x) -> list:
     return x
 
 
-def phi_example(x) -> KForm:
+def phi_example(x) -> extcalc.KForm:
     """The example (n-1)-form: (sum_i (-1)^(i-1) x_i^i) * hat(n)."""
     x = _point(x)
     return _example_pair(len(x))[0].coefficients_at(x)
 
 
-def dphi_example(x) -> KForm:
+def dphi_example(x) -> extcalc.KForm:
     """Exterior derivative of phi_example: (sum_j j x_j^(j-1)) dx_1^...^dx_n."""
     x = _point(x)
     return _example_pair(len(x))[1].coefficients_at(x)
@@ -323,7 +340,7 @@ def _scaled_errors(report: dict) -> list:
     return [report["err_bv"] / scale, report["err_vc"] / scale]
 
 
-def verify_det_proportionality(w: KForm, E) -> dict:
+def verify_det_proportionality(w: extcalc.KForm, E) -> dict:
     """Check evaluate_form(w, E) = det(E) * evaluate_form(w, I) for top forms;
     a report that would hold NaN or infinity raises ValueError naming n."""
     import numpy as np

@@ -16,7 +16,8 @@ import itertools
 import math
 import operator
 
-from .sparse import ArityError, SparseMap, _check_enumeration, _check_key, _check_rows, _parity
+from .rules import ArityError, _check_enumeration, _check_key
+from .sparse import SparseMap, _check_rows, _parity
 from .arrays import _finite_sum, as_frame
 
 __all__ = [

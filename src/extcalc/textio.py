@@ -7,13 +7,14 @@ in lexicographic key order, `zero k=<arity>` for the empty map, with a
 `kform k=<arity>` or `ktensor k=<arity>` header naming the type.  Only
 parse_matrix_text imports numpy, for the array it returns; the CLI reads
 frames and matrices as lists of Python floats.  The module imports only
-extcalc.sparse, and extcalc.tensors only for a `ktensor` header.
+extcalc.rules and extcalc.sparse, and extcalc.tensors only for a
+`ktensor` header.
 """
 
 from __future__ import annotations
 
-from .sparse import (ArityError, KForm, SparseMap, _canonical_rows, _check_finite,
-                     format_coefficient)
+from .rules import ArityError, _check_finite
+from .sparse import KForm, SparseMap, _canonical_rows, format_coefficient
 
 __all__ = ["ParseError", "parse_form_text", "parse_matrix_text", "symbolic"]
 

@@ -28,7 +28,7 @@ from extcalc import (
 )
 
 from extcalc import QuadratureRule, hat, verify_stokes
-from extcalc import forms, sparse
+from extcalc import forms, rules
 from oracles import form_value_by_expansion
 
 
@@ -302,7 +302,7 @@ def test_enumeration_bound_is_checked_before_any_work(monkeypatch):
         kform_general(40, 10)
     assert time.perf_counter() - t0 < 1.0
     # exactly at the bound the work is done
-    monkeypatch.setattr(sparse, "MAX_ENUMERATION", 10)
+    monkeypatch.setattr(rules, "MAX_ENUMERATION", 10)
     w = KForm(2, {(1, 2): 1.0})
     assert pullback(w, np.eye(5)) == w
     with pytest.raises(ValueError, match="bound"):
@@ -517,7 +517,7 @@ def test_rform_refuses_more_unranking_steps_than_the_bound_before_drawing():
         rform(1, 1, 2**21, 1)
     assert time.perf_counter() - t0 < 0.1
     # at the bound it still draws
-    assert len(rform(1, 1, sparse.MAX_ENUMERATION, 1)) == 1
+    assert len(rform(1, 1, rules.MAX_ENUMERATION, 1)) == 1
 
 
 def test_rform_settles_no_terms_and_bounds_the_binomial_before_computing_it(monkeypatch):

@@ -63,7 +63,7 @@ def test_import_extcalc_loads_no_heavy_module():
 def test_kform_general_runs_without_numpy():
     script = "from extcalc import kform_general\nassert len(kform_general(3, 2)) == 3\n"
     assert _loaded_after(script) == ["extcalc", "extcalc.arrays", "extcalc.forms",
-                                     "extcalc.sparse"]
+                                     "extcalc.rules", "extcalc.sparse"]
 
 
 def test_star_import_binds_every_export():
@@ -121,23 +121,26 @@ def test_every_annotation_resolves():
 
 # what each command loads, alone in a fresh interpreter: every command of the benchmark's
 # workloads and each other command line whose set differs or that the rule must cover, so that
-# a module split edits the rows it moves.  The parser reads through sparse alone, and the
-# algebra of extcalc.forms reads its frames, vectors and matrices through the array gate, as the
-# field layer reads its point.  print renders with the parser's module, and verify ddzero runs
-# beside dd_check, so neither loads forms; verify stokes needs only KForm's key rule, from
-# sparse, and the field core of extcalc.fields, not the derivatives; a ktensor file loads
-# tensors, and alt expands a form into one; only verify suite loads checks.  numpy loads for
-# minors from 4x4 up, the field layer's derivatives and the seeded checks
-_TEXT = ["extcalc", "extcalc.cli", "extcalc.sparse", "extcalc.textio"]
-_ALGEBRA = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.forms", "extcalc.sparse",
-            "extcalc.textio"]
-_KTENSOR = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.sparse", "extcalc.tensors",
-            "extcalc.textio"]
-_ALT = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.forms", "extcalc.sparse",
-        "extcalc.tensors", "extcalc.textio"]
+# a module split edits the rows it moves.  Every command checks its inputs by extcalc.rules,
+# and the seven that read files run their bodies in extcalc.filecmds.  The parser reads through
+# sparse alone, and the algebra of extcalc.forms reads its frames, vectors and matrices through
+# the array gate, as the field layer reads its point.  print renders with the parser's module,
+# and verify ddzero runs beside dd_check, so neither loads forms; verify stokes needs only the
+# form key rule and the field core of extcalc.fields, not the coefficient store of sparse or
+# the derivatives; a ktensor file loads tensors, and alt expands a form into one; only verify
+# suite loads checks.  numpy loads for minors from 4x4 up, the field layer's derivatives and
+# the seeded checks
+_TEXT = ["extcalc", "extcalc.cli", "extcalc.filecmds", "extcalc.rules", "extcalc.sparse",
+         "extcalc.textio"]
+_ALGEBRA = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.filecmds", "extcalc.forms",
+            "extcalc.rules", "extcalc.sparse", "extcalc.textio"]
+_KTENSOR = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.filecmds", "extcalc.rules",
+            "extcalc.sparse", "extcalc.tensors", "extcalc.textio"]
+_ALT = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.filecmds", "extcalc.forms",
+        "extcalc.rules", "extcalc.sparse", "extcalc.tensors", "extcalc.textio"]
 _FIELD = ["extcalc", "extcalc.arrays", "extcalc.cli", "extcalc.derivatives", "extcalc.fields",
-          "extcalc.sparse", "numpy"]
-_STOKES = ["extcalc", "extcalc.cli", "extcalc.fields", "extcalc.sparse", "extcalc.stokes"]
+          "extcalc.rules", "extcalc.sparse", "numpy"]
+_STOKES = ["extcalc", "extcalc.cli", "extcalc.fields", "extcalc.rules", "extcalc.stokes"]
 _ALGEBRA_ROWS = {
     "print": (["print", "w3"], _TEXT),
     "print-0-form": (["print", "w0"], _TEXT),
@@ -166,12 +169,12 @@ _ALGEBRA_ROWS = {
     "verify-stokes-n6-m10": (["verify", "stokes", "--n", "6", "--m", "10"], _STOKES),
     "verify-ddzero": (["verify", "ddzero"], _FIELD),
     "verify-det46": (["verify", "det46"], ["extcalc", "extcalc.arrays", "extcalc.cli",
-                                           "extcalc.fields", "extcalc.forms", "extcalc.sparse",
-                                           "extcalc.stokes", "numpy"]),
+                                           "extcalc.fields", "extcalc.forms", "extcalc.rules",
+                                           "extcalc.sparse", "extcalc.stokes", "numpy"]),
     "verify-suite": (["verify", "suite"], ["extcalc", "extcalc.arrays", "extcalc.checks",
                                            "extcalc.cli", "extcalc.derivatives", "extcalc.fields",
-                                           "extcalc.forms", "extcalc.sparse", "extcalc.stokes",
-                                           "extcalc.tensors", "numpy"]),
+                                           "extcalc.forms", "extcalc.rules", "extcalc.sparse",
+                                           "extcalc.stokes", "extcalc.tensors", "numpy"]),
 }
 
 
@@ -220,3 +223,41 @@ def test_an_abbreviated_option_still_reaches_argparse():
               "report = run(['--tol', '1e-9'])\nassert 'argparse' not in sys.modules\n"
               "assert run(['--t', '1e-9']) == report and report.startswith('{\"n\": 3, ')\n")
     assert "argparse" in _loaded_after(script)
+
+
+def test_each_moved_rule_is_one_object_in_every_module_that_binds_it():
+    from extcalc import rules, sparse
+
+    for name in ["ArityError", "DimensionError", "DEFAULT_TOL"]:
+        assert getattr(extcalc, name) is getattr(sparse, name) is getattr(rules, name), name
+    for name in ["_check_integral", "_check_key", "_check_finite", "_check_tol"]:
+        assert getattr(sparse, name) is getattr(rules, name), name
+    assert extcalc._MODULE_OF["ArityError"] == extcalc._MODULE_OF["DEFAULT_TOL"] == "rules"
+    assert {"ArityError", "DimensionError", "DEFAULT_TOL"} <= set(sparse.__all__)
+    # the form key rule is KForm's and FieldForm's one function
+    assert sparse.KForm._key_rule is rules._check_form_key
+
+
+def test_a_field_form_refuses_a_key_as_kform_does_without_the_store():
+    # FieldForm checks its keys by the form key rule alone; KForm's message is then the same
+    script = ("import sys\nfrom extcalc.fields import FieldForm\n"
+              "try:\n    FieldForm([(abs, (2, 1))])\nexcept ValueError as exc:\n"
+              "    field = str(exc)\nassert 'extcalc.sparse' not in sys.modules\n"
+              "from extcalc import KForm\ntry:\n    KForm(2, {(2, 1): 1.0})\n"
+              "except ValueError as exc:\n    assert str(exc) == field, (str(exc), field)\n"
+              "assert field.startswith('form keys must be strictly increasing, got (2, 1)')\n")
+    assert "extcalc.sparse" in _loaded_after(script)
+
+
+@pytest.mark.parametrize("argv", [["print", "w3"], ["wedge", "w1", "w3"]], ids=" ".join)
+def test_a_file_command_under_python_m_compiles_cli_once(argv, tmp_path):
+    # run as `python -m extcalc.cli`, cli is __main__: the file commands' module must not import
+    # extcalc.cli, which would compile and run cli a second time
+    paths = _algebra_files(tmp_path)
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "extcalc.cli",
+                           *[paths.get(arg, arg) for arg in argv]], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": _PATH}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "extcalc.filecmds" in imported and "extcalc.cli" not in imported

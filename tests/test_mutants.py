@@ -69,11 +69,10 @@ def _canonical_rows_unsigned(monkeypatch):
             if len(set(row)) == len(row):
                 yield tuple(sorted(row)), c
 
-    # the sign rule lives in sparse; kform_from_rows and FieldForm._at bind it from there when
-    # forms and fields are imported
+    # the sign rule lives in sparse; kform_from_rows binds it from there when forms is
+    # imported, and FieldForm._at imports it from there per call
     monkeypatch.setattr(sparse, "_canonical_rows", unsigned)
     monkeypatch.setattr(forms, "_canonical_rows", unsigned)
-    monkeypatch.setattr(fields, "_canonical_rows", unsigned)
 
 
 def _pullback_first_chunk_only(monkeypatch):
@@ -268,9 +267,7 @@ MUTANTS = {
     "unrank-next-rank": (_unrank_next_rank, set()),
     # test_exterior_d_accepts_plain_callables:
     "field-rows-after-key": (_field_rows_after_key, set()),
-    # test_gate_names_the_first_non_finite_value and
-    # test_non_finite_frames_matrices_and_points_are_rejected:
-    "gate-finiteness-skipped": (_gate_finiteness_skipped, set()),
+    "gate-finiteness-skipped": (_gate_finiteness_skipped, {"alternation-column-swap"}),
 }
 
 

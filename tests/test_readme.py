@@ -16,14 +16,14 @@ def test_readme_library_tour():
 
 def _load_table() -> list:
     # the "Also loads" rows: (the subcommands named, whether the row is for a ktensor file, the
-    # extcalc modules a run loads: the named ones beside extcalc, extcalc.cli and extcalc.sparse)
+    # extcalc modules a run loads: the named ones beside extcalc, extcalc.cli and extcalc.rules)
     text = README.read_text(encoding="utf-8")
     body = text[text.index("| Subcommand | Also loads |"):].split("\n\n")[0].splitlines()[2:]
     rows = []
     for line in body:
         commands, modules = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:3])
         rows.append((set(commands) - {"ktensor"}, "ktensor" in commands,
-                     sorted({"extcalc", "extcalc.cli", "extcalc.sparse"}
+                     sorted({"extcalc", "extcalc.cli", "extcalc.rules"}
                             | {f"extcalc.{m}" for m in modules})))
     return rows
 

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from extcalc import (
     verify_stokes,
 )
 
-from extcalc import sparse, stokes
+from extcalc import rules, stokes
 from extcalc.fields import _value
 from oracles import monomial_integral
 
@@ -483,7 +484,7 @@ def test_verify_stokes_node_bound_is_checked_before_the_rule(monkeypatch):
 
     monkeypatch.setattr(QuadratureRule, "gauss_legendre", no_rule)
     for n, m in ((6, 11), (6, 50), (2, 1025), (2, 10**5), (3, 10**100)):
-        assert m**n > sparse.MAX_ENUMERATION
+        assert m**n > rules.MAX_ENUMERATION
         with pytest.raises(ValueError, match="bound"):
             verify_stokes(n, 1.0, m)
     # exactly at the bound the rule is built
@@ -654,6 +655,38 @@ def test_records_construct_compare_hash_and_show_like_frozen_dataclasses():
         CubeDomain(1)
     with pytest.raises(ValueError, match="need edge length a > 0"):
         CubeDomain(3, a=0.0)
+
+
+@pytest.mark.parametrize("m, a, points, weights, message", [
+    (2.5, 1.0, (0.25, 0.75), (0.5, 0.5), "m must be integral, got 2.5"),
+    # three weights on two points: _integrate's zip once dropped the third and read 0.401 for 1
+    (2, 1.0, (0.25, 0.75), (0.5, 0.5, 0.2), "need m = 2 points and weights, got 2 and 3"),
+    (3, 1.0, (0.25, 0.75), (0.5, 0.5), "need m = 3 points and weights, got 2 and 2"),
+    (2, 1.0, (0.25, math.nan), (0.5, 0.5), "need a finite number, got nan"),
+    (2, 1.0, (0.25, 0.75), (0.5, math.inf), "need a finite number, got inf"),
+    (2, 1.0, (0.75, 0.25), (0.5, 0.5), "points must ascend strictly"),
+    (2, 1.0, (0.5, 0.5), (0.5, 0.5), "points must ascend strictly"),
+    (2, 1.0, (-0.25, 0.75), (0.5, 0.5), "points must ascend strictly"),
+    (2, 1.0, (0.25, 1.5), (0.5, 0.5), "points must ascend strictly"),
+    (2, 0.0, (0.0, 0.0), (0.5, 0.5), "need a > 0"),
+    (2, math.nan, (0.25, 0.75), (0.5, 0.5), "need a > 0"),
+    (2, math.inf, (0.25, 0.75), (0.5, 0.5), "need a finite number, got inf"),
+], ids=["m-2.5", "three-weights", "m-3-of-2", "nan-point", "inf-weight", "descending", "repeated",
+        "below-0", "above-a", "a-0", "a-nan", "a-inf"])
+def test_a_quadrature_rule_is_checked_when_it_is_built(m, a, points, weights, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        QuadratureRule(m, a, points, weights)
+
+
+def test_a_quadrature_rule_stores_float_tuples():
+    # a rule built from lists and ints is the one built from tuples of floats: equal and hashable
+    rule = QuadratureRule(2.0, 1, [0.25, 0.75], [0.5, 0.5])
+    assert rule == QuadratureRule(2, 1.0, (0.25, 0.75), (0.5, 0.5))
+    assert hash(rule) == hash(QuadratureRule(2, 1.0, (0.25, 0.75), (0.5, 0.5)))
+    assert type(rule.m) is int and type(rule.a) is float
+    assert type(rule.points) is type(rule.weights) is tuple
+    assert all(type(v) is float for v in rule.points + rule.weights)
+    assert QuadratureRule(1, 2.0, [2], [1]).points == (2.0,)
 
 
 def test_det_proportionality_reads_a_list_frame_as_its_array():
