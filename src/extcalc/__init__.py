@@ -8,9 +8,7 @@ the classical integral identities on hypercubes.
 
 The exports are resolved lazily (PEP 562): `import extcalc` loads no
 submodule, and `extcalc.X` or `from extcalc import X` imports only the
-module that defines X.  The key algebra, the text parser and the Stokes
-quadrature never load numpy; minors from 4x4 up, finite differences,
-analytic derivatives and the seeded checks do.
+module that defines X.
 """
 
 import importlib

@@ -1,9 +1,7 @@
 """The array gate: every frame, vector, matrix and point a caller passes in.
 
 Nested lists and tuples of Python numbers are read without numpy; any
-other input goes through numpy.asarray.  forms and tensors import the
-gate; derivatives and stokes reach it on first use, so `verify stokes`
-never loads it.  It imports only the rules of extcalc.rules.
+other input goes through numpy.asarray.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ both routes at once to slip through.
 
 check_dd_zero, DEMO_POINT and _report, the reduction every check ends
 with, live in extcalc.derivatives beside dd_check, so that `verify
-ddzero` loads only the field layer; SUITE_CHECKS lists the check here.
+ddzero` runs without this module; SUITE_CHECKS lists the check here.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .forms import (KForm, contract, contract_matrix, evaluate_form, form_to_ten
 from .derivatives import (DEMO_POINT, _report, check_dd_zero, demo_two_form, exterior_d, f1, f2, f3,
                           fd_gradient, grad, hat, omega_gradient)
 from .fields import FieldForm
-from .stokes import (CubeDomain, QuadratureRule, _example_pair, _scaled_errors, closed_form_value,
-                     integrate_boundary, integrate_volume, verify_det_proportionality,
+from .stokes import (_example_pair, _scaled_errors, _stokes_report, verify_det_proportionality,
                      verify_stokes)
 
 __all__ = ["suite", "SUITE_CHECKS"]
@@ -267,25 +266,17 @@ def check_exterior_d_demo() -> dict:
     return _report("exterior-d-demo", 2, [_termwise_err(d_fd, d_an)], 1e-6)
 
 
-def _stokes_node_by_node(n: int, a: float, m: int) -> dict:
-    # verify_stokes's report with each coefficient of the example pair behind a plain callable,
-    # which FieldForm wraps as ScalarField(fn): the integrators call it at each node instead of
-    # reading its per-axis tables, and the sums are bitwise the tables'
-    cube, rule = CubeDomain(n, a), QuadratureRule.gauss_legendre(m, a)
-    phi, dphi = (FieldForm([(lambda x, fn=f.fn: fn(x), key) for f, key in form.terms])
-                 for form in _example_pair(n))
-    boundary, volume = integrate_boundary(phi, cube, rule), integrate_volume(dphi, cube, rule)
-    closed = closed_form_value(n, a)
-    return {"n": n, "a": a, "m": m, "boundary": boundary, "volume": volume, "closed_form": closed,
-            "err_bv": abs(boundary - volume), "err_vc": abs(volume - closed)}
-
-
 def check_stokes() -> dict:
     """Boundary = volume = closed form on a set of cube configurations, the last one with
     coefficients the integrators call node by node."""
     reports = [verify_stokes(n, a, m) for n, a, m in ((2, 1.0, 8), (3, 1.0, 8), (4, 1.0, 8),
                                                       (3, 0.5, 8))]
-    reports.append(_stokes_node_by_node(3, 1.0, 3))
+    # each coefficient of the example pair behind a plain callable, which FieldForm wraps as
+    # ScalarField(fn): the integrators call it at each node instead of reading its per-axis
+    # tables, and the sums are bitwise the tables'
+    pair = [FieldForm([(lambda x, fn=f.fn: fn(x), key) for f, key in form.terms])
+            for form in _example_pair(3)]
+    reports.append(_stokes_report(3, 1.0, 3, pair))
     errors = [err for rep in reports for err in _scaled_errors(rep)]
     return _report("stokes-cubes", len(reports), errors, 1e-8, configs=reports)
 

@@ -21,12 +21,11 @@ subcommand, its elapsed seconds, whether numpy and argparse were loaded,
 the sorted extcalc modules the run loaded, for a form or tensor the
 terms written (and with --zap those zapped), for `verify stokes` its
 quadrature nodes, and for `verify suite` each check's name, cases, seed
-and elapsed seconds.  print, add, wedge, alt, eval, contract, pullback
-of degree 3 or less and verify stokes compute on Python floats and never
-import numpy (the coefficient store and the evaluations refuse an
-overflow).  Each subcommand imports the modules it calls when it runs;
-the seven that read files run their bodies in extcalc.filecmds.  Reports
-and the --stats line are written by _json, so no command loads json.
+and elapsed seconds.  On Python floats, where no RuntimeWarning is
+raised, the coefficient store and the evaluations refuse an overflow.
+The seven commands that read files run their bodies in
+extcalc.filecmds.  Reports and the --stats line are written by _json,
+so no command loads json.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import os
 import sys
 import time
 import warnings
+from types import SimpleNamespace
 
 from .rules import DEFAULT_TOL, _check_tol
 
@@ -204,8 +204,6 @@ def _parse(grammar: dict, argv: list):
     then positionals and exact long options, each value its own token; else None, which
     leaves help, abbreviations, --opt=value, values starting with "-" and refusals to argparse.
     """
-    from types import SimpleNamespace
-
     stats = argv[:1] == ["--stats"]
     words = tuple(argv[stats:stats + 2])
     words = words if words in grammar else words[:1]

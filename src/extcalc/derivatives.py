@@ -5,14 +5,8 @@ the field carries one and by central finite differences otherwise.
 Includes the closed-form gradient of the classical (n-1)-form with an
 isolated singularity at the origin, the d(d(.)) = 0 check through
 per-field Hessians (dd_check), and check_dd_zero, its report for the
-demo 2-form, which `verify ddzero` runs without loading the suite.
-ScalarField and FieldForm live in extcalc.fields, which `verify stokes`
-loads without this module; they are bound here too.
-
-The module imports without numpy: a coefficient function gets one point
-as a sequence of n Python floats.  Only the finite differences,
-omega_gradient, the analytic branch of gradient_at and hessian_at (its
-gate) and the demo fields f2 and f3 load numpy.
+demo 2-form, which `verify ddzero` runs.  ScalarField and FieldForm
+live in extcalc.fields, the field core, and are bound here too.
 """
 
 from __future__ import annotations
@@ -20,9 +14,12 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+
 from .rules import DimensionError
 from .sparse import KForm
-from .fields import FieldForm, ScalarField, _finite_array, _hat_keys
+from .arrays import _finite_array
+from .fields import FieldForm, ScalarField, _hat_keys
 
 __all__ = ["fd_gradient", "fd_hessian", "ScalarField", "FieldForm", "grad", "exterior_d", "hat",
            "omega_gradient", "dd_check", "f1", "f2", "f3", "demo_two_form"]
@@ -34,8 +31,6 @@ HESS_STEP = _EPS ** 0.25
 
 def _gated(A, ndim: int, what: str):
     # the array gate's checked values as a float array of its shape
-    import numpy as np
-
     values, shape = _finite_array(A, ndim, what)
     return np.array(values, dtype=float).reshape(shape)
 
@@ -55,8 +50,6 @@ def fd_gradient(f, x):
     The step is cbrt(machine eps) * max(1, |x_i|).  x must be a finite
     1-D point.
     """
-    import numpy as np
-
     x = _gated(x, 1, "point")
     hs = GRAD_STEP * np.maximum(1.0, np.abs(x))
     g = np.empty_like(x)
@@ -77,8 +70,6 @@ def fd_hessian(f, x):
     downstream checks rely on the raw mixed partials.  x must be a
     finite 1-D point.
     """
-    import numpy as np
-
     x = _gated(x, 1, "point")
     n = x.size
     hs = HESS_STEP * np.maximum(1.0, np.abs(x))
@@ -136,8 +127,6 @@ def omega_gradient(x) -> KForm:
     Coefficient i is (-1)^(i-1) (S^(n/2) - n x_i^2 S^(n/2-1)) / S^n with
     S = sum x_j^2; undefined at the origin.
     """
-    import numpy as np
-
     x = _gated(x, 1, "point")
     n = x.size
     if n < 2:
@@ -190,23 +179,17 @@ def _f1_hess(p):
 
 
 def _f2(p):
-    import numpy as np
-
     w, x, y, z = _wxyz(p)
     return w**2 * x * y * z + np.sin(w) + w + z
 
 
 def _f2_grad(p):
-    import numpy as np
-
     w, x, y, z = _wxyz(p)
     return np.array([2.0 * w * x * y * z + np.cos(w) + 1.0, w**2 * y * z, w**2 * x * z,
                      w**2 * x * y + 1.0])
 
 
 def _f2_hess(p):
-    import numpy as np
-
     w, x, y, z = _wxyz(p)
     return np.array([
         [2.0 * x * y * z - np.sin(w), 2.0 * w * y * z, 2.0 * w * x * z, 2.0 * w * x * y],
@@ -216,22 +199,16 @@ def _f2_hess(p):
 
 
 def _f3(p):
-    import numpy as np
-
     w, x, y, z = _wxyz(p)
     return w * x * y * z + np.sin(x) + np.cos(w)
 
 
 def _f3_grad(p):
-    import numpy as np
-
     w, x, y, z = _wxyz(p)
     return np.array([x * y * z - np.sin(w), w * y * z + np.cos(x), w * x * z, w * x * y])
 
 
 def _f3_hess(p):
-    import numpy as np
-
     w, x, y, z = _wxyz(p)
     return np.array([[-np.cos(w), y * z, x * z, x * y], [y * z, -np.sin(x), w * z, w * y],
                      [x * z, w * z, 0.0, w * x], [x * y, w * y, w * x, 0.0]])

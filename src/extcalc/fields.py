@@ -2,12 +2,9 @@
 
 ScalarField and FieldForm, the frozen record base they share with the
 Stokes domain and rule, the evaluation of a coefficient function at one
-point, and the keys of hat(n).  extcalc.stokes integrates FieldForms
-with this module alone; extcalc.derivatives differentiates them, and
-ScalarField's gradient_at and hessian_at import its finite differences
-when they run.  The module loads only extcalc.rules; _at imports
-extcalc.sparse when it builds a form, the array gate of extcalc.arrays
-loads on first use, and annotations name extcalc.KForm lazily.
+point, and the keys of hat(n).  extcalc.stokes integrates FieldForms;
+extcalc.derivatives differentiates them.  Annotations name
+extcalc.KForm, which the package resolves only when asked.
 """
 
 from __future__ import annotations

@@ -1,26 +1,26 @@
 """The bodies of the seven CLI commands that read files: print, add, wedge,
-alt, eval, contract and pullback.  extcalc.cli's grammar names each one
-and imports this module only when one runs.  It must never import
-extcalc.cli, which runs as __main__ under `python -m extcalc.cli` and
-would compile a second time."""
+alt, eval, contract and pullback, each named by extcalc.cli's grammar.
+This module must never import extcalc.cli, which runs as __main__ under
+`python -m extcalc.cli` and would compile a second time."""
 
 from __future__ import annotations
 
 import sys
 
+from . import textio
 from .sparse import KForm
 
 
 def _read(path: str, rows: bool = False):
     # the form or tensor in a file ("-" for stdin), or with rows its rows of numbers
-    from .textio import _parse_rows, parse_form_text
-
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    return _parse_rows(text) if rows else parse_form_text(text)
+    # textio's functions are looked up per call, so that one wrapped or replaced on
+    # extcalc.textio after this module loaded is the one that runs
+    return textio._parse_rows(text) if rows else textio.parse_form_text(text)
 
 
 def _kform(path: str, command: str) -> KForm:
@@ -72,10 +72,8 @@ def cmd_alt(args):
 
 
 def cmd_print(args):
-    from .textio import symbolic
-
     obj = _read(args.object)
     style = args.style
     if style is None:
         style = "d" if isinstance(obj, KForm) else "letters"
-    return symbolic(obj, style=style)
+    return textio.symbolic(obj, style=style)

@@ -163,12 +163,16 @@ class SparseMap:
         s = float(s)
         return self._trusted(self.arity, ((k, s * c) for k, c in self.terms.items()))
 
+    def _same_kind(self, other) -> bool:
+        # False for a form and a tensor: key (1, 2) means dx1^dx2 in one and phi1 (x) phi2 in
+        # the other, so they neither add nor compare
+        return not (self._header and other._header and self._header != other._header)
+
     def __add__(self, other):
-        """Termwise sum, of the left operand's type; a form plus a tensor raises
-        TypeError, as key (1, 2) means dx1^dx2 in one and phi1 (x) phi2 in the other."""
+        """Termwise sum, of the left operand's type; a form plus a tensor raises TypeError."""
         if not isinstance(other, SparseMap):
             return NotImplemented
-        if self._header and other._header and self._header != other._header:
+        if not self._same_kind(other):
             raise TypeError(f"cannot add a {self._header} and a {other._header}")
         if self.arity != other.arity:
             raise ArityError(
@@ -209,10 +213,12 @@ class SparseMap:
 
         An empty map is the zero map and compares equal to any other
         empty (or everywhere-below-tol) map regardless of recorded arity.
-        A NaN tol raises ValueError.
+        A NaN tol raises ValueError; a form and a tensor raise TypeError.
         """
         if not isinstance(other, SparseMap):
             raise TypeError(f"cannot compare SparseMap with {type(other).__name__}")
+        if not self._same_kind(other):
+            raise TypeError(f"cannot compare a {self._header} with a {other._header}")
         tol = _check_tol(tol)
         if self.terms and other.terms and self.arity != other.arity:
             return False
@@ -225,7 +231,7 @@ class SparseMap:
     def __eq__(self, other):
         if not isinstance(other, SparseMap):
             return NotImplemented
-        return self.equals(other, 0.0)
+        return self._same_kind(other) and self.equals(other, 0.0)
 
     __hash__ = None
 

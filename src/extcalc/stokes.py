@@ -13,10 +13,7 @@ tuple of n Python floats, and returns a number; no form is built per
 node.  The rule, the nodes and the sums are Python floats throughout,
 so `verify stokes` never imports numpy, and its digits follow libm's
 pow (through Python's float **), not the SIMD loops numpy picks for the
-CPU.  The module loads only extcalc.rules and extcalc.fields, the
-field core without the derivatives or the coefficient store; the array
-gate is loaded when a point or frame is read, and extcalc.sparse when
-phi_example or dphi_example builds a form.
+CPU.
 
 Each face is one loop over its nodes in itertools.product order that
 adds orient * w * (coefficient) to the running total, so the sums are
@@ -307,6 +304,12 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
     would hold NaN or infinity raises ValueError; an overflowing closed
     form is refused before the quadrature.
     """
+    return _stokes_report(n, a, m, None)
+
+
+def _stokes_report(n, a, m, pair) -> dict:
+    # verify_stokes's report for the (phi, dphi) pair, the example pair's for None, which is
+    # built once n is checked
     n, m = _check_integral(n, "n"), _check_integral(m, "m")
     if not 2 <= n <= 6:
         raise ValueError("n must be between 2 and 6 (m^n volume nodes)")
@@ -315,7 +318,7 @@ def verify_stokes(n: int, a: float = 1.0, m: int = 8) -> dict:
     cube = CubeDomain(n=n, a=float(a))
     rule = QuadratureRule.gauss_legendre(m, cube.a)
     closed = closed_form_value(n, cube.a)
-    phi, dphi = _example_pair(n)
+    phi, dphi = _example_pair(n) if pair is None else pair
     boundary = integrate_boundary(phi, cube, rule)
     volume = integrate_volume(dphi, cube, rule)
     report = {

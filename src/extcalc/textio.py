@@ -6,9 +6,7 @@ The term format is one `i1 i2 ... ik : coefficient` line per key, lines
 in lexicographic key order, `zero k=<arity>` for the empty map, with a
 `kform k=<arity>` or `ktensor k=<arity>` header naming the type.  Only
 parse_matrix_text imports numpy, for the array it returns; the CLI reads
-frames and matrices as lists of Python floats.  The module imports only
-extcalc.rules and extcalc.sparse, and extcalc.tensors only for a
-`ktensor` header.
+frames and matrices as lists of Python floats.
 """
 
 from __future__ import annotations

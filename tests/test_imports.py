@@ -6,9 +6,13 @@ alone in a fresh interpreter, since the test process has long since
 imported everything, and under -S, which keeps site's own imports out.
 Every row also keeps one shared rule: argparse, gettext, locale and json
 never load, and a run without numpy loads none of typing, inspect and
-dataclasses.  `import extcalc` itself loads no submodule.
+dataclasses.  `import extcalc` itself loads no submodule.  The rows
+also justify each lazy import: an import inside a function of an extcalc
+module that names an extcalc module or numpy must keep that module out
+of some row that loads the enclosing one; any other goes at the top.
 """
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -176,6 +180,40 @@ _ALGEBRA_ROWS = {
                                            "extcalc.forms", "extcalc.rules", "extcalc.sparse",
                                            "extcalc.stokes", "extcalc.tensors", "numpy"]),
 }
+
+
+def _lazy_imports() -> list:
+    # (enclosing module, imported module, "file:line") of each import inside a function of an
+    # extcalc module that names an extcalc module or numpy; `from . import x` names extcalc.x
+    found = []
+    for path in sorted(Path(extcalc.__file__).parent.glob("*.py")):
+        module = "extcalc" if path.stem == "__init__" else f"extcalc.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inner = {node for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+        for node in sorted(inner, key=lambda node: node.lineno):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif node.level == 0:
+                names = [node.module]
+            elif node.module is None:
+                names = [f"extcalc.{alias.name}" for alias in node.names]
+            else:
+                names = [f"extcalc.{node.module}"]
+            found += [(module, name, f"{path.name}:{node.lineno}") for name in names
+                      if name == "numpy" or name.split(".")[0] == "extcalc"]
+    return found
+
+
+def test_each_lazy_import_defers_a_module_some_row_runs_without():
+    # an import inside a function keeps its module out of a run only if some row loads the
+    # enclosing module without it; one that every such row loads anyway belongs at the top
+    lazy = _lazy_imports()
+    unjustified = [f"{where} imports {imported}" for module, imported, where in lazy
+                   if not any(module in modules and imported not in modules
+                              for _, modules in _ALGEBRA_ROWS.values())]
+    assert lazy and unjustified == []
 
 
 def _algebra_files(tmp_path) -> dict:

@@ -228,10 +228,11 @@ def _gate_finiteness_skipped(monkeypatch):
         shape = gate(np.zeros(A.shape), ndim, what, min_rows)[1]
         return A.reshape(shape).tolist(), shape
 
-    # forms binds the gate at import; as_frame reads arrays._finite_array, and fields imports it
-    # from arrays per call, for derivatives and stokes too
+    # forms and derivatives bind the gate at import; as_frame reads arrays._finite_array, and
+    # fields imports it from arrays per call, for stokes too
     monkeypatch.setattr(arrays, "_finite_array", unchecked)
     monkeypatch.setattr(forms, "_finite_array", unchecked)
+    monkeypatch.setattr(derivatives, "_finite_array", unchecked)
 
 
 MUTANTS = {

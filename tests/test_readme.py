@@ -16,15 +16,17 @@ def test_readme_library_tour():
 
 def _load_table() -> list:
     # the "Also loads" rows: (the subcommands named, whether the row is for a ktensor file, the
-    # extcalc modules a run loads: the named ones beside extcalc, extcalc.cli and extcalc.rules)
+    # extcalc modules a run loads: the named ones beside those the sentence "Every subcommand
+    # loads ..." above the table names, up to its parenthesis or semicolon)
     text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"Every subcommand\s+loads\s([^(;]+)", text)[1]
+    every = set(re.findall(r"`([^`]+)`", sentence))
     body = text[text.index("| Subcommand | Also loads |"):].split("\n\n")[0].splitlines()[2:]
     rows = []
     for line in body:
         commands, modules = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:3])
         rows.append((set(commands) - {"ktensor"}, "ktensor" in commands,
-                     sorted({"extcalc", "extcalc.cli", "extcalc.rules"}
-                            | {f"extcalc.{m}" for m in modules})))
+                     sorted(every | {f"extcalc.{m}" for m in modules})))
     return rows
 
 

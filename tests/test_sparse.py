@@ -40,6 +40,18 @@ def test_a_form_plus_a_tensor_is_refused():
             f()
 
 
+def test_a_form_and_a_tensor_never_compare_equal():
+    # the rule that refuses their sum holds for comparison too: equal keys and coefficients
+    # are still two kinds of object, and a bare SparseMap, of no kind, compares with either
+    w, T = KForm(2, {(1, 2): 1.0}), KTensor(2, {(1, 2): 1.0})
+    assert w != T and T != w and not w == T and KForm(2) != KTensor(2)
+    for a, b in ((w, T), (T, w)):
+        with pytest.raises(TypeError, match="cannot compare a k"):
+            a.equals(b)
+    m = SparseMap(2, {(1, 2): 1.0})
+    assert m == w and w == m and m == T and T == m
+
+
 def test_add_requires_matching_arity():
     with pytest.raises(ArityError):
         SparseMap(2, {(1, 2): 1.0}) + SparseMap(3, {(1, 2, 3): 1.0})

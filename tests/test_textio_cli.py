@@ -8,6 +8,7 @@ test_cli_contract.py; only those that need an environment variable, a
 monkeypatched function or a process of their own are tested here.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -165,6 +166,28 @@ def test_cli_add_and_eval(tmp_path, capsys):
     frame = _write(tmp_path, "frame.txt", "".join(f"{i}\n" for i in range(1, 11)))
     assert main(["eval", w, frame]) == 0
     assert capsys.readouterr().out == "13\n"
+
+
+def test_a_file_command_calls_the_textio_function_bound_when_it_runs(tmp_path, monkeypatch):
+    # a parser or renderer wrapped on extcalc.textio once the file commands have loaded (here
+    # by this import, as by an earlier command), as a profiler wraps it, is the one that runs
+    from extcalc import filecmds, textio
+
+    called = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("parse_form_text", "_parse_rows", "symbolic"):
+        monkeypatch.setattr(textio, name, counted(name, getattr(textio, name)))
+    w = _write(tmp_path, "w.txt", "kform k=1\n3 : 1\n")
+    frame = _write(tmp_path, "frame.txt", "1\n2\n3\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["print", w]) == main(["eval", w, frame]) == 0
+    assert called == ["parse_form_text", "symbolic", "parse_form_text", "_parse_rows"]
 
 
 def test_cli_eval_tensor(tmp_path, capsys):
