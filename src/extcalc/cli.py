@@ -26,10 +26,16 @@ raised, the coefficient store and the evaluations refuse an overflow.
 The seven commands that read files run their bodies in
 extcalc.filecmds.  Reports and the --stats line are written by _json,
 so no command loads json.
+
+A process run through `run` ends by running the atexit handlers,
+flushing stdout and stderr and calling os._exit with main's code, so it
+skips the interpreter's teardown; a reader that closes the stdout pipe
+early gets exit 0 and nothing on stderr, whatever the result's size.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import sys
@@ -39,7 +45,7 @@ from types import SimpleNamespace
 
 from .rules import DEFAULT_TOL, _check_tol
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # det46's coefficient sum_{j<=n} j^j overflows a float for every n above this
 DET46_MAX_N = 143
@@ -298,9 +304,11 @@ def main(argv=None) -> int:
             code = _write(func(args), args)
         if args.stats:
             print(_stats(args, time.perf_counter() - start), file=sys.stderr)
+        # a closed pipe raises here, whatever the result's size, not in a later flush
+        sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # writer side of a closed pipe: silence the shutdown flush too
+        # writer side of a closed pipe: whatever is still buffered goes to /dev/null
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ValueError, OverflowError, RuntimeWarning, OSError) as exc:
@@ -308,5 +316,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """Entry point of `python -m extcalc.cli` and the `extcalc` script.  The teardown it skips
+    changes no output; main's SystemExit or exception, or a flush that raises, exits normally."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -499,6 +499,109 @@ def test_stats_line_reports_a_run_without_numpy(paths):
     assert stats["modules"] == _ALGEBRA_ROWS["print"][1]
 
 
+def _fresh(args, stdout=subprocess.PIPE):
+    # one `python <args>` in a process of its own, finding the extcalc the tests import
+    src = str(Path(extcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("code, argv", [(0, ["verify", "stokes", "--n", "3"]),
+                                        (1, ["verify", "stokes", "--n", "4", "--tol", "1e-300"]),
+                                        (2, REFUSALS[0][0])], ids=["exit-0", "exit-1", "exit-2"])
+def test_a_cli_process_exits_with_mains_code_and_text(code, argv, paths):
+    # cli.run ends the process without the interpreter's teardown: the exit code, stdout and
+    # stderr are main's, and the --stats line still reaches stderr
+    argv = [paths.get(arg, arg) for arg in argv]
+    _, out, err = in_process = _run(argv)
+    assert in_process[0] == code
+    proc = _fresh(["-m", "extcalc.cli", *argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+    proc = _fresh(["-m", "extcalc.cli", "--stats", *argv])
+    assert (proc.returncode, proc.stdout) == (code, out)
+    if code == 2:
+        assert proc.stderr == err
+    else:
+        assert json.loads(proc.stderr)["subcommand"] == "verify stokes"
+
+
+def test_a_cli_process_writes_a_large_result_to_a_file_whole(tmp_path):
+    # a result far past stdout's buffer, redirected to a file, is main's text byte for byte
+    rows = "".join(f"{i} {i + 1} {i + 2} : 1\n" for i in range(1, 5001))
+    f = tmp_path / "f.txt"
+    f.write_text("kform k=3\n" + rows, encoding="utf-8")
+    code, out, _ = _run(["add", str(f), str(f)])
+    assert code == 0 and len(out.encode()) > 2**16
+    with open(tmp_path / "out.txt", "wb") as sink:
+        proc = _fresh(["-m", "extcalc.cli", "add", str(f), str(f)], stdout=sink)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "out.txt").read_bytes() == out.encode()
+
+
+def test_a_cli_process_runs_each_atexit_handler_once_then_exits_through_os_exit():
+    # an atexit handler registered before the CLI runs as __main__ runs once, after main's
+    # output; the process then ends through os._exit with main's code
+    script = (
+        "import atexit, os, runpy\n"
+        "atexit.register(print, 'handler ran')\n"
+        "real_exit = os._exit\n"
+        "def _exit(code):\n"
+        "    os.write(2, f'os._exit({code})'.encode())\n"
+        "    real_exit(code)\n"
+        "os._exit = _exit\n"
+        "runpy.run_module('extcalc.cli', run_name='__main__')\n"
+    )
+    argv = ["verify", "stokes", "--n", "3"]
+    code, out, _ = _run(argv)
+    proc = _fresh(["-c", script, *argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out + "handler ran\n", f"os._exit({code})")
+
+
+def test_run_falls_back_to_the_normal_exit_when_its_flush_raises(monkeypatch):
+    # in-process: os._exit with main's code after the atexit handlers and the flush; a flush
+    # that raises leaves by sys.exit with the same code, and main's SystemExit passes through
+    calls = []
+
+    class Stream(io.StringIO):
+        def __init__(self, fails):
+            super().__init__()
+            self.fails = fails
+
+        def flush(self):
+            calls.append("flush")
+            if self.fails:
+                raise BrokenPipeError(32, "Broken pipe")
+
+    class Exited(Exception):
+        """Stands in for the end of the process."""
+
+    def exit_(code):
+        calls.append(("os._exit", code))
+        raise Exited
+
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
+    monkeypatch.setattr(cli.os, "_exit", exit_)
+    monkeypatch.setattr(sys, "stderr", Stream(False))
+    monkeypatch.setattr(sys, "stdout", Stream(False))
+    with pytest.raises(Exited):
+        cli.run()
+    assert calls == ["atexit", "flush", "flush", ("os._exit", 1)]
+    calls.clear()
+    monkeypatch.setattr(sys, "stdout", Stream(True))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 1 and calls == ["atexit", "flush"]
+    calls.clear()
+    monkeypatch.setattr(cli, "main", lambda: sys.exit(2))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 2 and calls == []
+
+
 # the argv shapes of perfbench/inputs.py and its print warm-up, file names standing for paths
 BENCHMARK_ARGV = [
     ["print", "A3.txt"], ["add", "A3.txt", "C3.txt"], ["eval", "A3.txt", "E.txt"],

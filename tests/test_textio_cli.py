@@ -9,9 +9,11 @@ monkeypatched function or a process of their own are tested here.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -36,6 +38,7 @@ from extcalc import (
     rform,
 )
 import extcalc
+from extcalc import cli
 from extcalc.cli import main
 
 
@@ -360,6 +363,20 @@ def test_cli_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0 and err == b""
     assert len(parse_form_text(Path(f).read_text()).scale(2.0).to_text()) > 2**20
+    # a result that fits the buffer, written into a pipe whose reader closed before the writer
+    # started: main's own flush meets the closed pipe, buffered or not
+    one = _write(tmp_path, "one.txt", "kform k=1\n1 : 1\n")
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        for argv in (["print", one], ["verify", "stokes", "--n", "3"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "extcalc.cli", *argv],
+                                      stdout=write_end, stderr=subprocess.PIPE,
+                                      env={**env, **unbuffered}, timeout=60)
+            finally:
+                os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (0, b""), (argv, unbuffered)
 
 
 def test_cli_zap_env_default(tmp_path, monkeypatch, capsys):
@@ -464,3 +481,13 @@ def test_console_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_the_console_script_is_the_module_entry_point():
+    # the installed `extcalc` ends its process as `python -m extcalc.cli` does, through
+    # cli.run; pyproject.toml is read by a regex, since Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    target = re.fullmatch(r'extcalc = "([\w.]+):(\w+)"', scripts.group(1).strip())
+    assert target is not None, scripts.group(1)
+    assert getattr(importlib.import_module(target.group(1)), target.group(2)) is cli.run
