@@ -30,7 +30,8 @@ so no command loads json.
 A process run through `run` ends by running the atexit handlers,
 flushing stdout and stderr and calling os._exit with main's code, so it
 skips the interpreter's teardown; a reader that closes the stdout pipe
-early gets exit 0 and nothing on stderr, whatever the result's size.
+early gets exit 0 and nothing on stderr but the --stats line, whatever
+the result's size, and help alike.
 """
 
 from __future__ import annotations
@@ -289,9 +290,15 @@ def _stats(args, elapsed: float) -> str:
 
 def main(argv=None) -> int:
     start = time.perf_counter()
+    args = None
     try:
         grammar, argv = _grammar(), sys.argv[1:] if argv is None else list(argv)
-        args = _parse(grammar, argv) or _build_parser(grammar).parse_args(argv)
+        try:
+            args = _parse(grammar, argv) or _build_parser(grammar).parse_args(argv)
+        except SystemExit:
+            # argparse's help leaves by SystemExit: its text meets a closed pipe here too
+            sys.stdout.flush()
+            raise
         # the work behind the result for --stats: nodes or checks, and _write's term counts
         args.work = {}
         with warnings.catch_warnings():
@@ -302,18 +309,19 @@ def main(argv=None) -> int:
 
                 func = getattr(filecmds, func)
             code = _write(func(args), args)
-        if args.stats:
-            print(_stats(args, time.perf_counter() - start), file=sys.stderr)
         # a closed pipe raises here, whatever the result's size, not in a later flush
         sys.stdout.flush()
-        return code
     except BrokenPipeError:
         # writer side of a closed pipe: whatever is still buffered goes to /dev/null
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        code = 0
     except (ValueError, OverflowError, RuntimeWarning, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # after the result, also when its reader has gone
+    if args is not None and args.stats:
+        print(_stats(args, time.perf_counter() - start), file=sys.stderr)
+    return code
 
 
 def run():

@@ -144,7 +144,7 @@ class SparseMap:
         return max(map(max, filter(None, self.terms)), default=0)
 
     def coefficient(self, key) -> float:
-        return self.terms.get(_check_key(key, self.arity), 0.0)
+        return self.terms.get(self._key_rule(key, self.arity), 0.0)
 
     def items(self):
         """Yield (key, coefficient) pairs in lexicographic key order."""

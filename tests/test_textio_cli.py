@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from extcalc import (
-    ArityError,
     KForm,
     KTensor,
     ParseError,
@@ -111,11 +110,6 @@ def test_parse_skips_comments_and_blanks():
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_form_text(text)
-
-
-def test_parse_arity_mismatch_carries_line_number():
-    with pytest.raises(ArityError, match="line 3"):
-        parse_form_text("kform k=2\n1 2 : 1\n1 2 3 : 1\n")
 
 
 def test_parse_matrix_vector_and_matrix():
@@ -363,11 +357,15 @@ def test_cli_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0 and err == b""
     assert len(parse_form_text(Path(f).read_text()).scale(2.0).to_text()) > 2**20
-    # a result that fits the buffer, written into a pipe whose reader closed before the writer
-    # started: main's own flush meets the closed pipe, buffered or not
+    # results that fit the buffer or not, and help, written into a pipe whose reader closed
+    # before the writer started, buffered or not: the --stats line is still written, once
     one = _write(tmp_path, "one.txt", "kform k=1\n1 : 1\n")
+    mid = _write(tmp_path, "mid.txt", "kform k=3\n" + "".join(rows.splitlines(True)[:3081]))
     for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
-        for argv in (["print", one], ["verify", "stokes", "--n", "3"]):
+        for argv, stats in ((["print", one], []), (["verify", "stokes", "--n", "3"], []),
+                            (["--stats", "print", one], ["print"]),
+                            (["--stats", "verify", "stokes", "--n", "2"], ["verify stokes"]),
+                            (["--stats", "add", mid, mid], ["add"]), (["--stats", "-h"], [])):
             read_end, write_end = os.pipe()
             os.close(read_end)
             try:
@@ -376,7 +374,9 @@ def test_cli_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path):
                                       env={**env, **unbuffered}, timeout=60)
             finally:
                 os.close(write_end)
-            assert (proc.returncode, proc.stderr) == (0, b""), (argv, unbuffered)
+            lines = proc.stderr.splitlines()
+            assert (proc.returncode, len(lines)) == (0, len(stats)), (argv, unbuffered, proc.stderr)
+            assert [json.loads(line)["subcommand"] for line in lines] == stats
 
 
 def test_cli_zap_env_default(tmp_path, monkeypatch, capsys):
