@@ -91,11 +91,13 @@ def fd_hessian(f, x):
 
 def _analytic(derivative, x, ndim: int, what: str):
     # a supplied derivative at the gated point x, through the array gate and then held to the
-    # point's exact shape, (n,) for ndim 1 and (n, n) for 2
+    # point's exact shape, (n,) for ndim 1 and (n, n) for 2; the refusal names the shape as
+    # supplied, not the gate's one column for a 1-D Hessian
     x = _gated(x, 1, "point")
-    A = _gated(derivative(x), ndim, f"analytic {what}")
+    A = _gated(supplied := derivative(x), ndim, f"analytic {what}")
     if A.shape != (x.size,) * ndim:
-        raise DimensionError(f"analytic {what} has shape {A.shape} at a point of R^{x.size}")
+        raise DimensionError(f"analytic {what} has shape {np.shape(supplied)} at a point of "
+                             f"R^{x.size}")
     return A
 
 

@@ -354,7 +354,7 @@ def verify_det_proportionality(w: extcalc.KForm, E) -> dict:
     n = shape[0]
     if w.arity != n or w.dimension > n:
         raise DimensionError(f"need a top form: degree {w.arity}, indices reaching "
-                             f"{w.dimension}, on an {n}x{n} frame")
+                             f"{w.dimension}, on a frame of shape {shape}")
     try:  # with E gated and w a top form, an evaluation fails only by overflowing
         lhs, rhs = w(E), float(np.linalg.det(E)) * w(np.eye(n))
     except ValueError:

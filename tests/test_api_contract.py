@@ -10,9 +10,13 @@ Each row runs under the default warning filters, not pytest's
 warnings-as-errors, so it states what a library caller gets: any numpy
 RuntimeWarning on the way, then the refusal.
 
-A refusal that must come before some work (a spy, a monkeypatched bound or
-a time limit), or whose message is compared with something computed, is
-tested beside that work instead; the CLI's refusals are REFUSALS in
+The refusals tested elsewhere, beside the work they guard, are of six
+kinds: one that a spy or a monkeypatched bound must see come before any
+work; one held to a time limit; one whose message is compared with a
+computed one; one that must arrive without a numpy warning under
+pytest's warnings-as-errors; one of a non-public call (the storage
+kernel, cli._json, the Legendre rule's Newton loop); and one that
+Hypothesis draws.  The CLI's refusals are REFUSALS in
 test_cli_contract.py.
 """
 
@@ -24,13 +28,14 @@ import pytest
 
 import extcalc
 from extcalc import (
-    ArityError, CubeDomain, DimensionError, FieldForm, KForm, KTensor, QuadratureRule,
-    ScalarField, SparseMap, alt, closed_form_value, contract, contract_matrix, dd_check,
-    demo_two_form, dphi_example, elementary, evaluate_form, evaluate_tensor, exterior_d, f1, f2,
-    fd_gradient, fd_hessian, form_to_tensor, grad, hat, integrate_boundary, integrate_volume,
-    kform_from_rows, kform_general, ktensor_from_rows, omega_gradient, parse_form_text,
-    perm_sign, phi_example, pullback, rform, symbolic, tensor_product, verify_det_proportionality,
-    verify_stokes, wedge, wedge_definitional,
+    ArityError, CubeDomain, DimensionError, FieldForm, KForm, KTensor, ParseError,
+    QuadratureRule, ScalarField, SparseMap, alt, closed_form_value, contract, contract_matrix,
+    dd_check, demo_two_form, dphi_example, elementary, evaluate_form, evaluate_tensor,
+    exterior_d, f1, f2, f3, fd_gradient, fd_hessian, form_to_tensor, grad, hat,
+    integrate_boundary, integrate_volume, kform_from_rows, kform_general, ktensor_from_rows,
+    omega_gradient, parse_form_text, parse_matrix_text, perm_sign, phi_example, pullback, rform,
+    symbolic, tensor_product, verify_det_proportionality, verify_stokes, wedge,
+    wedge_definitional,
 )
 from extcalc.sparse import format_coefficient
 
@@ -139,7 +144,15 @@ API_REFUSALS = [
      INCREASING.format((3, 1))),
     (lambda: DX12.coefficient((2, 1)), ValueError, INCREASING.format((2, 1))),
     (lambda: FieldForm([(f1, (2, 1))]), ValueError, INCREASING.format((2, 1))),
-    # coefficients are finite as given and as computed
+    # coefficients are finite as given, also one that would accumulate, and as computed
+    *(row for bad in (math.nan, math.inf, -math.inf, np.float64("nan")) for row in (
+        *((call, ValueError, f"cannot store the non-finite coefficient {bad}") for call in (
+            lambda bad=bad: SparseMap(1, {(1,): bad}), lambda bad=bad: KForm(2, {(1, 2): bad}),
+            lambda bad=bad: KTensor(1, [((1,), 1.0), ((1,), bad)]),
+            lambda bad=bad: SparseMap(1, {(2,): 1.0}).insert_accumulate((2,), bad))),
+        *((call, ValueError, f"need a finite number, got {bad}") for call in (
+            lambda bad=bad: kform_from_rows([(2, 1)], [bad]),
+            lambda bad=bad: ktensor_from_rows([(1, 1)], [bad]))))),
     (lambda: contract(DX12, [math.nan, 1.0]), ValueError, "need a finite number, got nan"),
     (lambda: contract_matrix(DX12, [[math.inf], [1.0]]), ValueError,
      "need a finite number, got inf"),
@@ -172,6 +185,10 @@ API_REFUSALS = [
     (lambda: T12 - DX12, TypeError, "cannot add a ktensor and a kform"),
     (lambda: DX12.equals(T12), TypeError, "cannot compare a kform with a ktensor"),
     (lambda: T12.equals(DX12), TypeError, "cannot compare a ktensor with a kform"),
+    # an operand that is no map at all: Python words the refusal of + - *
+    *((call, TypeError, None) for call in (lambda: DX12 + 3, lambda: DX12 - "x",
+                                           lambda: DX12 * [1])),
+    (lambda: DX12.equals(3), TypeError, "cannot compare SparseMap with int"),
     # a tolerance is a number, and NaN is not
     *(row for nan in (math.nan, np.float64("nan"), "nan") for row in (
         (lambda nan=nan: DX12.zap(nan), ValueError, "a tolerance must be a number, got nan"),
@@ -189,6 +206,11 @@ API_REFUSALS = [
     # two finite terms overflow to +inf and -inf, and their sum is NaN
     (lambda: evaluate_tensor(KTensor(1, {(1,): 1e308, (2,): -1e308}), [1e10, 1e10]), ValueError,
      "evaluate_tensor: the value came out nan: a product or sum overflowed"),
+    # key (1, 2) of a kform is dx1^dx2, not phi1 (x) phi2, so a tensor route refuses a kform
+    *((call, TypeError, f"{name} needs a tensor, not a kform: expand it with form_to_tensor"
+       " first") for name, call in (
+        ("alt", lambda: alt(DX12)), ("tensor_product", lambda: tensor_product(DX12, T12)),
+        ("evaluate_tensor", lambda: evaluate_tensor(DX12, [[0.0, 1.0], [1.0, 0.0]])))),
     (lambda: alt(KTensor(0, {(): 1.0})), ArityError, "alt needs arity >= 1"),
     (lambda: alt(KTensor(11, {tuple(range(1, 12)): 1.0})), ValueError,
      "alt on arity 11: 1 terms x 11! permutations = 39916800 exceeds the bound 1048576; refusing"),
@@ -222,7 +244,10 @@ API_REFUSALS = [
     (lambda: kform_general(3, 2.5), ValueError, "k must be integral, got 2.5"),
     (lambda: rform(1, 3, 7, math.comb(7, 3) + 1), ValueError,
      "cannot place 36 distinct keys among C(7,3)=35"),
-    # rform's counts are not truncated
+    # rform's ranges are checked before any key is counted, and its counts are not truncated
+    *((lambda args=args: rform(*args), ValueError,
+       "need k >= 1, n >= 1 and terms >= 0, got k={1}, n={2}, terms={3}".format(*args))
+      for args in ((1, 3, 7, -1), (1, 0, 5, 2), (1, 3, 0, 0), (1, -1, 5, 0))),
     *((lambda args=args: rform(*args), ValueError, f"{what} must be integral, got {args[-1]}")
       for args, what in (((2.5,), "seed"), ((1, 2.5), "k"), ((1, 3, 7.5), "n"),
                          ((1, 3, 7, 2.5), "terms"), ((math.inf,), "seed"))),
@@ -242,6 +267,16 @@ API_REFUSALS = [
        f"point must be a 1-D array, got shape {np.shape(point)}")
       for take in POINT_TAKERS
       for point in (np.ones((4, 1)), np.ones((1, 4)), np.ones((3, 2)), [[1.0, 2.0], [3.0, 4.0]])),
+    # the demo fields live on R^4: dd_check's point gate refuses R^2 and R^3 before any field
+    # runs, and R^5 reaches the fields
+    *((lambda take=take, n=n: take([1.0, 2.0, 3.0, 4.0, 5.0][:n]), DimensionError,
+       f"the demo fields f1, f2, f3 live on R^4, got a point in R^{n}")
+      for n in (2, 3, 5) for field in (f1, f2, f3)
+      for take in (field, field.gradient_at, field.hessian_at)),
+    *((lambda n=n: dd_check(demo_two_form(), [1.0, 2.0, 3.0, 4.0, 5.0][:n]), DimensionError,
+       f"point has length {n} but indices reach 4") for n in (2, 3)),
+    (lambda: dd_check(demo_two_form(), [1.0, 2.0, 3.0, 4.0, 5.0]), DimensionError,
+     "the demo fields f1, f2, f3 live on R^4, got a point in R^5"),
     # at a point of R^4 a supplied gradient is exactly (4,) and a supplied Hessian (4, 4)
     *((lambda g=g: exterior_d(FieldForm([(ScalarField(f1.fn, grad=lambda p: g), (1, 2))]), P),
        DimensionError, message) for g, message in (
@@ -251,7 +286,7 @@ API_REFUSALS = [
     *((lambda H=H: dd_check(FieldForm([(ScalarField(f1.fn, hessian=lambda p: H), (1, 2))]), P,
                             analytic=True),
        DimensionError, f"analytic Hessian has shape {shape} at a point of R^4")
-      for H, shape in ((np.ones((2, 2)), (2, 2)), (np.ones((4, 5)), (4, 5)), (np.ones(4), (4, 1)))),
+      for H, shape in ((np.ones((2, 2)), (2, 2)), (np.ones((4, 5)), (4, 5)), (np.ones(4), (4,)))),
     # the message holds the point's numpy repr; the second stencil is finite at the point and
     # infinite one step along x_1
     (lambda: fd_gradient(lambda x: 1.0 / (x[0] - 1.0), np.array([1.0, 0.0])), ValueError, None),
@@ -276,6 +311,20 @@ API_REFUSALS = [
     (lambda: QuadratureRule.gauss_legendre(4, math.inf), ValueError,
      "need a finite number, got inf"),
     (lambda: QuadratureRule.gauss_legendre(2.5, 1), ValueError, "m must be integral, got 2.5"),
+    # a rule built by hand is checked as it is built: _integrate's zip once dropped a third
+    # weight on two points and read 0.401 for 1
+    *((lambda args=args: QuadratureRule(*args), ValueError, message) for args, message in (
+        ((2.5, 1.0, (0.25, 0.75), (0.5, 0.5)), "m must be integral, got 2.5"),
+        ((2, 1.0, (0.25, 0.75), (0.5, 0.5, 0.2)), "need m = 2 points and weights, got 2 and 3"),
+        ((3, 1.0, (0.25, 0.75), (0.5, 0.5)), "need m = 3 points and weights, got 2 and 2"),
+        ((2, 1.0, (0.25, math.nan), (0.5, 0.5)), "need a finite number, got nan"),
+        ((2, 1.0, (0.25, 0.75), (0.5, math.inf)), "need a finite number, got inf"),
+        *(((2, 1.0, points, (0.5, 0.5)),
+           f"points must ascend strictly within [0, 1.0], got {points}")
+          for points in ((0.75, 0.25), (0.5, 0.5), (-0.25, 0.75), (0.25, 1.5))),
+        ((2, 0.0, (0.0, 0.0), (0.5, 0.5)), "need a > 0"),
+        ((2, math.nan, (0.25, 0.75), (0.5, 0.5)), "need a > 0"),
+        ((2, math.inf, (0.25, 0.75), (0.5, 0.5)), "need a finite number, got inf"))),
     (lambda: CubeDomain(1), ValueError, "need n >= 2"),
     (lambda: CubeDomain(3, a=0.0), ValueError, "need edge length a > 0"),
     (lambda: CubeDomain(3, math.inf), ValueError, "need a finite number, got inf"),
@@ -312,7 +361,7 @@ API_REFUSALS = [
     (lambda: closed_form_value(2.5, 1.0), ValueError, "n must be integral, got 2.5"),
     (lambda: verify_det_proportionality(dphi_example(np.arange(1.0, 4.0)), np.eye(4)),
      DimensionError,
-     "need a top form: degree 3, indices reaching 3, on an 4x4 frame"),
+     "need a top form: degree 3, indices reaching 3, on a frame of shape (4, 4)"),
     *((lambda w=w, E=E: verify_det_proportionality(w, E), ValueError,
        "need a square frame, got shape (2, 3)")
       for w in (dphi_example(np.arange(1.0, 4.0)), KForm(1, {(1,): 2.0}))
@@ -321,7 +370,27 @@ API_REFUSALS = [
     (lambda: verify_det_proportionality(dphi_example(np.arange(1.0, 131.0)),
                                         np.random.default_rng(0).random((130, 130))), ValueError,
      "the determinant check overflows at n = 130"),
-    # text and the package
+    # text and the package: a malformed or non-finite line is refused by its number
+    *((lambda text=text: parse_form_text(text), ParseError, message) for text, message in (
+        ("", "line 1: empty input"), ("   \n# only comments\n", "line 1: empty input"),
+        ("junk k=2\n1 2 : 1\n", "line 1: unknown object type 'junk'"),
+        ("kform\n1 2 : 1\n", "line 1: expected '<type> k=<arity>', got 'kform'"),
+        ("kform k=x\n1 2 : 1\n", "line 1: bad arity in 'kform k=x'"),
+        ("kform k=-1\nzero k=-1\n", "line 1: arity must be nonnegative, got -1"),
+        ("kform k=2\n", "line 1: header with no term lines"),
+        ("kform k=2\n1 x : 3\n", "line 2: bad index in '1 x : 3'"),
+        ("kform k=2\n1 2 : abc\n", "line 2: bad coefficient in '1 2 : abc'"),
+        ("kform k=2\n0 2 : 1\n", "line 2: indices are 1-based and positive, got (0, 2)"),
+        ("kform k=2\n1 2 1\n", "line 2: expected 'indices : coefficient', got '1 2 1'"),
+        ("kform k=2\nzero k=3\n", "line 2: expected 'zero k=2', got 'zero k=3'"))),
+    *((lambda text=text: parse_matrix_text(text), ParseError, message) for text, message in (
+        ("", "line 1: empty matrix"), ("1 2\n3\n", "line 2: row has 1 entries, expected 2"),
+        ("1 q\n", "line 1: bad number in '1 q'"))),
+    *(row for token in ("nan", "-inf", "Infinity", "1e999") for row in (
+        (lambda token=token: parse_form_text(f"kform k=2\n1 2 : 1\n2 3 : {token}\n"),
+         ParseError, f"line 3: bad coefficient in '2 3 : {token}'"),
+        (lambda token=token: parse_matrix_text(f"1 2\n3 {token}\n"), ParseError,
+         f"line 2: bad number in '3 {token}'"))),
     (lambda: parse_form_text("kform k=2\n1 2 : 1\n1 2 3 : 1\n"), ArityError,
      "line 3: key (1, 2, 3) has arity 3, expected 2"),
     (lambda: extcalc.frobnicate, AttributeError, "module 'extcalc' has no attribute 'frobnicate'"),

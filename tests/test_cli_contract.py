@@ -510,7 +510,8 @@ def _fresh(args, stdout=subprocess.PIPE):
 
 @pytest.mark.parametrize("code, argv", [(0, ["verify", "stokes", "--n", "3"]),
                                         (1, ["verify", "stokes", "--n", "4", "--tol", "1e-300"]),
-                                        (2, REFUSALS[0][0])], ids=["exit-0", "exit-1", "exit-2"])
+                                        (2, ["d", "--omega", "--at", "1e200", "1", "1"])],
+                         ids=["exit-0", "exit-1", "exit-2"])
 def test_a_cli_process_exits_with_mains_code_and_text(code, argv, paths):
     # cli.run ends the process without the interpreter's teardown: the exit code, stdout and
     # stderr are main's, and the --stats line still reaches stderr

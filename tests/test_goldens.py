@@ -8,16 +8,23 @@ on every IEEE platform.  `verify stokes` also computes on Python floats
 but calls the C library's pow through float `**`: its digests were
 taken with glibc 2.36, and CI's runners are the first check on another
 libm.  A row's digest changes only with a declared change of the output.
+Builtin sum() compensates float sums from Python 3.12 on, so a static
+check keeps it off floats in extcalc: the digits would differ between
+interpreters.
 The CLI's refusals are not here: REFUSALS in test_cli_contract.py holds
 each one's exact stderr line.
 """
 
+import ast
+import collections
 import contextlib
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
+import extcalc
 from extcalc.cli import main
 
 FILES = {
@@ -122,3 +129,21 @@ def test_golden(argv, code, out_sha, err_sha, tmp_path):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         got = main([str(tmp_path / arg) if arg in FILES else arg for arg in argv])
     assert (got, _digest(out.getvalue()), _digest(err.getvalue())) == (code, out_sha, err_sha)
+
+
+def _builtin_sums(node, where: str):
+    # the enclosing function, as module.qualname, of each call of the bare name sum below node
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "sum":
+            yield where
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _builtin_sums(child, f"{where}.{child.name}" if named else where)
+
+
+def test_builtin_sum_adds_only_integers():
+    # wedge sums the bits of a key and _parity counts inversions; a float sum runs left to
+    # right, as stokes.closed_form_value does
+    sums = collections.Counter(
+        where for path in sorted(Path(extcalc.__file__).parent.glob("*.py"))
+        for where in _builtin_sums(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert sums == {"forms.wedge": 2, "sparse._parity": 1}

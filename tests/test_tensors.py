@@ -156,19 +156,6 @@ def test_alt_settles_empty_and_oversized_inputs_before_any_factorial():
 # and the tensor product dropped the (2, 1, 3) term
 DX12 = KForm(2, {(1, 2): 1.0})
 SWAP = [[0.0, 1.0], [1.0, 0.0]]
-KFORM_CALLS = {
-    "alt": lambda w: alt(w),
-    "evaluate_tensor": lambda w: evaluate_tensor(w, SWAP),
-    "tensor_product": lambda w: tensor_product(w, KTensor(1, {(3,): 1.0})),
-}
-
-
-@pytest.mark.parametrize("call", KFORM_CALLS, ids=KFORM_CALLS)
-def test_tensor_routes_refuse_a_kform(call):
-    with pytest.raises(TypeError, match=f"^{call} needs a tensor, not a kform: .*form_to_tensor"):
-        KFORM_CALLS[call](DX12)
-
-
 def test_tensor_routes_take_an_expanded_form_and_a_plain_map():
     T = form_to_tensor(DX12)
     assert alt(T) == T
