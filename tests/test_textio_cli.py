@@ -2,10 +2,11 @@
 
 The text half round-trips forms, tensors and matrices through their
 text; its refusals of malformed or non-finite lines are rows of
-API_REFUSALS in test_api_contract.py.  The CLI half runs each subcommand
-on small inline files through cli.main and checks its exact output.  The CLI's refusals are rows of REFUSALS in
-test_cli_contract.py; only those that need an environment variable, a
-monkeypatched function or a process of their own are tested here.
+API_REFUSALS in test_api_contract.py.  The CLI half runs each
+subcommand on small inline files through cli.main and checks its exact
+output.  The CLI's refusals are rows of REFUSALS in test_cli_contract.py;
+those that need an environment variable, stdin or a process of their own
+are tested here too.
 """
 
 import contextlib
@@ -267,9 +268,38 @@ def test_cli_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("kform k=1\n2 : 3\n"))
     assert main(["print", "-"]) == 0
     assert capsys.readouterr().out == "+3 dx2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [(["print", "-"], "error: line 2: bad coefficient in '1 : nan'"),
+     (["verify", "stokes", "--n", "2", "--a", "inf"], "error: need a finite number, got inf"),
+     (["verify", "stokes", "--n", "2", "--a", "1e308"],
+      "error: the closed form overflows at n = 2, a = 1e+308"),
+     (["verify", "stokes", "--n", "3", "--m", "3", "--a", "1e100"],
+      "error: the closed form overflows at n = 3, a = 1e+100")],
+    ids=["argv0", "argv1", "argv2", "argv3"],
+)
+def test_cli_non_finite_numbers_exit_2(argv, line, monkeypatch, capsys):
+    # NaN on stdin, or a finite --a whose closed form overflows
     monkeypatch.setattr(sys, "stdin", io.StringIO("kform k=1\n1 : nan\n"))
-    assert main(["print", "-"]) == 2
-    assert capsys.readouterr() == ("", "error: line 2: bad coefficient in '1 : nan'\n")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_cli_floating_point_error_is_one_error_line():
+    # numpy's overflow warnings must not precede the error message
+    src = str(Path(extcalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "extcalc.cli", "d", "--omega", "--at", "1e200", "1", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_cli_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path):
