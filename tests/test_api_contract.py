@@ -400,10 +400,6 @@ API_REFUSALS = [
 @pytest.mark.parametrize("call, kind, message", API_REFUSALS,
                          ids=[message or kind.__name__ for _, kind, message in API_REFUSALS])
 def test_refusal(call, kind, message):
-    check_refusal(call, kind, message)
-
-
-def check_refusal(call, kind, message):
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("default")
         with pytest.raises(Exception) as refused:

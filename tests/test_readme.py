@@ -1,9 +1,12 @@
-"""The README's library tour runs as a doctest, and its load table matches the import rows."""
+"""README's examples hold: its library tour runs as a doctest, each CLI example shows its
+GOLDENS row's stdout, and its load table matches the import rows."""
 
 import doctest
 import re
+import shlex
 from pathlib import Path
 
+from test_goldens import GOLDENS
 from test_imports import _ALGEBRA_ROWS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -12,6 +15,32 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_readme_library_tour():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0 and result.failed == 0
+
+
+def _cli_examples() -> list:
+    # (argv, the output shown) for each `$ extcalc` command of the CLI section's first block,
+    # each file named without its .txt, as FILES in test_goldens.py names it
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("## CLI"):].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for command in block.split("$ extcalc ")[1:]:
+        line, _, shown = command.partition("\n")
+        argv = [arg.removesuffix(".txt") for arg in shlex.split(line, comments=True)]
+        examples.append((argv, shown.rstrip("\n") + "\n"))
+    return examples
+
+
+def test_readme_cli_examples_show_their_golden_rows():
+    # an output shown ending in "...}" is the start of the row's stdout, up to the "..."
+    rows = {tuple(argv): (code, stdout) for argv, code, stdout in GOLDENS}
+    examples = _cli_examples()
+    assert examples
+    for argv, shown in examples:
+        code, stdout = rows[tuple(argv)]
+        if shown.endswith("...}\n"):
+            shown = shown[:-len("...}\n")]
+            stdout = stdout[:len(shown)]
+        assert (code, stdout) == (0, shown), argv
 
 
 def _load_table() -> list:
