@@ -116,17 +116,25 @@ def test_text_form_and_zero_line():
     assert SparseMap(3).to_text() == "zero k=3\n"
 
 
-def test_integral_values_of_other_numeric_types_are_read_as_integers():
-    from extcalc import (
-        FieldForm, QuadratureRule, elementary, f1, hat, kform_from_rows, kform_general,
-        perm_sign, rform, verify_stokes,
-    )
+def test_non_integral_indices_are_rejected():
+    from extcalc import kform_from_rows
 
-    # indices and counts (arity, hat's and the cube's n, quadrature points, subset size and
-    # rform's counts) take an integral float or numpy integer; API_REFUSALS holds the
-    # refusals of the non-integral ones
+    # the refusals of non-integral indices are API_REFUSALS rows ("indices must be
+    # integral, got ..."), run by test_refusal; integral values of other numeric types
+    # keep working
     assert KForm(1, {(2.0,): 1.0}).terms == {(2,): 1.0}
     assert kform_from_rows([(np.int64(3), 1.0)]).terms == {(1, 3): -1.0}
+
+
+def test_index_helpers_reject_non_integral_indices():
+    from extcalc import (
+        FieldForm, QuadratureRule, elementary, f1, hat, kform_general, perm_sign, rform,
+        verify_stokes,
+    )
+
+    # counts are integral too: arity, hat's and the cube's n, quadrature points, subset size
+    # and rform's counts; their refusals are API_REFUSALS rows, run by test_refusal, and
+    # integral values of other numeric types keep working
     assert elementary(2.0).terms == elementary(np.int64(2)).terms == {(2,): 1.0}
     assert kform_general([1, np.int64(2), 3.0], 2).terms == {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}
     assert FieldForm([(f1, (1.0, np.int64(2)))]).terms[0][1] == (1, 2)
