@@ -26,9 +26,13 @@ class ParseError(ValueError):
 
 
 def _significant_lines(text: str):
+    # each line left after its comment is stripped; int() and float() would read 1_0 as 10 and
+    # non-ASCII digits as numbers, so such a line is refused before any field is read
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
+            if "_" in line or not line.isascii():
+                raise ParseError(lineno, f"underscore or non-ASCII character in {line!r}")
             yield lineno, line
 
 

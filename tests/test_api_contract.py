@@ -382,10 +382,16 @@ API_REFUSALS = [
         ("kform k=2\n1 2 : abc\n", "line 2: bad coefficient in '1 2 : abc'"),
         ("kform k=2\n0 2 : 1\n", "line 2: indices are 1-based and positive, got (0, 2)"),
         ("kform k=2\n1 2 1\n", "line 2: expected 'indices : coefficient', got '1 2 1'"),
-        ("kform k=2\nzero k=3\n", "line 2: expected 'zero k=2', got 'zero k=3'"))),
+        ("kform k=2\nzero k=3\n", "line 2: expected 'zero k=2', got 'zero k=3'"),
+        # int() and float() would read 1_0 as 10 and an Arabic-Indic three as 3
+        ("kform k=2\n1_0 2_0 : 1_5\n",
+         "line 2: underscore or non-ASCII character in '1_0 2_0 : 1_5'"),
+        ("kform k=\u0663\n1 2 3 : 1\n",
+         "line 1: underscore or non-ASCII character in 'kform k=\u0663'"))),
     *((lambda text=text: parse_matrix_text(text), ParseError, message) for text, message in (
         ("", "line 1: empty matrix"), ("1 2\n3\n", "line 2: row has 1 entries, expected 2"),
-        ("1 q\n", "line 1: bad number in '1 q'"))),
+        ("1 q\n", "line 1: bad number in '1 q'"),
+        ("1_0 2\n", "line 1: underscore or non-ASCII character in '1_0 2'"))),
     *(row for token in ("nan", "-inf", "Infinity", "1e999") for row in (
         (lambda token=token: parse_form_text(f"kform k=2\n1 2 : 1\n2 3 : {token}\n"),
          ParseError, f"line 3: bad coefficient in '2 3 : {token}'"),

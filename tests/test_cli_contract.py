@@ -4,8 +4,9 @@ Every argv exits 0, 1 or 2.  A refusal (2) writes nothing to stdout and
 exactly one `error:` line to stderr.  A file command that succeeds writes
 what an independent route computes: evaluations, contractions and
 pullback coefficients by the signed expansion of tests/oracles.py, the
-wedge by sorting each concatenated pair of keys, sums term by term.  Every
-input below is integral, so each of those routes is exact.
+wedge by sorting each concatenated pair of keys, sums term by term.
+MEANINGS holds what each grid file of tests/cli_inputs.py means, all
+integral, so each of those routes is exact.
 
 Rows cross the objects with every file subcommand and each operand of
 the right kind, and put every other file once in each operand position;
@@ -15,7 +16,8 @@ option.
 REFUSALS is the one record of what the CLI refuses: each row is an
 argv and its exact stderr line, and a new refusal adds a row there, not
 a test.  Every row also runs in a fresh interpreter, outside pytest's
-warning filters.
+warning filters.  _run runs an argv in process, and _fresh in a child
+interpreter, for the CLI tests of every file but test_imports.py.
 
 Every argv run here also goes through both parsers of the one grammar:
 cli's table parser either defers to argparse or builds argparse's own
@@ -51,56 +53,36 @@ from test_imports import _ALGEBRA_ROWS
 
 ODD = ("-1", "0", "2.5", "nan", "inf", "1e400")
 
-# name -> (file text, meaning): ("kform" | "ktensor", k, canonical terms), ("rows", rows), or None
-FILES = {
-    "w0": ("kform k=0\n : 3\n", ("kform", 0, {(): 3.0})),
-    "w1": ("kform k=1\n1 : 2\n3 : -1\n", ("kform", 1, {(1,): 2.0, (3,): -1.0})),
-    "w2": ("kform k=2\n2 1 : -1\n1 3 : 3\n2 3 : -2\n3 3 : 7\n",
-           ("kform", 2, {(1, 2): 1.0, (1, 3): 3.0, (2, 3): -2.0})),
-    "w3": ("kform k=3\n1 2 3 : 2\n2 3 4 : -1\n", ("kform", 3, {(1, 2, 3): 2.0, (2, 3, 4): -1.0})),
-    "wz": ("kform k=2\nzero k=2\n", ("kform", 2, {})),
-    "big": ("kform k=1\n1 : 1e308\n2 : -1e308\n", ("kform", 1, {(1,): 1e308, (2,): -1e308})),
-    "big2": ("kform k=2\n1 2 : 1e308\n", ("kform", 2, {(1, 2): 1e308})),
-    "ten1": ("kform k=1\n2 : 10\n", ("kform", 1, {(2,): 10.0})),
-    "w7": ("kform k=7\n1 2 3 4 5 6 7 : 1\n", ("kform", 7, {tuple(range(1, 8)): 1.0})),
-    "w11": ("kform k=11\n1 2 3 4 5 6 7 8 9 10 11 : 1\n",
-            ("kform", 11, {tuple(range(1, 12)): 1.0})),
-    "t1": ("ktensor k=1\n2 : 5\n", ("ktensor", 1, {(2,): 5.0})),
-    "t2": ("ktensor k=2\n1 1 : 2\n2 1 : 3\n", ("ktensor", 2, {(1, 1): 2.0, (2, 1): 3.0})),
-    "t10": ("ktensor k=10\n1 2 3 4 5 6 7 8 9 10 : 1\n",
-            ("ktensor", 10, {tuple(range(1, 11)): 1.0})),
-    "t27": ("ktensor k=2\n1 27 : 3\n", ("ktensor", 2, {(1, 27): 3.0})),
-    "vec3": ("1 2 3\n", ("rows", [1.0, 2.0, 3.0])),
-    "col4": ("1\n0\n2\n-1\n", ("rows", [[1.0], [0.0], [2.0], [-1.0]])),
-    "v10": ("10\n0\n", ("rows", [[10.0], [0.0]])),
-    "m10": ("10 0\n0 10\n", ("rows", [[10.0, 0.0], [0.0, 10.0]])),
-    "m32": ("1 2\n0 1\n3 -1\n", ("rows", [[1.0, 2.0], [0.0, 1.0], [3.0, -1.0]])),
-    "m3": ("1 2 0\n0 1 1\n2 0 1\n", ("rows", [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [2.0, 0.0, 1.0]])),
-    "m4": ("1 0 2 0\n0 1 0 1\n1 1 1 0\n0 2 0 1\n",
-           ("rows", [[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0],
-                     [0.0, 2.0, 0.0, 1.0]])),
-    "ragged": ("1 2\n3\n", None),
-    "nancoef": ("kform k=1\n1 : nan\n", None),
-    "badcoef": ("kform k=2\n1 2 : oops\n", None),
-    "junk": ("hello\n", None),
-    "empty": ("", None),
-    "missing": (None, None),
+# grid file name -> its meaning: ("kform" | "ktensor", k, canonical terms), ("rows", rows), or None
+MEANINGS = {
+    "w0": ("kform", 0, {(): -4.0}),
+    "w1": ("kform", 1, {(1,): 2.0, (4,): -3.0}),
+    "w2": ("kform", 2, {(1, 2): 1.0, (1, 3): 3.0, (2, 3): -2.0}),
+    "w3": ("kform", 3, {(1, 2, 3): 1.0, (1, 2, 4): 12.0, (2, 3, 4): -5.0}),
+    "wz": ("kform", 2, {}),
+    "big": ("kform", 1, {(1,): 1e308, (2,): -1e308}),
+    "big2": ("kform", 2, {(1, 2): 1e308}),
+    "ten1": ("kform", 1, {(2,): 10.0}),
+    "w7": ("kform", 7, {tuple(range(1, 8)): 1.0}),
+    "w11": ("kform", 11, {tuple(range(1, 12)): 1.0}),
+    "t1": ("ktensor", 1, {(2,): 5.0}),
+    "t2": ("ktensor", 2, {(1, 1): 2.0, (1, 26): -7.0, (2, 1): -1.0, (3, 2): 1.0}),
+    "t10": ("ktensor", 10, {tuple(range(1, 11)): 1.0}),
+    "t27": ("ktensor", 2, {(1, 27): 3.0}),
+    "vec3": ("rows", [1.0, 2.0, 3.0]),
+    "col4": ("rows", [[1.0], [0.0], [2.0], [-1.0]]),
+    "v10": ("rows", [[10.0], [0.0]]),
+    "m10": ("rows", [[10.0, 0.0], [0.0, 10.0]]),
+    "m32": ("rows", [[1.0, 2.0], [0.0, 1.0], [3.0, -1.0]]),
+    "m3": ("rows", [[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [2.0, 0.0, 1.0]]),
+    "m4": ("rows", [[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0],
+                    [0.0, 2.0, 0.0, 1.0]]),
+    **dict.fromkeys(["ragged", "nancoef", "badcoef", "junk", "empty", "missing"]),
 }
 
 # the file subcommands and how many file operands each takes
 FILE_COMMANDS = {"print": 1, "alt": 1, "eval": 2, "wedge": 2, "add": 2, "contract": 2,
                  "pullback": 2}
-
-
-@pytest.fixture(scope="module")
-def paths(tmp_path_factory):
-    root = tmp_path_factory.mktemp("contract")
-    out = {}
-    for name, (text, _) in FILES.items():
-        out[name] = str(root / f"{name}.txt")
-        if text is not None:
-            (root / f"{name}.txt").write_text(text, encoding="utf-8")
-    return out
 
 
 def _shown(namespace) -> dict:
@@ -136,6 +118,20 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _child_env(**env) -> dict:
+    # this process's environment with env added, where Python reads an empty value as unset, and
+    # the extcalc the tests import first on PYTHONPATH
+    src = str(Path(extcalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **env, "PYTHONPATH": path}
+
+
+def _fresh(args, stdout=subprocess.PIPE, **env):
+    # one `python <args>` in a process of its own, in _child_env(**env)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=_child_env(**env), timeout=120)
+
+
 def _number(c) -> str:
     c = float(c)
     return str(int(c)) if c.is_integer() and abs(c) < 1e16 else repr(c)
@@ -156,7 +152,7 @@ def _frame(rows) -> np.ndarray:
 
 def _oracle(command, names, zap=None, keep_form=False):
     # the expected stdout of a successful file command, or None where no route applies
-    meanings = [FILES[name][1] for name in names]
+    meanings = [MEANINGS[name] for name in names]
     if command == "eval":
         (kind, k, terms), (_, rows) = meanings
         value = (form_value_by_expansion if kind == "kform" else dense_tensor_value)(
@@ -207,20 +203,20 @@ def _check(argv, code, out, err):
     assert lines == [lines[-1]] and lines[-1].startswith("error: "), (argv, err)
 
 
-OBJECTS = [name for name, (_, meaning) in FILES.items() if meaning and meaning[0] != "rows"]
-MATRICES = [name for name, (_, meaning) in FILES.items() if meaning and meaning[0] == "rows"]
+OBJECTS = [name for name, meaning in MEANINGS.items() if meaning and meaning[0] != "rows"]
+MATRICES = [name for name, meaning in MEANINGS.items() if meaning and meaning[0] == "rows"]
 
 
 def _operands(command):
     # the file names of each row: for two operands, every object with every operand of the
     # kind its position wants, and each other file once in either position
     if FILE_COMMANDS[command] == 1:
-        yield from ((name,) for name in FILES)
+        yield from ((name,) for name in MEANINGS)
         return
     seconds = OBJECTS if command in ("wedge", "add") else MATRICES
     yield from itertools.product(OBJECTS, seconds)
-    yield from ((name, seconds[-1]) for name in FILES if name not in OBJECTS)
-    yield from (("w2", name) for name in FILES if name not in seconds)
+    yield from ((name, seconds[-1]) for name in MEANINGS if name not in OBJECTS)
+    yield from (("w2", name) for name in MEANINGS if name not in seconds)
 
 
 def _file_rows(command):
@@ -231,10 +227,10 @@ def _file_rows(command):
 
 
 @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
-def test_file_commands_on_every_input(command, paths):
+def test_file_commands_on_every_input(command, files):
     outcomes = dict.fromkeys((0, 1, 2), 0)
     for names, extra in _file_rows(command):
-        argv = [command, *(paths[name] for name in names), *extra]
+        argv = [command, *(files[name] for name in names), *extra]
         code, out, err = _run(argv)
         _check(argv, code, out, err)
         outcomes[code] += 1
@@ -247,11 +243,11 @@ def test_file_commands_on_every_input(command, paths):
 
 
 @pytest.mark.parametrize("value", ODD)
-def test_zap_values(value, paths):
+def test_zap_values(value, files):
     zap = float(value)
     for command, names in (("wedge", ("w1", "w2")), ("add", ("w2", "w2")),
                            ("contract", ("w3", "col4")), ("pullback", ("w2", "m3"))):
-        argv = [command, *(paths[name] for name in names), "--zap", value]
+        argv = [command, *(files[name] for name in names), "--zap", value]
         code, out, err = _run(argv)
         _check(argv, code, out, err)
         if value == "nan":
@@ -288,6 +284,7 @@ _ALT = ("error: alt on arity {0}: {1} terms x {0}! permutations = {2} exceeds th
 _R4 = "error: the demo fields f1, f2, f3 live on R^4, got a point in R^{}"
 _INF = "error: cannot store the non-finite coefficient inf"
 _NAN_TOL = "error: a tolerance must be a number, got nan"
+_ASCII = "error: line {}: underscore or non-ASCII character in {!r}"
 
 # every refusal of the CLI: argv, file names standing for their paths, and its one stderr line.
 # A line of None is worded by numpy (its RuntimeWarnings vary across the versions pyproject
@@ -306,6 +303,10 @@ REFUSALS = [
       for command in ("eval", "contract", "pullback")),
     (["print", "badcoef"], "error: line 2: bad coefficient in '1 2 : oops'"),
     (["print", "nancoef"], "error: line 2: bad coefficient in '1 : nan'"),
+    # int() and float() would read 1_0 as 10 and an Arabic-Indic three as 3
+    (["print", "underscored"], _ASCII.format(2, "1_0 2_0 : 1_5")),
+    (["print", "arabic"], _ASCII.format(1, "kform k=\u0663")),
+    (["eval", "w2", "underscoredrow"], _ASCII.format(1, "1_0 2")),
     (["print", "missing"], None),
     (["eval", "w0", "col4"], "error: frame has 1 columns but the object has arity 0"),
     # print's default letters end at z: the message names the alphabet and the style that
@@ -368,10 +369,10 @@ REFUSALS = [
 
 @pytest.mark.parametrize("argv, line", REFUSALS,
                          ids=[" ".join(argv) or "no-command" for argv, _ in REFUSALS])
-def test_refusal(argv, line, paths):
+def test_refusal(argv, line, files):
     # exit 2, nothing on stdout and the row's one line on stderr, well within a second: no
     # refusal allocates or expands first
-    argv = [paths.get(arg, arg) for arg in argv]
+    argv = [files.get(arg, arg) for arg in argv]
     start = time.perf_counter()
     code, out, err = _run(argv)
     assert time.perf_counter() - start < 1.0, argv
@@ -379,11 +380,22 @@ def test_refusal(argv, line, paths):
     assert (code, out, err) == (2, "", err if line is None else line + "\n")
 
 
-def test_cli_floating_point_policy_holds_in_a_fresh_interpreter(paths):
+def test_each_declared_output_change_is_a_command_same_output_runs(tmp_path, monkeypatch):
+    # tools/same_output.py passes a difference from the base tree only on an argv of DECLARED,
+    # and each must be one of its commands: a declared change cannot outlive its row
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    import same_output
+
+    commands = same_output.commands(tmp_path)
+    assert [argv for argv in same_output.DECLARED if list(argv) not in commands] == []
+
+
+def test_cli_floating_point_policy_holds_in_a_fresh_interpreter(files):
     # pytest turns every warning into an error, so only an interpreter without its filters
     # shows that main alone makes numpy's overflow, division and invalid-value warnings one
     # error line, and puts the caller's warning filters back
-    rows = [([paths.get(arg, arg) for arg in argv], line) for argv, line in REFUSALS]
+    rows = [([files.get(arg, arg) for arg in argv], line) for argv, line in REFUSALS]
     script = (
         "import contextlib, io, warnings\n"
         "from extcalc.cli import main\n"
@@ -401,14 +413,11 @@ def test_cli_floating_point_policy_holds_in_a_fresh_interpreter(paths):
         "    assert line in (None, lines[0]), (argv, lines)\n"
         "    assert warnings.filters == before, argv\n"
     )
-    src = str(Path(extcalc.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = _fresh(["-c", script], PYTHONWARNINGS="")
     assert proc.returncode == 0, proc.stderr
 
 
-# --stats rows: file names stand for their paths; the last three are refusals
+# --stats rows: names of cli_inputs.FILES stand for their paths; the last three are refusals
 STATS_ROWS = [
     ["print", "w2"], ["wedge", "w1", "w2"], ["pullback", "w3", "m4"], ["eval", "w2", "m32"],
     ["contract", "w3", "col4", "--keep-form"], ["d", "--omega", "--at", "1", "2", "3"],
@@ -422,8 +431,8 @@ def _no_constant(name):
 
 
 @pytest.mark.parametrize("row", STATS_ROWS, ids=["-".join(row) for row in STATS_ROWS])
-def test_stats_line(row, paths):
-    argv = [paths.get(arg, arg) for arg in row]
+def test_stats_line(row, files):
+    argv = [files.get(arg, arg) for arg in row]
     plain = _run(argv)
     _check(argv, *plain)
     code, out, err = _run(["--stats", *argv])
@@ -471,26 +480,23 @@ def test_stats_line_counts_the_nodes_of_verify_stokes():
     assert json.loads(err)["nodes"] == 896
 
 
-def test_stats_line_counts_the_terms_written_and_zapped(paths):
+def test_stats_line_counts_the_terms_written_and_zapped(files):
     # w2 + w2 is 2 e12 + 6 e13 - 4 e23: a form result reports the terms it wrote, and with --zap
     # the terms --zap dropped; stdout is byte-identical with and without --stats
     for zap, work, text in (([], {"terms": 3}, "1 2 : 2\n1 3 : 6\n2 3 : -4\n"),
                             (["--zap", "5"], {"terms": 1, "zapped": 2}, "1 3 : 6\n"),
                             (["--zap", "10"], {"terms": 0, "zapped": 3}, "zero k=2\n")):
-        argv = ["add", paths["w2"], paths["w2"], *zap]
+        argv = ["add", files["w2"], files["w2"], *zap]
         code, out, err = _run(["--stats", *argv])
         assert (code, out) == _run(argv)[:2] == (0, "kform k=2\n" + text)
         stats = json.loads(err, parse_constant=_no_constant)
         assert {key: stats[key] for key in ("terms", "zapped") if key in stats} == work
 
 
-def test_stats_line_reports_a_run_without_numpy(paths):
+def test_stats_line_reports_a_run_without_numpy(files):
     # in a process of its own, print never loads numpy
-    src = str(Path(extcalc.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-m", "extcalc.cli", "--stats", "print", paths["w2"]],
-                         capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout == _run(["print", paths["w2"]])[1]
+    run = _fresh(["-m", "extcalc.cli", "--stats", "print", files["w2"]])
+    assert (run.returncode, run.stdout) == _run(["print", files["w2"]])[:2], run.stderr
     stats = json.loads(run.stderr, parse_constant=_no_constant)
     assert stats["subcommand"] == "print" and stats["numpy_loaded"] is False
     # the table parser read the command line, so argparse never loaded
@@ -499,23 +505,13 @@ def test_stats_line_reports_a_run_without_numpy(paths):
     assert stats["modules"] == _ALGEBRA_ROWS["print"][1]
 
 
-def _fresh(args, stdout=subprocess.PIPE):
-    # one `python <args>` in a process of its own, finding the extcalc the tests import
-    src = str(Path(extcalc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env, timeout=120)
-
-
 @pytest.mark.parametrize("code, argv", [(0, ["verify", "stokes", "--n", "3"]),
                                         (1, ["verify", "stokes", "--n", "4", "--tol", "1e-300"]),
                                         (2, ["d", "--omega", "--at", "1e200", "1", "1"])],
                          ids=["exit-0", "exit-1", "exit-2"])
-def test_a_cli_process_exits_with_mains_code_and_text(code, argv, paths):
+def test_a_cli_process_exits_with_mains_code_and_text(code, argv):
     # cli.run ends the process without the interpreter's teardown: the exit code, stdout and
     # stderr are main's, and the --stats line still reaches stderr
-    argv = [paths.get(arg, arg) for arg in argv]
     _, out, err = in_process = _run(argv)
     assert in_process[0] == code
     proc = _fresh(["-m", "extcalc.cli", *argv])

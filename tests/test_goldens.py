@@ -1,16 +1,16 @@
 """CLI answers, taken in process through cli.main: GOLDENS is their one table.
 
 Each row is an argv, its exit code and its exact stdout, and every row
-writes nothing to stderr.  The file operands are the small inline files
-below, every coefficient and every frame, vector and matrix entry an
-integer, and the algebra commands compute on Python floats, so each
-answer is the same on every IEEE platform.  `verify stokes` also
-computes on Python floats but calls the C library's pow through float
-`**`: its rows were taken with glibc 2.36, and CI's runners are the
-first check on another libm.  A row's text changes only with a declared
-change of the output.  Builtin sum() compensates float sums from Python
-3.12 on, so a static check keeps it off floats in extcalc: the digits
-would differ between interpreters.
+writes nothing to stderr; test_cli_contract's _run runs it.  Its file
+operands are named from tests/cli_inputs.py, every coefficient and every
+frame, vector and matrix entry of those an integer, and the algebra
+commands compute on Python floats, so each answer is the same on every
+IEEE platform.  `verify stokes` also computes on Python floats but calls
+the C library's pow through float `**`: its rows were taken with glibc
+2.36, and CI's runners are the first check on another libm.  A row's
+text changes only with a declared change of the output.  Builtin sum()
+compensates float sums from Python 3.12 on, so a static check keeps it
+off floats in extcalc: the digits would differ between interpreters.
 
 README's CLI examples are rows here too, and test_readme.py holds each
 shown output to its row.  The CLI's refusals are not here: REFUSALS in
@@ -22,46 +22,14 @@ tolerance, because numpy's SIMD sin and cos or BLAS set its digits.
 
 import ast
 import collections
-import contextlib
-import io
 from pathlib import Path
 
 import pytest
 
 import extcalc
-from extcalc.cli import main
+from test_cli_contract import _run
 
-FILES = {
-    "w2": "kform k=2\n2 1 : -1\n1 3 : 3\n2 3 : -2\n3 3 : 7\n",
-    "w3": "kform k=3\n1 2 3 : 1\n2 3 4 : -5\n1 2 4 : 12\n",
-    "t2": "ktensor k=2\n1 1 : 2\n2 1 : -1\n3 2 : 1\n1 26 : -7\n",
-    "w0": "kform k=0\n : -4\n",
-    "wz": "kform k=2\nzero k=2\n",
-    "t27": "ktensor k=2\n1 27 : 3\n",
-    "w1": "kform k=1\n1 : 2\n4 : -3\n",
-    "e2": "1 2\n0 -1\n3 1\n",
-    "e3": "1 0 2\n0 1 1\n2 1 0\n1 1 1\n",
-    "v": "1\n2\n0\n-1\n",
-    "m": "1 2 0 1\n3 4 1 0\n0 1 2 3\n1 0 0 2\n",
-    # README's CLI examples, as K1.txt, K2.txt, dx3.txt and frame.txt there
-    "K1": "kform k=3\n3 5 4 : 2\n4 6 1 : 7\n",
-    "K2": "kform k=2\n1 3 : 1\n2 4 : 2\n3 5 : 3\n4 6 : 4\n5 7 : 5\n",
-    "dx3": "kform k=1\n3 : 1\n",
-    "frame": "14\n15\n16\n",
-    "w1a": "kform k=1\n5 : 2\n",
-    "w1s": "kform k=1\n3 : 1\n5 : 2\n",
-    "e10": "1\n2\n3\n4\n5\n6\n7\n8\n9\n10\n",
-    "t2a": "ktensor k=2\n1 1 : 2\n2 1 : 3\n",
-    "e2a": "1 4\n2 5\n",
-    "dx12": "kform k=2\n1 2 : 1\n",
-    "v2": "0 1\n",
-    "e2b": "0 1\n1 0\n",
-    "w2a": "kform k=2\n1 2 : 1\n1 3 : 5\n",
-    "m3a": "1 4 7\n2 5 8\n3 6 9\n",
-    "t2b": "ktensor k=2\n1 2 : 1\n2 3 : 2\n3 4 : 3\n",
-}
-
-# argv (file names stand for their paths), exit code, stdout
+# argv (names of cli_inputs.FILES stand for their files' paths), exit code, stdout
 GOLDENS = [
     (["print", "w2"], 0, "+ dx1^dx2 +3 dx1^dx3 -2 dx2^dx3\n"),
     (["print", "w2", "--style", "letters"], 0, "+ a^b +3 a^c -2 b^c\n"),
@@ -141,13 +109,8 @@ GOLDENS = [
 
 
 @pytest.mark.parametrize("argv, code, stdout", GOLDENS, ids=["-".join(row[0]) for row in GOLDENS])
-def test_golden(argv, code, stdout, tmp_path):
-    for name, text in FILES.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        got = main([str(tmp_path / arg) if arg in FILES else arg for arg in argv])
-    assert (got, out.getvalue(), err.getvalue()) == (code, stdout, "")
+def test_golden(argv, code, stdout, files):
+    assert _run([files.get(arg, arg) for arg in argv]) == (code, stdout, "")
 
 
 def _builtin_sums(node, where: str):

@@ -1,9 +1,10 @@
 """Import hygiene: each command loads only the modules it calls.
 
 _ALGEBRA_ROWS is the one record of what a command loads: the exact
-extcalc modules and numpy of each command line in it.  Each row runs
-alone in a fresh interpreter, since the test process has long since
-imported everything, and under -S, which keeps site's own imports out.
+extcalc modules and numpy of each command line in it, its file operands
+named from tests/cli_inputs.py.  Each row runs alone in a fresh
+interpreter, since the test process has long since imported everything,
+and under -S, which keeps site's own imports out.
 Every row also keeps one shared rule: argparse, gettext, locale and json
 never load, and a run without numpy loads none of typing, inspect and
 dataclasses.  `import extcalc` itself loads no submodule.  The rows
@@ -146,19 +147,19 @@ _STOKES = ["extcalc", "extcalc.cli", "extcalc.fields", "extcalc.rules", "extcalc
 _ALGEBRA_ROWS = {
     "print": (["print", "w3"], _TEXT),
     "print-0-form": (["print", "w0"], _TEXT),
-    "print-ktensor": (["print", "t"], _KTENSOR),
+    "print-ktensor": (["print", "t3"], _KTENSOR),
     "add": (["add", "w3", "w3"], _TEXT),
     "add-zap": (["add", "w3", "w3", "--zap"], _TEXT),
-    "eval": (["eval", "w3", "e"], _ALGEBRA),
-    "contract": (["contract", "w3", "e"], _ALGEBRA),
-    "contract-keep-form": (["contract", "w3", "e", "--keep-form"], _ALGEBRA),
+    "eval": (["eval", "w3", "e3"], _ALGEBRA),
+    "contract": (["contract", "w3", "e3"], _ALGEBRA),
+    "contract-keep-form": (["contract", "w3", "e3", "--keep-form"], _ALGEBRA),
     "wedge": (["wedge", "w1", "w3"], _ALGEBRA),
     "pullback-k3": (["pullback", "w3", "m"], _ALGEBRA),
     "pullback-k4": (["pullback", "w4", "m"], _ALGEBRA + ["numpy"]),
-    "add-ktensor": (["add", "t", "t"], _KTENSOR),
-    "eval-ktensor": (["eval", "t", "e"], _KTENSOR),
+    "add-ktensor": (["add", "t3", "t3"], _KTENSOR),
+    "eval-ktensor": (["eval", "t3", "e3"], _KTENSOR),
     "alt": (["alt", "w3"], _ALT),
-    "alt-ktensor": (["alt", "t"], _ALT),
+    "alt-ktensor": (["alt", "t3"], _ALT),
     "d": (["d"], _FIELD),
     "d-fd": (["d", "--fd"], _FIELD),
     "d-field": (["d", "--field", "f1"], _FIELD),
@@ -214,39 +215,27 @@ def test_each_lazy_import_defers_a_module_some_row_runs_without():
     assert lazy and unjustified == []
 
 
-def _algebra_files(tmp_path) -> dict:
-    texts = {"w0": "kform k=0\n : -3\n", "w1": "kform k=1\n1 : 2\n4 : -0.5\n",
-             "w3": "kform k=3\n1 2 3 : 2\n2 3 4 : -1\n",
-             "w4": "kform k=4\n1 2 3 4 : 2\n", "t": "ktensor k=3\n1 2 4 : 3\n3 3 1 : 0.25\n",
-             "e": "1 0 2\n0 1 1\n2 1 0\n1 1 1\n",
-             "m": "1 2 0 1\n3 4 1 0\n0 1 2 3\n1 0 0 2\n"}
-    for name, text in texts.items():
-        (tmp_path / name).write_text(text)
-    return {name: str(tmp_path / name) for name in texts}
-
-
 @pytest.mark.parametrize("row", _ALGEBRA_ROWS, ids=_ALGEBRA_ROWS)
-def test_each_algebra_command_loads_exactly_its_modules(row, tmp_path):
+def test_each_algebra_command_loads_exactly_its_modules(row, files):
     # the row's exact extcalc modules and numpy; of the rule's seven, only those numpy imports
     # itself may load beside them
     argv, modules = _ALGEBRA_ROWS[row]
-    paths = _algebra_files(tmp_path)
-    loaded = _loaded_after(_run_quietly([paths.get(arg, arg) for arg in argv]))
+    loaded = _loaded_after(_run_quietly([files.get(arg, arg) for arg in argv]))
     banned = _NEVER + ([] if "numpy" in modules else _NOT_WITHOUT_NUMPY)
     assert [m for m in loaded if m not in _RULE or m in banned] == modules
 
 
-def test_a_ktensor_file_still_parses_and_adds(tmp_path):
+def test_a_ktensor_file_still_parses_and_adds(files):
     # the parser imports KTensor for a ktensor header only: a kform sum leaves tensors unloaded,
     # and a ktensor sum then loads it and writes a tensor's text
-    paths = _algebra_files(tmp_path)
     script = ("import contextlib, io, sys\nfrom extcalc.cli import main\n"
               "def add(path):\n    out = io.StringIO()\n"
               "    with contextlib.redirect_stdout(out):\n"
               "        assert main(['add', path, path]) == 0\n    return out.getvalue()\n"
-              f"assert add({paths['w3']!r}) == 'kform k=3\\n1 2 3 : 4\\n2 3 4 : -2\\n'\n"
+              f"assert add({files['w3']!r}) == "
+              "'kform k=3\\n1 2 3 : 2\\n1 2 4 : 24\\n2 3 4 : -10\\n'\n"
               "assert 'extcalc.tensors' not in sys.modules\n"
-              f"assert add({paths['t']!r}) == 'ktensor k=3\\n1 2 4 : 6\\n3 3 1 : 0.5\\n'\n")
+              f"assert add({files['t3']!r}) == 'ktensor k=3\\n1 2 4 : 6\\n3 3 1 : 0.5\\n'\n")
     assert "extcalc.tensors" in _loaded_after(script)
 
 
@@ -286,12 +275,11 @@ def test_a_field_form_refuses_a_key_as_kform_does_without_the_store():
 
 
 @pytest.mark.parametrize("argv", [["print", "w3"], ["wedge", "w1", "w3"]], ids=" ".join)
-def test_a_file_command_under_python_m_compiles_cli_once(argv, tmp_path):
+def test_a_file_command_under_python_m_compiles_cli_once(argv, files):
     # run as `python -m extcalc.cli`, cli is __main__: the file commands' module must not import
     # extcalc.cli, which would compile and run cli a second time
-    paths = _algebra_files(tmp_path)
     proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "extcalc.cli",
-                           *[paths.get(arg, arg) for arg in argv]], capture_output=True,
+                           *[files.get(arg, arg) for arg in argv]], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": _PATH}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()

@@ -19,7 +19,7 @@ def test_readme_library_tour():
 
 def _cli_examples() -> list:
     # (argv, the output shown) for each `$ extcalc` command of the CLI section's first block,
-    # each file named without its .txt, as FILES in test_goldens.py names it
+    # each file named without its .txt, as tests/cli_inputs.py names it
     text = README.read_text(encoding="utf-8")
     block = text[text.index("## CLI"):].split("```sh\n", 1)[1].split("```", 1)[0]
     examples = []

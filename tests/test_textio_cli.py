@@ -3,17 +3,17 @@
 The text half round-trips forms, tensors and matrices through their
 text; its refusals of malformed or non-finite lines are rows of
 API_REFUSALS in test_api_contract.py.  Every CLI answer that is an argv,
-an exit code and an exact stdout on inline files is a row of GOLDENS in
-test_goldens.py, and each CLI refusal of that kind is a row of REFUSALS
-in test_cli_contract.py.  A CLI test stays here when it needs what a
-row cannot give: a process of its own, stdin or an environment
-variable; a spy, a monkeypatch or a time bound; or a tolerance, where
-numpy's SIMD sin and cos or BLAS set the digits (`d` on the demo form
-and its --fd route, `verify ddzero`, `det46` and `suite`, and a
-pullback by a random matrix and back).
+an exit code and an exact stdout on files of cli_inputs.py is a row of
+GOLDENS in test_goldens.py, and each CLI refusal of that kind is a row
+of REFUSALS in test_cli_contract.py, whose _run and _fresh run the CLI
+tests here too.  A CLI test stays here when it needs what a row cannot
+give: a process of its own, stdin or an environment variable; a spy, a
+monkeypatch or a time bound; or a tolerance, where numpy's SIMD sin and
+cos or BLAS set the digits (`d` on the demo form and its --fd route,
+`verify ddzero`, `det46` and `suite`, and a pullback by a random matrix
+and back).
 """
 
-import contextlib
 import importlib
 import io
 import json
@@ -41,6 +41,7 @@ from extcalc import (
 import extcalc
 from extcalc import cli
 from extcalc.cli import main
+from test_cli_contract import _child_env, _fresh, _run
 
 
 # ---------------------------------------------------------------- text io
@@ -107,7 +108,7 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
-def test_a_file_command_calls_the_textio_function_bound_when_it_runs(tmp_path, monkeypatch):
+def test_a_file_command_calls_the_textio_function_bound_when_it_runs(files, monkeypatch):
     # a parser or renderer wrapped on extcalc.textio once the file commands have loaded (here
     # by this import, as by an earlier command), as a profiler wraps it, is the one that runs
     from extcalc import filecmds, textio
@@ -122,24 +123,19 @@ def test_a_file_command_calls_the_textio_function_bound_when_it_runs(tmp_path, m
 
     for name in ("parse_form_text", "_parse_rows", "symbolic"):
         monkeypatch.setattr(textio, name, counted(name, getattr(textio, name)))
-    w = _write(tmp_path, "w.txt", "kform k=1\n3 : 1\n")
-    frame = _write(tmp_path, "frame.txt", "1\n2\n3\n")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["print", w]) == main(["eval", w, frame]) == 0
+    assert _run(["print", files["dx3"]])[0] == _run(["eval", files["dx3"], files["frame"]])[0] == 0
     assert called == ["parse_form_text", "symbolic", "parse_form_text", "_parse_rows"]
 
 
-def test_cli_alt_of_an_empty_huge_arity_object_is_immediate(tmp_path, capsys):
+def test_cli_alt_of_an_empty_huge_arity_object_is_immediate(files):
     # nothing to permute: neither 1000000! nor its float is ever formed
-    for header in ("ktensor", "kform"):
-        f = _write(tmp_path, "f.txt", f"{header} k=1000000\nzero k=1000000\n")
+    for name in ("tzhuge", "wzhuge"):
         t0 = time.perf_counter()
-        assert main(["alt", f]) == 0
+        assert _run(["alt", files[name]]) == (0, "ktensor k=1000000\nzero k=1000000\n", "")
         assert time.perf_counter() - t0 < 1.0
-        assert capsys.readouterr() == ("ktensor k=1000000\nzero k=1000000\n", "")
 
 
-def test_cli_alt_counts_a_form_before_expanding_it(tmp_path, capsys, monkeypatch):
+def test_cli_alt_counts_a_form_before_expanding_it(files, monkeypatch):
     # a one-term 9-form expands to 9! = 362,880 terms within the bound, but
     # alt would then permute each 9! ways: refused before the expansion
     def expand(w):
@@ -147,33 +143,26 @@ def test_cli_alt_counts_a_form_before_expanding_it(tmp_path, capsys, monkeypatch
 
     # cmd_alt imports form_to_tensor from extcalc.forms when it runs
     monkeypatch.setattr(extcalc.forms, "form_to_tensor", expand)
-    f = _write(tmp_path, "f.txt", "kform k=9\n" + " ".join(map(str, range(1, 10))) + " : 1\n")
-    assert main(["alt", f]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == (
+    assert _run(["alt", files["w9"]]) == (2, "", (
         "error: alt on arity 9: 362880 terms x 9! permutations = 131681894400"
-        " exceeds the bound 1048576; refusing\n"
-    )
+        " exceeds the bound 1048576; refusing\n"))
 
 
-def test_cli_d_default_demo(capsys):
-    assert main(["d"]) == 0
-    got = parse_form_text(capsys.readouterr().out)
+def test_cli_d_default_demo():
+    code, out, _ = _run(["d"])
     want = exterior_d(demo_two_form(), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert got.equals(want, 1e-12)
+    assert code == 0 and parse_form_text(out).equals(want, 1e-12)
 
 
-def test_cli_d_fd_route(capsys):
-    assert main(["d", "--fd"]) == 0
-    got = parse_form_text(capsys.readouterr().out)
+def test_cli_d_fd_route():
+    code, out, _ = _run(["d", "--fd"])
     want = exterior_d(demo_two_form(), np.array([1.0, 2.0, 3.0, 4.0]))
-    assert got.equals(want, 1e-6)
+    assert code == 0 and parse_form_text(out).equals(want, 1e-6)
 
 
-def test_cli_reads_stdin(monkeypatch, capsys):
+def test_cli_reads_stdin(monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("kform k=1\n2 : 3\n"))
-    assert main(["print", "-"]) == 0
-    assert capsys.readouterr().out == "+3 dx2\n"
+    assert _run(["print", "-"]) == (0, "+3 dx2\n", "")
 
 
 @pytest.mark.parametrize(
@@ -186,44 +175,30 @@ def test_cli_reads_stdin(monkeypatch, capsys):
       "error: the closed form overflows at n = 3, a = 1e+100")],
     ids=["argv0", "argv1", "argv2", "argv3"],
 )
-def test_cli_non_finite_numbers_exit_2(argv, line, monkeypatch, capsys):
+def test_cli_non_finite_numbers_exit_2(argv, line, monkeypatch):
     # NaN on stdin, or a finite --a whose closed form overflows
     monkeypatch.setattr(sys, "stdin", io.StringIO("kform k=1\n1 : nan\n"))
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", line + "\n")
+    assert _run(argv) == (2, "", line + "\n")
 
 
 def test_cli_floating_point_error_is_one_error_line():
     # numpy's overflow warnings must not precede the error message
-    src = str(Path(extcalc.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "extcalc.cli", "d", "--omega", "--at", "1e200", "1", "1"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _fresh(["-m", "extcalc.cli", "d", "--omega", "--at", "1e200", "1", "1"])
     assert proc.returncode == 2 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-def test_cli_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path):
+def test_cli_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path, files):
     # more than 1 MB of output, far past a pipe's buffer (64 KB on Linux):
     # the writer is still writing when the reader stops after a few bytes
     rows = "".join(f"{i} {i + 1} {i + 2} : 1\n" for i in range(1, 60001))
     f = _write(tmp_path, "f.txt", "kform k=3\n" + rows)
     # buffered stdout, as by default: unbuffered, a write cut short by the
     # closed pipe returns its partial count and never raises
-    src = str(Path(extcalc.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "extcalc.cli", "add", f, f],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
+    proc = subprocess.Popen([sys.executable, "-m", "extcalc.cli", "add", f, f],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env(PYTHONUNBUFFERED=""))
     assert proc.stdout.read(16) == b"kform k=3\n1 2 3 "
     proc.stdout.close()
     err = proc.stderr.read()
@@ -232,19 +207,17 @@ def test_cli_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path):
     assert len(parse_form_text(Path(f).read_text()).scale(2.0).to_text()) > 2**20
     # results that fit the buffer or not, and help, written into a pipe whose reader closed
     # before the writer started, buffered or not: the --stats line is still written, once
-    one = _write(tmp_path, "one.txt", "kform k=1\n1 : 1\n")
     mid = _write(tmp_path, "mid.txt", "kform k=3\n" + "".join(rows.splitlines(True)[:3081]))
-    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
-        for argv, stats in ((["print", one], []), (["verify", "stokes", "--n", "3"], []),
-                            (["--stats", "print", one], ["print"]),
+    for unbuffered in ("", "1"):
+        for argv, stats in ((["print", files["dx1"]], []), (["verify", "stokes", "--n", "3"], []),
+                            (["--stats", "print", files["dx1"]], ["print"]),
                             (["--stats", "verify", "stokes", "--n", "2"], ["verify stokes"]),
                             (["--stats", "add", mid, mid], ["add"]), (["--stats", "-h"], [])):
             read_end, write_end = os.pipe()
             os.close(read_end)
             try:
-                proc = subprocess.run([sys.executable, "-m", "extcalc.cli", *argv],
-                                      stdout=write_end, stderr=subprocess.PIPE,
-                                      env={**env, **unbuffered}, timeout=60)
+                proc = _fresh(["-m", "extcalc.cli", *argv], stdout=write_end,
+                              PYTHONUNBUFFERED=unbuffered)
             finally:
                 os.close(write_end)
             lines = proc.stderr.splitlines()
@@ -252,42 +225,35 @@ def test_cli_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path):
             assert [json.loads(line)["subcommand"] for line in lines] == stats
 
 
-def test_cli_zap_env_default(tmp_path, monkeypatch, capsys):
-    a = _write(tmp_path, "a.txt", "kform k=1\n1 : 1\n2 : 0.4\n")
-    b = _write(tmp_path, "b.txt", "kform k=1\n1 : 1\n")
+def test_cli_zap_env_default(files, monkeypatch):
+    a, b = files["w1small"], files["dx1"]
     monkeypatch.setenv("EXTERIOR_TOL", "0.5")
-    assert main(["add", a, b, "--zap"]) == 0
-    assert capsys.readouterr().out == "kform k=1\n1 : 2\n"
+    assert _run(["add", a, b, "--zap"]) == (0, "kform k=1\n1 : 2\n", "")
     # explicit value beats the environment
-    assert main(["add", a, b, "--zap", "0.3"]) == 0
-    assert capsys.readouterr().out == "kform k=1\n1 : 2\n2 : 0.4\n"
+    assert _run(["add", a, b, "--zap", "0.3"]) == (0, "kform k=1\n1 : 2\n2 : 0.4\n", "")
     # without --zap nothing is dropped
-    assert main(["add", a, b]) == 0
-    assert capsys.readouterr().out == "kform k=1\n1 : 2\n2 : 0.4\n"
+    assert _run(["add", a, b]) == (0, "kform k=1\n1 : 2\n2 : 0.4\n", "")
 
 
-def test_cli_nan_tolerance_exits_2(tmp_path, monkeypatch, capsys):
+def test_cli_nan_tolerance_exits_2(files, monkeypatch):
     # a NaN tolerance from the environment is refused as --zap nan is (a row of REFUSALS in
     # test_cli_contract.py): it would drop every term
-    a = _write(tmp_path, "a.txt", "kform k=1\n1 : 1\n")
     monkeypatch.setenv("EXTERIOR_TOL", "nan")
-    assert main(["add", a, a, "--zap"]) == 2
-    assert capsys.readouterr() == ("", "error: a tolerance must be a number, got nan\n")
+    assert _run(["add", files["dx1"], files["dx1"], "--zap"]) == (
+        2, "", "error: a tolerance must be a number, got nan\n")
 
 
-def test_cli_zap_cleans_pullback_noise(tmp_path, capsys):
-    w = _write(tmp_path, "w.txt", "kform k=2\n2 4 : 2\n")
+def test_cli_zap_cleans_pullback_noise(tmp_path, files):
     rng = np.random.default_rng(0)
     M = rng.standard_normal((4, 4))
     back = np.linalg.inv(M)
     m1 = _write(tmp_path, "m1.txt", "\n".join(" ".join(map(str, r)) for r in M))
     m2 = _write(tmp_path, "m2.txt", "\n".join(" ".join(map(str, r)) for r in back))
-    assert main(["pullback", w, m1]) == 0
-    mid = capsys.readouterr().out
+    code, mid, _ = _run(["pullback", files["w24"], m1])
     p1 = _write(tmp_path, "mid.txt", mid)
-    assert main(["pullback", p1, m2, "--zap", "1e-8"]) == 0
-    got = parse_form_text(capsys.readouterr().out)
-    assert got.equals(kform_from_rows([(2, 4)], [2.0]), 1e-8)
+    code_back, out, _ = _run(["pullback", p1, m2, "--zap", "1e-8"])
+    assert code == code_back == 0
+    assert parse_form_text(out).equals(kform_from_rows([(2, 4)], [2.0]), 1e-8)
 
 
 @pytest.mark.parametrize(
@@ -297,49 +263,42 @@ def test_cli_zap_cleans_pullback_noise(tmp_path, capsys):
      ["verify", "suite"]],
 )
 def test_cli_non_numeric_tol_env_exits_2(argv, monkeypatch, capsys):
+    # main reads the variable once it runs: _run's parser check would read it first
     monkeypatch.setenv("EXTERIOR_TOL", "abc")
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: EXTERIOR_TOL must be a number, got 'abc'\n"
+    assert capsys.readouterr() == ("", "error: EXTERIOR_TOL must be a number, got 'abc'\n")
 
 
-def test_cli_verify_ddzero(capsys):
-    assert main(["verify", "ddzero"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["passed"] is True
+def test_cli_verify_ddzero():
+    code, out, _ = _run(["verify", "ddzero"])
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"] is True
     assert rep["analytic_max"] == 0.0
 
 
-def test_cli_verify_det46(capsys):
-    assert main(["verify", "det46"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["passed"] is True and rep["n"] == 9
-    lhs_default = rep["lhs"]
-    assert main(["verify", "det46", "--seed", "1", "--n", "5"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["passed"] is True and rep["n"] == 5
-    assert rep["lhs"] != lhs_default
+def test_cli_verify_det46():
+    code, out, _ = _run(["verify", "det46"])
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"] is True and rep["n"] == 9
+    code, out, _ = _run(["verify", "det46", "--seed", "1", "--n", "5"])
+    other = json.loads(out)
+    assert code == 0 and other["passed"] is True and other["n"] == 5
+    assert other["lhs"] != rep["lhs"]
     # every non-negative seed default_rng takes runs, past 64 bits too
-    assert main(["verify", "det46", "--seed", str(2**64)]) == 0
+    assert _run(["verify", "det46", "--seed", str(2**64)])[0] == 0
 
 
-def test_cli_verify_suite(capsys):
-    assert main(["verify", "suite"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["passed"] is True
+def test_cli_verify_suite():
+    code, out, _ = _run(["verify", "suite"])
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"] is True
     assert len(rep["checks"]) == 14
     assert all(c["passed"] for c in rep["checks"])
 
 
-def test_console_module_entry_point(tmp_path):
+def test_console_module_entry_point():
     # the child finds the same extcalc the tests import, installed or not
-    src = str(Path(extcalc.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "extcalc.cli", "verify", "det46", "--n", "4"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _fresh(["-m", "extcalc.cli", "verify", "det46", "--n", "4"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
 

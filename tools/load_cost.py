@@ -6,11 +6,12 @@ Usage, from the repository root:
 
 Each tree is a checkout of this repository; NEW_TREE defaults to the one
 holding this script, and with no tree given only that one is listed.
-The commands are the rows of _ALGEBRA_ROWS in tests/test_imports.py,
-with the input files named there.  Each runs once per tree as
-`python -m extcalc.cli --stats <argv>` with the tree's src on
-PYTHONPATH, in a fresh interpreter that writes no bytecode; its --stats
-line names the extcalc modules it loaded.  A module's cost is its line
+The commands are the rows of _ALGEBRA_ROWS in tests/test_imports.py;
+their file operands are names of tests/cli_inputs.py's files, which
+write_inputs writes into the directory the commands run in.  Each runs
+once per tree as `python -m extcalc.cli --stats <argv>` with the tree's
+src on PYTHONPATH, in a fresh interpreter that writes no bytecode; its
+--stats line names the extcalc modules it loaded.  A module's cost is its line
 count and the minimum over N runs (default 20) of compile() on its
 source, timed in this process.  The output is two Markdown tables: each
 row's modules with their total lines and compile milliseconds (old,
@@ -34,14 +35,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def rows(workdir: Path) -> dict:
-    """name -> argv of each _ALGEBRA_ROWS row, its input files written under workdir."""
+    """name -> argv of each _ALGEBRA_ROWS row, its input files written under workdir, which it
+    runs in."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
-    from test_imports import _ALGEBRA_ROWS, _algebra_files
+    from cli_inputs import write_inputs
+    from test_imports import _ALGEBRA_ROWS
 
-    paths = _algebra_files(workdir)
-    return {name: [paths.get(arg, arg) for arg in argv]
-            for name, (argv, _) in _ALGEBRA_ROWS.items()}
+    write_inputs(workdir)
+    return {name: argv for name, (argv, _) in _ALGEBRA_ROWS.items()}
 
 
 def loaded(tree: Path, argv: list, workdir: Path) -> list:
