@@ -5,6 +5,8 @@ usage, unparseable input or a floating-point error (overflow, division
 by zero, invalid operation), reported as one error line.  File
 arguments accept "-" for stdin.  The EXTERIOR_TOL environment variable
 overrides the default tolerance used by the optional --zap cleanup flag.
+A number there or on the command line is read by the readers' rule, so
+1_0 or a non-ASCII digit is refused.
 
 One grammar table, _grammar, feeds two parsers: a table parser reads a
 command line of the plain shape (exact long options, each value its own
@@ -44,7 +46,7 @@ import time
 import warnings
 from types import SimpleNamespace
 
-from .rules import DEFAULT_TOL, _check_tol
+from .rules import DEFAULT_TOL, _check_tol, _plain
 
 __all__ = ["main", "run"]
 
@@ -52,10 +54,25 @@ __all__ = ["main", "run"]
 DET46_MAX_N = 143
 
 
+def _number(convert):
+    # the grammar's number types: convert(token) for a plain token, refusing one such as 1_0,
+    # under convert's own name, which argparse's refusal shows ("invalid int value: '1_0'")
+    def number(token: str):
+        if not _plain(token):
+            raise ValueError(f"not a plain number: {token!r}")
+        return convert(token)
+
+    number.__name__ = convert.__name__
+    return number
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+
 def _default_tol() -> float:
-    raw = os.environ.get("EXTERIOR_TOL", DEFAULT_TOL)
+    raw = os.environ.get("EXTERIOR_TOL", repr(DEFAULT_TOL))
     try:
-        return float(raw)
+        return _FLOAT(raw)
     except ValueError:
         raise ValueError(f"EXTERIOR_TOL must be a number, got {raw!r}") from None
 
@@ -173,10 +190,10 @@ def _grammar() -> dict:
     # `verify` only groups its checks, and a file command's function is the name of its body
     # in extcalc.filecmds, which main imports only for it.  Built per run, so that bare --zap
     # reads EXTERIOR_TOL each time and each list default is a fresh list
-    zap = {"--zap": {"nargs": "?", "type": float, "const": _default_tol(), "default": None,
+    zap = {"--zap": {"nargs": "?", "type": _FLOAT, "const": _default_tol(), "default": None,
                      "metavar": "TOL", "help": "drop |coeff| <= TOL from the result "
                      "(bare --zap uses EXTERIOR_TOL or 1e-11)"}}
-    at = {"--at": {"nargs": "+", "type": float, "default": [1.0, 2.0, 3.0, 4.0]}}
+    at = {"--at": {"nargs": "+", "type": _FLOAT, "default": [1.0, 2.0, 3.0, 4.0]}}
     flag = {"action": "store_true", "default": False}
     return {
         ("eval",): ("evaluate a form or tensor on a frame", "cmd_eval", ("object", "frame"), {},
@@ -197,11 +214,11 @@ def _grammar() -> dict:
                      {"--style": {"choices": ["letters", "d"], "default": None}}, ()),
         ("verify",): ("numeric verification reports (JSON)", None, (), {}, ()),
         ("verify", "stokes"): ("boundary vs volume vs closed form", cmd_verify_stokes, (), {
-            "--n": {"type": int, "default": 3}, "--a": {"type": float, "default": 1.0},
-            "--m": {"type": int, "default": 8}, "--tol": {"type": float, "default": 1e-8}}, ()),
+            "--n": {"type": _INT, "default": 3}, "--a": {"type": _FLOAT, "default": 1.0},
+            "--m": {"type": _INT, "default": 8}, "--tol": {"type": _FLOAT, "default": 1e-8}}, ()),
         ("verify", "ddzero"): ("d(d(demo 2-form)) = 0", cmd_verify_ddzero, (), at, ()),
         ("verify", "det46"): ("top-form determinant proportionality", cmd_verify_det46, (), {
-            "--seed": {"type": int, "default": 0}, "--n": {"type": int, "default": 9}}, ()),
+            "--seed": {"type": _INT, "default": 0}, "--n": {"type": _INT, "default": 9}}, ()),
         ("verify", "suite"): ("every seeded property check", cmd_verify_suite, (), {}, ()),
     }
 

@@ -1,8 +1,8 @@
 """The input rules every layer checks: keys, form keys, integral and finite
-numbers, tolerances, the enumeration bound, and the two errors they raise
-beside ValueError.  The module imports no other extcalc module, so that
-`verify stokes` checks its inputs without loading extcalc.sparse, which
-imports these rules back."""
+numbers, the text a number is read from, tolerances, the enumeration
+bound, and the two errors they raise beside ValueError.  The module
+imports no other extcalc module, so that `verify stokes` checks its
+inputs without loading extcalc.sparse, which imports these rules back."""
 
 from __future__ import annotations
 
@@ -60,6 +60,12 @@ def _check_form_key(key, arity: int) -> tuple:
         raise ValueError(f"form keys must be strictly increasing, got {key}; "
                          "use kform_from_rows to canonicalize raw rows")
     return key
+
+
+def _plain(text: str) -> bool:
+    # int() and float() also read 1_0 as 10 and non-ASCII digits as numbers: text that holds
+    # a number for the readers and the command line holds no underscore and only ASCII
+    return "_" not in text and text.isascii()
 
 
 def _check_finite(c) -> float:

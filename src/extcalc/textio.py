@@ -11,7 +11,7 @@ frames and matrices as lists of Python floats.
 
 from __future__ import annotations
 
-from .rules import ArityError, _check_finite
+from .rules import ArityError, _check_finite, _plain
 from .sparse import KForm, SparseMap, _canonical_rows, format_coefficient
 
 __all__ = ["ParseError", "parse_form_text", "parse_matrix_text", "symbolic"]
@@ -26,12 +26,13 @@ class ParseError(ValueError):
 
 
 def _significant_lines(text: str):
-    # each line left after its comment is stripped; int() and float() would read 1_0 as 10 and
-    # non-ASCII digits as numbers, so such a line is refused before any field is read
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # each line left after its comment is stripped, lines ending at "\n" only (the "\r" of a
+    # CRLF text is stripped whitespace); a line that is not plain is refused before any field
+    # is read
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            if "_" in line or not line.isascii():
+            if not _plain(line):
                 raise ParseError(lineno, f"underscore or non-ASCII character in {line!r}")
             yield lineno, line
 

@@ -65,6 +65,8 @@ FILES = {
     # an Arabic-Indic three, which int() reads as 3
     "arabic": "kform k=\u0663\n1 2 3 : 1\n",
     "underscoredrow": "1_0 2\n",
+    # two term lines joined by U+2028, which str.splitlines() would read as a line break
+    "linesep": "kform k=2\n1 2 : 1\u20282 3 : 4\n",
     "missing": None,
 }
 

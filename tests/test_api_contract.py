@@ -4,7 +4,9 @@ API_REFUSALS is the one record of what the public API refuses: each row
 is a zero-argument call, the exact type of what it raises and the exact
 message, and a new library refusal adds a row there, not a test.  The
 message is None only where numpy or Python words it, or where it holds a
-numpy repr.
+numpy repr.  Each count the enumeration bound refuses has its row here,
+with the text its count formats; a test elsewhere asserts no row's
+message again.
 
 Each row runs under the default warning filters, not pytest's
 warnings-as-errors, so it states what a library caller gets: any numpy
@@ -238,12 +240,27 @@ API_REFUSALS = [
                                 KForm(5, {tuple(range(7, 12)): 1.0})), ValueError,
      "wedge_definitional on arity 11: 86400 terms x 11! permutations = 3448811520000 exceeds"
      " the bound 1048576; refusing"),
+    (lambda: form_to_tensor(kform_general(10, 8)), ValueError,
+     "form_to_tensor on arity 8: 45 terms x 8! permutations = 1814400 exceeds the bound 1048576;"
+     " refusing"),
+    (lambda: wedge_definitional(kform_general(8, 3), kform_general(6, 2)), ValueError,
+     "wedge_definitional on arity 5: 10080 terms x 5! permutations = 1209600 exceeds the bound"
+     " 1048576; refusing"),
+    (lambda: pullback(KForm(10, {tuple(range(1, 11)): 1.0}), np.eye(40)), ValueError,
+     "pullback: 1 keys x C(40, 10) minors = 847660528 exceeds the bound 1048576; refusing"),
+    (lambda: kform_general(40, 10), ValueError,
+     "kform_general: C(40, 10) subsets = 847660528 exceeds the bound 1048576; refusing"),
     (lambda: kform_general(4, 2, [1.0]), ValueError,
      "need 6 coefficients for C(4,2) subsets, got 1"),
     (lambda: kform_general([1, 1, 2], 2), ValueError, "index set must be distinct"),
     (lambda: kform_general(3, 2.5), ValueError, "k must be integral, got 2.5"),
     (lambda: rform(1, 3, 7, math.comb(7, 3) + 1), ValueError,
      "cannot place 36 distinct keys among C(7,3)=35"),
+    (lambda: rform(1, 1, 2**21, 1), ValueError,
+     "rform: 1 keys x 2097152 unranking steps = 2097152 exceeds the bound 1048576; refusing"),
+    (lambda: rform(1, 150000, 300000, 1), ValueError,
+     "rform: C(300000,150000) of up to 2850000 bits = 2850000 exceeds the bound 1048576;"
+     " refusing"),
     # rform's ranges are checked before any key is counted, and its counts are not truncated
     *((lambda args=args: rform(*args), ValueError,
        "need k >= 1, n >= 1 and terms >= 0, got k={1}, n={2}, terms={3}".format(*args))
@@ -311,6 +328,9 @@ API_REFUSALS = [
     (lambda: QuadratureRule.gauss_legendre(4, math.inf), ValueError,
      "need a finite number, got inf"),
     (lambda: QuadratureRule.gauss_legendre(2.5, 1), ValueError, "m must be integral, got 2.5"),
+    (lambda: QuadratureRule.gauss_legendre(1025, 1.0), ValueError,
+     "gauss_legendre: m^2 = 1025^2 recurrence steps = 1050625 exceeds the bound 1048576;"
+     " refusing"),
     # a rule built by hand is checked as it is built: _integrate's zip once dropped a third
     # weight on two points and read 0.401 for 1
     *((lambda args=args: QuadratureRule(*args), ValueError, message) for args, message in (
@@ -351,6 +371,8 @@ API_REFUSALS = [
     (lambda: verify_stokes(3.7, 1.0, 4), ValueError, "n must be integral, got 3.7"),
     (lambda: verify_stokes(3, 1.0, 4.9), ValueError, "m must be integral, got 4.9"),
     (lambda: verify_stokes(math.inf), ValueError, "n must be integral, got inf"),
+    (lambda: verify_stokes(6, 1.0, 11), ValueError,
+     "verify_stokes: m^n = 11^6 volume nodes = 1771561 exceeds the bound 1048576; refusing"),
     # the closed form is the largest finite float, but the quadrature overflows
     (lambda: verify_stokes(6, 1.054765606481477e28, 8), ValueError,
      "the quadrature overflows at n = 6, a = 1.054765606481477e+28"),
@@ -387,7 +409,11 @@ API_REFUSALS = [
         ("kform k=2\n1_0 2_0 : 1_5\n",
          "line 2: underscore or non-ASCII character in '1_0 2_0 : 1_5'"),
         ("kform k=\u0663\n1 2 3 : 1\n",
-         "line 1: underscore or non-ASCII character in 'kform k=\u0663'"))),
+         "line 1: underscore or non-ASCII character in 'kform k=\u0663'"),
+        # a line ends at "\n" only: U+2028 is a refused character and a form feed whitespace
+        ("kform k=2\n1 2 : 1\u20282 3 : 4\n",
+         "line 2: underscore or non-ASCII character in '1 2 : 1\\u20282 3 : 4'"),
+        ("kform k=2\n1 2 : 1\x0c2 3 : 4\n", "line 2: bad coefficient in '1 2 : 1\\x0c2 3 : 4'"))),
     *((lambda text=text: parse_matrix_text(text), ParseError, message) for text, message in (
         ("", "line 1: empty matrix"), ("1 2\n3\n", "line 2: row has 1 entries, expected 2"),
         ("1 q\n", "line 1: bad number in '1 q'"),

@@ -307,6 +307,13 @@ REFUSALS = [
     (["print", "underscored"], _ASCII.format(2, "1_0 2_0 : 1_5")),
     (["print", "arabic"], _ASCII.format(1, "kform k=\u0663")),
     (["eval", "w2", "underscoredrow"], _ASCII.format(1, "1_0 2")),
+    # a line ends at "\n" only, so U+2028 is a character of its line
+    (["print", "linesep"], _ASCII.format(2, "1 2 : 1\u20282 3 : 4")),
+    # a number on the command line is read by the same rule, through argparse's refusal
+    (["verify", "stokes", "--n", "\u0663"], "error: argument --n: invalid int value: '\u0663'"),
+    (["verify", "stokes", "--m", "1_0"], "error: argument --m: invalid int value: '1_0'"),
+    (["d", "--at", "1_0", "2", "3", "4"], "error: argument --at: invalid float value: '1_0'"),
+    (["wedge", "w1", "ten1", "--zap", "1_0"], "error: argument --zap: invalid float value: '1_0'"),
     (["print", "missing"], None),
     (["eval", "w0", "col4"], "error: frame has 1 columns but the object has arity 0"),
     # print's default letters end at z: the message names the alphabet and the style that
@@ -658,7 +665,8 @@ def _fitting(kw):
     # as its nargs admits
     if "action" in kw:
         return st.just([])
-    numbers = ["0", "3", "12"] + (["2.5", "nan", "1e400"] if kw.get("type") is float else [])
+    floats = ["2.5", "nan", "1e400"] if kw.get("type") is cli._FLOAT else []
+    numbers = ["0", "3", "12", *floats]
     low, high = {"+": (1, 3), "?": (0, 1)}.get(kw.get("nargs"), (1, 1))
     return st.lists(st.sampled_from(kw.get("choices", numbers)), min_size=low, max_size=high)
 

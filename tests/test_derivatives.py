@@ -48,19 +48,6 @@ def test_fd_gradient_f2():
     assert g == pytest.approx(want, abs=1e-6)
 
 
-def test_fd_hessian_f1_integer_table():
-    H = fd_hessian(f1.fn, P)
-    want = np.array(
-        [
-            [0.0, 12.0, 8.0, 6.0],
-            [12.0, 0.0, 4.0, 3.0],
-            [8.0, 4.0, 18.0, 2.0],
-            [6.0, 3.0, 2.0, 0.0],
-        ]
-    )
-    assert np.max(np.abs(H - want)) < 1e-4
-
-
 def test_fd_hessian_keeps_each_raw_cross_stencil():
     # H[0, 1] and H[1, 0] read the same four values but sum them in different orders;
     # near this zero crossing the two sums round apart, and neither may be replaced by
@@ -261,16 +248,6 @@ def test_exterior_d_dimension_guard():
         with pytest.raises(DimensionError, match="^point has length 2 but indices reach 3$"):
             at(form, [1.0, 2.0])
     assert not calls
-
-
-def test_dd_is_zero():
-    fields = (f1, f2, f3)
-    keys = ((1, 2), (1, 3), (3, 4))
-    dd_fd = dd_check(FieldForm(zip(fields, keys)), P)
-    worst_fd = max((abs(c) for c in dd_fd.terms.values()), default=0.0)
-    assert worst_fd <= 1e-4
-    dd_an = dd_check(FieldForm(zip(fields, keys)), P, analytic=True)
-    assert not dd_an.terms
 
 
 def test_dd_zero_exact_for_quadratic():

@@ -199,16 +199,6 @@ def test_multilinearity_in_one_column():
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
-def test_not_linear_in_whole_frame():
-    # joint scaling of every column is degree-k, not linear
-    S = example_tensor()
-    rng = np.random.default_rng(2)
-    E1, E2 = rng.standard_normal((2, 5, 4))
-    lhs = evaluate_tensor(S, 2.0 * E1 + 1.0 * E2)
-    rhs = 2.0 * evaluate_tensor(S, E1) + 1.0 * evaluate_tensor(S, E2)
-    assert abs(lhs - rhs) > 1e-3
-
-
 def _gate_outcome(A, ndim, min_rows):
     try:
         return _finite_array(A, ndim, "frame", min_rows)

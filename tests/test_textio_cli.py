@@ -11,7 +11,9 @@ give: a process of its own, stdin or an environment variable; a spy, a
 monkeypatch or a time bound; or a tolerance, where numpy's SIMD sin and
 cos or BLAS set the digits (`d` on the demo form and its --fd route,
 `verify ddzero`, `det46` and `suite`, and a pullback by a random matrix
-and back).
+and back).  It asserts no row's answer again: numpy's one error line
+and the non-finite or overflowing `verify stokes --a` are REFUSALS rows,
+so only the NaN read from stdin stays here.
 """
 
 import importlib
@@ -165,28 +167,13 @@ def test_cli_reads_stdin(monkeypatch):
     assert _run(["print", "-"]) == (0, "+3 dx2\n", "")
 
 
-@pytest.mark.parametrize(
-    "argv, line",
-    [(["print", "-"], "error: line 2: bad coefficient in '1 : nan'"),
-     (["verify", "stokes", "--n", "2", "--a", "inf"], "error: need a finite number, got inf"),
-     (["verify", "stokes", "--n", "2", "--a", "1e308"],
-      "error: the closed form overflows at n = 2, a = 1e+308"),
-     (["verify", "stokes", "--n", "3", "--m", "3", "--a", "1e100"],
-      "error: the closed form overflows at n = 3, a = 1e+100")],
-    ids=["argv0", "argv1", "argv2", "argv3"],
-)
+@pytest.mark.parametrize("argv, line",
+                         [(["print", "-"], "error: line 2: bad coefficient in '1 : nan'")],
+                         ids=["argv0"])
 def test_cli_non_finite_numbers_exit_2(argv, line, monkeypatch):
-    # NaN on stdin, or a finite --a whose closed form overflows
+    # NaN on stdin; a non-finite or overflowing --a is a REFUSALS row
     monkeypatch.setattr(sys, "stdin", io.StringIO("kform k=1\n1 : nan\n"))
     assert _run(argv) == (2, "", line + "\n")
-
-
-def test_cli_floating_point_error_is_one_error_line():
-    # numpy's overflow warnings must not precede the error message
-    proc = _fresh(["-m", "extcalc.cli", "d", "--omega", "--at", "1e200", "1", "1"])
-    assert proc.returncode == 2 and proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_cli_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path, files):
@@ -263,10 +250,12 @@ def test_cli_zap_cleans_pullback_noise(tmp_path, files):
      ["verify", "suite"]],
 )
 def test_cli_non_numeric_tol_env_exits_2(argv, monkeypatch, capsys):
-    # main reads the variable once it runs: _run's parser check would read it first
-    monkeypatch.setenv("EXTERIOR_TOL", "abc")
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", "error: EXTERIOR_TOL must be a number, got 'abc'\n")
+    # main reads the variable once it runs: _run's parser check would read it first.  float()
+    # reads 1_0 and an Arabic-Indic three, the number rule does not
+    for raw in ("abc", "1_0", "\u0663"):
+        monkeypatch.setenv("EXTERIOR_TOL", raw)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: EXTERIOR_TOL must be a number, got {raw!r}\n")
 
 
 def test_cli_verify_ddzero():

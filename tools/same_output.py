@@ -40,8 +40,11 @@ SEEDS = (1, 2, 3)
 # argv, its file operands named as in tests/cli_inputs.py, whose output is meant to differ from
 # the base tree's -> why.  Drop a row once the base tree has the change
 DECLARED = {
-    argv: "the readers refuse underscores and non-ASCII characters, which int() reads as digits"
-    for argv in [("print", "underscored"), ("print", "arabic"), ("eval", "w2", "underscoredrow")]
+    **dict.fromkeys([("verify", "stokes", "--n", "\u0663"), ("verify", "stokes", "--m", "1_0"),
+                     ("d", "--at", "1_0", "2", "3", "4"), ("wedge", "w1", "ten1", "--zap", "1_0")],
+                    "numbers on the command line refuse underscores and non-ASCII digits, as the"
+                    " readers do"),
+    ("print", "linesep"): "the readers end a line at \\n only, so U+2028 is a refused character",
 }
 
 
